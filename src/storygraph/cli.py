@@ -16,6 +16,7 @@ complete report, 2 for a missing dataset directory, 1 for any other error
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -413,7 +414,7 @@ def main(argv=None) -> int:
     except _MissingDataDir as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (StoryGraphError, OSError, ValueError) as err:
+    except (StoryGraphError, OSError, ValueError, csv.Error) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

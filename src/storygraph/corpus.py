@@ -151,6 +151,9 @@ def load_issues(
     report = LoadReport(path=str(path), project=project)
     issues: list[Issue] = []
     seen_keys: set[str] = set()
+    # no field is longer than the file; the csv default (131,072 chars) is
+    # shorter than some tracker descriptions with pasted logs
+    csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
 
     with open(path, encoding=fmt.encoding, newline="") as handle:
         reader = csv.DictReader(handle, delimiter=fmt.delimiter)

@@ -34,13 +34,15 @@ from .corpus import (
     split_dataset,
     tokenize_issues,
 )
-from .embeddings import DEFAULT_DIM, build_vocab, load_pretrained_vectors
-from .graph import (
-    assign_edge_params,
-    build_graphs,
-    count_cooccurrences,
-    graph_stats,
+from .embeddings import (
+    DEFAULT_DIM,
+    EmbeddingTable,
+    EncodedDocument,
+    Vocabulary,
+    build_vocab,
+    load_pretrained_vectors,
 )
+from .graph import EdgeTable, assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
 
@@ -198,34 +200,47 @@ class ProjectResult:
     baseline_seconds: float = 0.0
 
 
+Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
+
+
+def _encode(
+    config: ExperimentConfig, prepared: PreparedProject, pretrained, *docsets
+) -> Encoded:
+    """The training vocabulary, its initial embeddings, and each docset
+    encoded against it."""
+    vocab, table = build_vocab(
+        prepared.split.train,
+        pretrained,
+        seed=derive_seed(config.train.seed, prepared.project, "vocab"),
+        dim=config.embedding_dim,
+    )
+    return vocab, table, [vocab.encode_all(docs) for docs in docsets]
+
+
+def _pretrained_vectors(config: ExperimentConfig):
+    if not config.vectors_path:
+        return {}
+    return _pretrained(str(config.vectors_path), config.embedding_dim)
+
+
+def _edge_table(config: ExperimentConfig, train_enc: list[EncodedDocument]) -> EdgeTable:
+    window = config.train.window
+    counts = count_cooccurrences(train_enc, window)
+    return assign_edge_params(counts, config.train.min_edge_frequency, window)
+
+
 def _run_gnn(
     config: ExperimentConfig,
     prepared: PreparedProject,
+    encoded: Encoded,
     result: ProjectResult,
     models_dir: Path | None,
 ) -> None:
     master = config.train.seed
     project = prepared.project
     split = prepared.split
-    pretrained = (
-        _pretrained(str(config.vectors_path), config.embedding_dim)
-        if config.vectors_path
-        else {}
-    )
-    vocab, table = build_vocab(
-        split.train,
-        pretrained,
-        seed=derive_seed(master, project, "vocab"),
-        dim=config.embedding_dim,
-    )
-    train_enc = vocab.encode_all(split.train)
-    val_enc = vocab.encode_all(split.validation)
-    test_enc = vocab.encode_all(split.test)
-
-    counts = count_cooccurrences(train_enc, config.train.window)
-    edges = assign_edge_params(
-        counts, config.train.min_edge_frequency, config.train.window
-    )
+    vocab, table, (train_enc, val_enc, test_enc) = encoded
+    edges = _edge_table(config, train_enc)
     task = config.task
     cv = prepared.class_values
     train_graphs = build_graphs(
@@ -263,9 +278,10 @@ def _run_gnn(
         actual_points = [d.raw_story_point for d in split.test]
         result.gnn_mae = mean_absolute_error(predicted_points, actual_points)
 
-    stats = graph_stats(project, train_graphs, result.train_seconds)
-    result.node_count = stats.node_count
-    result.edge_count = stats.edge_count
+    # every training token is a node of some training graph, and every
+    # counted pair an edge of one
+    result.node_count = vocab.size - 1
+    result.edge_count = edges.distinct_pair_count
 
     if models_dir is not None:
         # the master-seed config goes into the file: the per-project train
@@ -336,7 +352,11 @@ def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> Proje
         models_dir.mkdir(parents=True, exist_ok=True)
     try:
         if config.model in ("gnn", "both"):
-            _run_gnn(config, prepared, result, models_dir)
+            encoded = _encode(
+                config, prepared, _pretrained_vectors(config),
+                split.train, split.validation, split.test,
+            )
+            _run_gnn(config, prepared, encoded, result, models_dir)
         if config.model in ("tfidf-rf", "both"):
             _run_baseline(config, prepared, result, models_dir)
     except Exception as err:
@@ -387,14 +407,16 @@ def _write_config_snapshot(config: ExperimentConfig, run_dir: Path) -> None:
     )
 
 
-def _collect(config: ExperimentConfig, projects, run_dir: Path) -> list[ProjectResult]:
+def _collect(config: ExperimentConfig, projects, run_dir: Path, run_one) -> list:
+    """run_one(config, project, run_dir) per project, in project order, in
+    up to config.jobs worker processes."""
     if config.jobs > 1 and len(projects) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(
-                pool.map(_run_project, [config] * len(projects), projects,
+                pool.map(run_one, [config] * len(projects), projects,
                          [run_dir] * len(projects))
             )
-    return [_run_project(config, p, run_dir) for p in projects]
+    return [run_one(config, p, run_dir) for p in projects]
 
 
 def run_classification(config: ExperimentConfig) -> EvalReport:
@@ -402,7 +424,7 @@ def run_classification(config: ExperimentConfig) -> EvalReport:
     config = replace(config, task=TASK_CLASSIFY)
     run_dir = _run_dir(config, "classification")
     _write_config_snapshot(config, run_dir)
-    rows = _collect(config, config.resolved_projects(), run_dir)
+    rows = _collect(config, config.resolved_projects(), run_dir, _run_project)
     return EvalReport(kind="classification", config_echo=config.echo(), rows=rows)
 
 
@@ -411,35 +433,24 @@ def run_regression(config: ExperimentConfig) -> EvalReport:
     config = replace(config, task=TASK_REGRESS)
     run_dir = _run_dir(config, "regression")
     _write_config_snapshot(config, run_dir)
-    rows = _collect(config, config.resolved_projects(), run_dir)
+    rows = _collect(config, config.resolved_projects(), run_dir, _run_project)
     return EvalReport(kind="regression", config_echo=config.echo(), rows=rows)
 
 
 def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     """Graph-scale analysis without training: per project, the size of the
-    training split and the distinct node/edge counts of its word graphs."""
+    training split and the distinct node/edge counts of its word graphs.
+
+    Every training token is a node of some training graph and every counted
+    pair an edge of one, so no graph is built."""
     run_dir = _run_dir(config, "stats")
     _write_config_snapshot(config, run_dir)
     report = EvalReport(kind="classification", config_echo=config.echo())
     for project in config.resolved_projects():
         prepared = prepare_project(config, project)
         split = prepared.split
-        vocab, _ = build_vocab(
-            split.train,
-            {},
-            seed=derive_seed(config.train.seed, project, "vocab"),
-            dim=config.embedding_dim,
-        )
-        encoded = vocab.encode_all(split.train)
-        counts = count_cooccurrences(encoded, config.train.window)
-        edges = assign_edge_params(
-            counts, config.train.min_edge_frequency, config.train.window
-        )
-        graphs = build_graphs(
-            encoded, config.train.window, edges,
-            labels=[int(d.level) for d in split.train],
-        )
-        stats = graph_stats(project, graphs, 0.0)
+        vocab, _, (train_enc,) = _encode(config, prepared, {}, split.train)
+        edges = _edge_table(config, train_enc)
         report.rows.append(
             ProjectResult(
                 project=project,
@@ -447,8 +458,8 @@ def run_graph_stats(config: ExperimentConfig) -> EvalReport:
                 val_size=len(split.validation),
                 test_size=len(split.test),
                 split_hash=prepared.split_hash,
-                node_count=stats.node_count,
-                edge_count=stats.edge_count,
+                node_count=vocab.size - 1,
+                edge_count=edges.distinct_pair_count,
             )
         )
     return report
@@ -472,26 +483,24 @@ class SweepReport:
 
 
 def _sweep_project(config: ExperimentConfig, project: str, run_dir: Path) -> list[SweepRow]:
+    prepared = prepare_project(config, project)
+    split = prepared.split
+    if config.model not in ("gnn", "both"):
+        _, _, (train_enc,) = _encode(config, prepared, {}, split.train)
+        return [
+            SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
+            for window in config.windows
+        ]
+    encoded = _encode(
+        config, prepared, _pretrained_vectors(config),
+        split.train, split.validation, split.test,
+    )
     rows = []
     for window in config.windows:
-        window_config = replace(
-            config,
-            train=replace(config.train, window=window),
-            save_models=False,
-        )
-        prepared = prepare_project(window_config, project)
-        vocab_seed = derive_seed(config.train.seed, project, "vocab")
-        vocab, _ = build_vocab(
-            prepared.split.train, {}, seed=vocab_seed, dim=config.embedding_dim
-        )
-        encoded = vocab.encode_all(prepared.split.train)
-        counts = count_cooccurrences(encoded, window)
-        row = SweepRow(project=project, window=window, edge_count=len(counts))
-        if config.model in ("gnn", "both"):
-            result = ProjectResult(project=project)
-            _run_gnn(window_config, prepared, result, None)
-            row.accuracy = result.gnn_accuracy
-        rows.append(row)
+        window_config = replace(config, train=replace(config.train, window=window))
+        result = ProjectResult(project=project)
+        _run_gnn(window_config, prepared, encoded, result, None)
+        rows.append(SweepRow(project, window, result.edge_count, result.gnn_accuracy))
     return rows
 
 
@@ -505,17 +514,8 @@ def run_window_sweep(config: ExperimentConfig) -> SweepReport:
     run_dir = _run_dir(config, "sweep")
     _write_config_snapshot(config, run_dir)
     report = SweepReport(config_echo=config.echo())
-    projects = config.resolved_projects()
-    if config.jobs > 1 and len(projects) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for rows in pool.map(
-                _sweep_project, [config] * len(projects), projects,
-                [run_dir] * len(projects),
-            ):
-                report.rows.extend(rows)
-    else:
-        for project in projects:
-            report.rows.extend(_sweep_project(config, project, run_dir))
+    for rows in _collect(config, config.resolved_projects(), run_dir, _sweep_project):
+        report.rows.extend(rows)
     return report
 
 

@@ -6,12 +6,17 @@ edge token_i -> token_j. Each distinct ordered token pair seen at least k
 times across the training split owns a trainable edge parameter; rarer
 pairs share the single "public" edge parameter at index 0, which is also
 the fallback for pairs first seen at test time.
+
+Pair codes: the ordered token-id pair (src, dst) is the int64 code
+(src << 32) | dst. Token ids are non-negative and below 2**31, so codes
+sort in the same order as (src, dst) tuples. The edge table is the sorted
+array of the codes of the pairs that own a parameter; a pair's parameter
+index is its rank in that array plus one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,10 +26,44 @@ from .errors import EmptyDocumentError
 
 PUBLIC_EDGE_INDEX = 0
 
-PairCounts = Counter  # (src token id, dst token id) -> occurrence count
+_CODE_SHIFT = 32
+_DST_MASK = (1 << _CODE_SHIFT) - 1
 
 
-def count_cooccurrences(docs: Sequence[EncodedDocument], window: int) -> PairCounts:
+def encode_pairs(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Pair codes of parallel src and dst token-id arrays."""
+    return (np.asarray(src, dtype=np.int64) << _CODE_SHIFT) | np.asarray(
+        dst, dtype=np.int64
+    )
+
+
+def decode_pairs(codes: np.ndarray) -> np.ndarray:
+    """(n, 2) int64 array of the (src, dst) token ids behind n pair codes."""
+    return np.stack([codes >> _CODE_SHIFT, codes & _DST_MASK], axis=1)
+
+
+def _position_pairs(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j) with i < j <= i + window in an n-token document."""
+    starts = np.arange(n)[:, None]
+    ends = starts + np.arange(1, min(window, n - 1) + 1)
+    inside = ends < n
+    return np.broadcast_to(starts, ends.shape)[inside], ends[inside]
+
+
+@dataclass
+class CooccurrenceCounts:
+    """Distinct ordered token pairs as sorted pair codes, with their counts."""
+
+    codes: np.ndarray  # (n,) int64, strictly increasing
+    counts: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return int(self.codes.shape[0])
+
+
+def count_cooccurrences(
+    docs: Sequence[EncodedDocument], window: int
+) -> CooccurrenceCounts:
     """Count ordered token-id pairs within the sliding window.
 
     Every position pair (i, j) with 0 < |i - j| <= window contributes one
@@ -33,59 +72,59 @@ def count_cooccurrences(docs: Sequence[EncodedDocument], window: int) -> PairCou
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    counts: PairCounts = Counter()
+    chunks = [np.empty(0, dtype=np.int64)]
     for doc in docs:
-        ids = doc.token_ids
-        for offset in range(1, window + 1):
-            for a, b in zip(ids, ids[offset:]):
-                counts[(a, b)] += 1
-                counts[(b, a)] += 1
-    return counts
+        ids = np.asarray(doc.token_ids, dtype=np.int64)
+        first, second = _position_pairs(ids.shape[0], window)
+        a, b = ids[first], ids[second]
+        chunks.append(encode_pairs(a, b))
+        chunks.append(encode_pairs(b, a))
+    codes, counts = np.unique(np.concatenate(chunks), return_counts=True)
+    return CooccurrenceCounts(codes=codes, counts=counts)
 
 
 @dataclass
 class EdgeTable:
     """Global map from ordered token-id pairs to edge parameter indices.
 
-    Pairs counted fewer than `min_frequency` times share PUBLIC_EDGE_INDEX;
-    the others get unique indices 1..num_distinct. `distinct_pair_count`
-    reports pairs before thresholding, which is the graph-scale statistic.
+    `codes` holds the sorted pair codes of the pairs counted at least
+    `min_frequency` times; the pair at rank r owns index r + 1 and every
+    other pair shares PUBLIC_EDGE_INDEX. `distinct_pair_count` reports
+    pairs before thresholding, which is the graph-scale statistic; a table
+    read back from a model file does not know it and holds 0.
     """
 
-    pair_counts: dict[tuple[int, int], int]
-    pair_index: dict[tuple[int, int], int]
+    codes: np.ndarray  # (n,) int64, strictly increasing
+    distinct_pair_count: int
     min_frequency: int
     window: int
 
     @property
     def num_edge_params(self) -> int:
-        return 1 + len(self.pair_index)
+        return 1 + int(self.codes.shape[0])
 
-    @property
-    def distinct_pair_count(self) -> int:
-        return len(self.pair_counts)
+    def edge_params(self, codes: np.ndarray) -> np.ndarray:
+        """Parameter index of every pair code; PUBLIC_EDGE_INDEX if not owned."""
+        rank = np.searchsorted(self.codes, codes)
+        owned = np.zeros(rank.shape, dtype=bool)
+        inside = rank < self.codes.shape[0]
+        owned[inside] = self.codes[rank[inside]] == codes[inside]
+        return np.where(owned, rank + 1, PUBLIC_EDGE_INDEX)
 
-    def index_for(self, src_id: int, dst_id: int) -> int:
-        return self.pair_index.get((src_id, dst_id), PUBLIC_EDGE_INDEX)
 
-
-def assign_edge_params(counts: PairCounts, min_frequency: int, window: int) -> EdgeTable:
+def assign_edge_params(
+    counts: CooccurrenceCounts, min_frequency: int, window: int
+) -> EdgeTable:
     """Give every sufficiently frequent ordered pair its own parameter index.
 
-    Indices are assigned in sorted pair order so the table is independent of
+    Indices follow sorted pair order, so the table is independent of
     counting order.
     """
     if min_frequency < 1:
         raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
-    pair_index: dict[tuple[int, int], int] = {}
-    next_index = 1
-    for pair in sorted(counts):
-        if counts[pair] >= min_frequency:
-            pair_index[pair] = next_index
-            next_index += 1
     return EdgeTable(
-        pair_counts=dict(counts),
-        pair_index=pair_index,
+        codes=counts.codes[counts.counts >= min_frequency],
+        distinct_pair_count=len(counts),
         min_frequency=min_frequency,
         window=window,
     )
@@ -117,11 +156,6 @@ class DocumentGraph:
     def n_entries(self) -> int:
         return int(self.edge_src.shape[0])
 
-    def incoming(self, position: int) -> list[tuple[int, int]]:
-        """(source position, edge parameter) pairs for one node position."""
-        mask = self.edge_dst == position
-        return list(zip(self.edge_src[mask].tolist(), self.edge_param[mask].tolist()))
-
 
 def build_graph(
     doc: EncodedDocument,
@@ -135,34 +169,27 @@ def build_graph(
     the public edge parameter. The label defaults to the document's effort
     level; regression-as-classification callers pass their own.
     """
-    ids = doc.token_ids
-    if not ids:
+    ids = np.asarray(doc.token_ids, dtype=np.int64)
+    if not ids.shape[0]:
         raise EmptyDocumentError(f"{doc.doc_id}: no tokens")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
 
-    position_of: dict[int, int] = {}
-    node_ids: list[int] = []
-    for tok in ids:
-        if tok not in position_of:
-            position_of[tok] = len(node_ids)
-            node_ids.append(tok)
-
-    pairs: set[tuple[int, int]] = set()  # (dst node pos, src node pos)
-    for offset in range(1, window + 1):
-        for a, b in zip(ids, ids[offset:]):
-            pa, pb = position_of[a], position_of[b]
-            pairs.add((pb, pa))
-            pairs.add((pa, pb))
-
-    ordered = sorted(pairs)
-    nodes = np.array(node_ids, dtype=np.int64)
-    edge_dst = np.array([p[0] for p in ordered], dtype=np.int64)
-    edge_src = np.array([p[1] for p in ordered], dtype=np.int64)
-    edge_param = np.array(
-        [table.index_for(int(nodes[s]), int(nodes[d])) for d, s in ordered],
-        dtype=np.int64,
+    tokens, first_seen, token_of = np.unique(
+        ids, return_index=True, return_inverse=True
     )
+    order = np.argsort(first_seen)
+    nodes = tokens[order]
+    n = nodes.shape[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    position = rank[token_of]
+
+    first, second = _position_pairs(ids.shape[0], window)
+    a, b = position[first], position[second]
+    # entry code dst * n + src sorts entries by (dst, src)
+    entries = np.unique(np.concatenate([b * n + a, a * n + b]))
+    edge_dst, edge_src = np.divmod(entries, n)
     if label is None:
         label = int(doc.level)
     return DocumentGraph(
@@ -171,7 +198,7 @@ def build_graph(
         node_ids=nodes,
         edge_src=edge_src,
         edge_dst=edge_dst,
-        edge_param=edge_param,
+        edge_param=table.edge_params(encode_pairs(nodes[edge_src], nodes[edge_dst])),
     )
 
 
@@ -188,40 +215,3 @@ def build_graphs(
     if len(labels) != len(docs):
         raise ValueError("labels and docs must have equal length")
     return [build_graph(d, window, table, label=l) for d, l in zip(docs, labels)]
-
-
-@dataclass
-class GraphStats:
-    """Graph-scale statistics of one project's training split."""
-
-    project: str
-    train_size: int
-    node_count: int
-    edge_count: int
-    train_seconds: float
-    flagged_empty: bool = field(default=False)
-
-
-def graph_stats(
-    project: str, train_graphs: Sequence[DocumentGraph], train_seconds: float
-) -> GraphStats:
-    """Summarize the training graphs of one project.
-
-    node_count is the number of distinct token ids across the graphs;
-    edge_count the number of distinct ordered token pairs, i.e. the
-    pre-thresholding scale of the edge table built from the same split.
-    """
-    node_ids: set[int] = set()
-    token_pairs: set[tuple[int, int]] = set()
-    for g in train_graphs:
-        node_ids.update(g.node_ids.tolist())
-        for s, d in zip(g.edge_src.tolist(), g.edge_dst.tolist()):
-            token_pairs.add((int(g.node_ids[s]), int(g.node_ids[d])))
-    return GraphStats(
-        project=project,
-        train_size=len(train_graphs),
-        node_count=len(node_ids),
-        edge_count=len(token_pairs),
-        train_seconds=train_seconds,
-        flagged_empty=not train_graphs,
-    )

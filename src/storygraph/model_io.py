@@ -3,9 +3,10 @@
 Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
 UTF-8 JSON header, then raw little-endian arrays in a fixed order
 (five float64 parameter arrays, then the indexed edge pairs as int64).
-Arrays round-trip bit-exactly. The edge pair list is stored in parameter
-index order, so index i+1 in the edge-weight vector belongs to pairs[i];
-pre-threshold co-occurrence counts are not persisted.
+Arrays round-trip bit-exactly. The edge pairs are the (src, dst) token
+ids of the edge table's pair codes (see graph.py) in code order, so index
+i+1 in the edge-weight vector belongs to pairs[i]; pre-threshold
+co-occurrence counts are not persisted.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .baseline import (
 from .embeddings import Vocabulary
 from .errors import CorruptFileError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
-from .graph import EdgeTable
+from .graph import EdgeTable, decode_pairs, encode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
@@ -45,17 +46,19 @@ class ModelBundle:
     class_values: tuple[int, ...] = ()  # story-point mode: value per class index
 
 
-def _ordered_pairs(table: EdgeTable) -> np.ndarray:
-    pairs = np.zeros((len(table.pair_index), 2), dtype=np.int64)
-    for (src, dst), idx in table.pair_index.items():
-        pairs[idx - 1] = (src, dst)
-    return pairs
+def _write_header(fh, magic: bytes, header: dict) -> None:
+    """Magic, version byte, header length and JSON header of a container."""
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    fh.write(magic)
+    fh.write(bytes([FORMAT_VERSION]))
+    fh.write(struct.pack("<Q", len(blob)))
+    fh.write(blob)
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
     params = bundle.params
     vocab = bundle.vocabulary
-    pairs = _ordered_pairs(bundle.edge_table)
+    pairs = decode_pairs(bundle.edge_table.codes)
     header = {
         "format_version": FORMAT_VERSION,
         "vocab_size": params.vocab_size,
@@ -70,12 +73,8 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "edge_window": bundle.edge_table.window,
         "edge_min_frequency": bundle.edge_table.min_frequency,
     }
-    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC_PREFIX)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        _write_header(fh, MAGIC_PREFIX, header)
         for _, arr in params.named_arrays():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(pairs, dtype="<i8").tobytes())
@@ -93,19 +92,20 @@ def _take(buf: bytes, offset: int, dtype: str, shape: tuple[int, ...]) -> tuple[
     return arr, end
 
 
-def load_model(path: str | Path) -> ModelBundle:
-    """Read a model container back; inverse of save_model, bit for bit."""
+def _read_container(path: str | Path, magic: bytes, kind: str) -> tuple[dict, bytes, int]:
+    """Check a container's magic, versions and header; returns the header,
+    the file's bytes and the offset of its first array."""
     data = Path(path).read_bytes()
-    if len(data) < len(MAGIC_PREFIX) + 9:
-        raise CorruptFileError(f"{path}: too short to be a model file")
-    if data[: len(MAGIC_PREFIX)] != MAGIC_PREFIX:
-        raise CorruptFileError(f"{path}: not a model file (bad magic)")
-    version = data[len(MAGIC_PREFIX)]
+    if len(data) < len(magic) + 9:
+        raise CorruptFileError(f"{path}: too short to be a {kind} file")
+    if data[: len(magic)] != magic:
+        raise CorruptFileError(f"{path}: not a {kind} file (bad magic)")
+    version = data[len(magic)]
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
         )
-    pos = len(MAGIC_PREFIX) + 1
+    pos = len(magic) + 1
     (header_len,) = struct.unpack_from("<Q", data, pos)
     pos += 8
     if pos + header_len > len(data):
@@ -114,12 +114,18 @@ def load_model(path: str | Path) -> ModelBundle:
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{path}: unreadable header: {err}") from err
-    pos += header_len
+    if not isinstance(header, dict):
+        raise CorruptFileError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionMismatchError(
             f"{path}: header declares version {header.get('format_version')}"
         )
+    return header, data, pos + header_len
 
+
+def load_model(path: str | Path) -> ModelBundle:
+    """Read a model container back; inverse of save_model, bit for bit."""
+    header, data, pos = _read_container(path, MAGIC_PREFIX, "model")
     try:
         v = int(header["vocab_size"])
         d = int(header["dim"])
@@ -164,12 +170,14 @@ def load_model(path: str | Path) -> ModelBundle:
         token_to_id={t: i for i, t in enumerate(tokens)},
         counts=[int(n) for n in token_counts],
     )
-    pair_index = {
-        (int(src), int(dst)): i + 1 for i, (src, dst) in enumerate(pairs)
-    }
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= v):
+        raise CorruptFileError(f"{path}: edge pair token id outside [0, {v})")
+    codes = encode_pairs(pairs[:, 0], pairs[:, 1])
+    if np.any(codes[1:] <= codes[:-1]):
+        raise CorruptFileError(f"{path}: edge pairs not strictly increasing")
     table = EdgeTable(
-        pair_counts={},
-        pair_index=pair_index,
+        codes=codes,
+        distinct_pair_count=0,
         min_frequency=edge_min_frequency,
         window=edge_window,
     )
@@ -280,12 +288,8 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
         "document_count": tfidf.document_count,
         "max_ngram": tfidf.max_ngram,
     }
-    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(BASELINE_MAGIC_PREFIX)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        _write_header(fh, BASELINE_MAGIC_PREFIX, header)
         fh.write(np.ascontiguousarray(tfidf.idf, dtype="<f8").tobytes())
         for feature, threshold, left, right, value, histogram in flats:
             fh.write(np.ascontiguousarray(feature, dtype="<i8").tobytes())
@@ -298,26 +302,7 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
 
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
-    data = Path(path).read_bytes()
-    if len(data) < len(BASELINE_MAGIC_PREFIX) + 9:
-        raise CorruptFileError(f"{path}: too short to be a baseline model file")
-    if data[: len(BASELINE_MAGIC_PREFIX)] != BASELINE_MAGIC_PREFIX:
-        raise CorruptFileError(f"{path}: not a baseline model file (bad magic)")
-    version = data[len(BASELINE_MAGIC_PREFIX)]
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
-        )
-    pos = len(BASELINE_MAGIC_PREFIX) + 1
-    (header_len,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    if pos + header_len > len(data):
-        raise CorruptFileError(f"{path}: header extends past end of file")
-    try:
-        header = json.loads(data[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise CorruptFileError(f"{path}: unreadable header: {err}") from err
-    pos += header_len
+    header, data, pos = _read_container(path, BASELINE_MAGIC_PREFIX, "baseline model")
 
     try:
         task = str(header["task"])

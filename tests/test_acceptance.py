@@ -36,7 +36,12 @@ from storygraph.experiment import (
     run_window_sweep,
 )
 from storygraph import gnn
-from storygraph.graph import assign_edge_params, build_graph, count_cooccurrences
+from storygraph.graph import (
+    assign_edge_params,
+    build_graph,
+    count_cooccurrences,
+    decode_pairs,
+)
 from storygraph.model_io import (
     BaselineBundle,
     ModelBundle,
@@ -215,9 +220,12 @@ def test_criterion_02_graph_construction_oracle():
         )
         expected = brute_force_pairs(ids, window)
         counted = count_cooccurrences([doc], window)
-        assert dict(counted) == dict(expected)
+        counted_pairs = [tuple(p) for p in decode_pairs(counted.codes).tolist()]
+        assert dict(zip(counted_pairs, counted.counts.tolist())) == dict(expected)
 
         table = assign_edge_params(counted, int(rng.integers(1, 3)), window)
+        table_pairs = [tuple(p) for p in decode_pairs(table.codes).tolist()]
+        pair_index = {pair: i + 1 for i, pair in enumerate(table_pairs)}
         graph = build_graph(doc, window, table, label=0)
         seen, order = [], {}
         for t in ids:
@@ -230,7 +238,7 @@ def test_criterion_02_graph_construction_oracle():
             for s, d, p in zip(graph.edge_src, graph.edge_dst, graph.edge_param)
         }
         expected_entries = {
-            (order[s], order[d]): table.pair_index.get((s, d), 0)
+            (order[s], order[d]): pair_index.get((s, d), 0)
             for (s, d) in expected
         }
         assert entries == expected_entries

@@ -1,11 +1,14 @@
 """Command-line behavior: flag layering, exit codes, and the files each
 subcommand leaves behind."""
 
+import csv
 import json
 
 import pytest
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
+
+from conftest import synth_rows, write_project_csv
 
 
 @pytest.fixture(autouse=True)
@@ -230,6 +233,33 @@ def test_error_lines_name_the_exception(capsys, tmp_path):
     )
     assert code in (1, 2)
     assert err.startswith("error: ")
+
+
+def test_stats_loads_a_description_longer_than_the_csv_default(capsys, tmp_path):
+    rows = synth_rows("alpha", 40, seed=5)
+    rows[0]["description"] = "pasted log " + "x" * 200_000  # default limit 131,072
+    data = tmp_path / "data"
+    data.mkdir()
+    write_project_csv(data / "alpha.csv", rows)
+    code, stdout, err = run_cli(
+        capsys, "stats", "--data", str(data), "--out", str(tmp_path / "o")
+    )
+    assert code == 0, err
+    assert "alpha: size " in stdout
+
+
+def test_csv_errors_follow_the_error_contract(capsys, tmp_path, synth_dataset, monkeypatch):
+    import storygraph.experiment as ex
+
+    def unreadable(*args, **kwargs):
+        raise csv.Error("field larger than field limit (131072)")
+
+    monkeypatch.setattr(ex, "load_issues", unreadable)
+    code, _, err = run_cli(
+        capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert err.startswith("error: Error: field larger than field limit")
 
 
 def test_parser_has_all_subcommands():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from storygraph.corpus import DatasetSplit, StoryPointLevel, TokenizedDocument
+from storygraph.embeddings import build_vocab
 from storygraph.experiment import (
     MODE_FILTERED,
     TASK_CLASSIFY,
@@ -31,6 +32,7 @@ from storygraph.experiment import (
     split_hash,
 )
 from storygraph.gnn import TrainConfig
+from storygraph.graph import assign_edge_params, build_graphs, count_cooccurrences
 from storygraph.model_io import load_model
 
 
@@ -310,6 +312,60 @@ def test_run_graph_stats_counts_without_training(synth_dataset, tmp_path):
         assert row.edge_count > 0
         assert row.train_seconds == 0.0
         assert row.gnn_accuracy is None
+
+
+@pytest.mark.parametrize("mode", ["raw", MODE_FILTERED])
+def test_run_graph_stats_matches_training_graphs(synth_dataset, tmp_path, mode):
+    # oracle: distinct token ids and distinct ordered token pairs over the
+    # word graphs of each project's training split
+    cfg = make_config(synth_dataset, tmp_path / "out", text_mode=mode)
+    report = run_graph_stats(cfg)
+    assert [r.project for r in report.rows] == ["alpha", "beta"]
+    for row in report.rows:
+        train = prepare_project(cfg, row.project).split.train
+        vocab, _ = build_vocab(train, {}, seed=0, dim=8)
+        encoded = vocab.encode_all(train)
+        window = cfg.train.window
+        table = assign_edge_params(count_cooccurrences(encoded, window), 1, window)
+        nodes, pairs = set(), set()
+        for g in build_graphs(encoded, window, table):
+            ids = g.node_ids.tolist()
+            nodes.update(ids)
+            pairs.update(
+                (ids[s], ids[d]) for s, d in zip(g.edge_src.tolist(), g.edge_dst.tolist())
+            )
+        assert row.train_size == len(train)
+        assert row.node_count == len(nodes)
+        assert row.edge_count == len(pairs)
+
+
+def test_run_window_sweep_prepares_each_project_once(synth_dataset, tmp_path, monkeypatch):
+    import storygraph.experiment as ex
+
+    calls = []
+
+    def counting_prepare(config, project):
+        calls.append(project)
+        return prepare_project(config, project)
+
+    monkeypatch.setattr(ex, "prepare_project", counting_prepare)
+    cfg = make_config(synth_dataset, tmp_path / "out", model="tfidf-rf", windows=(1, 2, 4))
+    report = run_window_sweep(cfg)
+    assert sorted(calls) == ["alpha", "beta"]
+    assert len(report.rows) == 6
+
+
+def test_run_window_sweep_worker_pool_matches_serial(synth_dataset, tmp_path):
+    serial = run_window_sweep(
+        make_config(synth_dataset, tmp_path / "a", model="tfidf-rf", windows=(1, 3))
+    )
+    pooled = run_window_sweep(
+        make_config(synth_dataset, tmp_path / "b", model="tfidf-rf", windows=(1, 3), jobs=2)
+    )
+    assert [(r.project, r.window) for r in serial.rows] == [
+        ("alpha", 1), ("alpha", 3), ("beta", 1), ("beta", 3)
+    ]
+    assert pooled.rows == serial.rows
 
 
 def test_run_window_sweep_edges_grow_with_window(synth_dataset, tmp_path):

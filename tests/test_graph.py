@@ -11,11 +11,13 @@ from storygraph.embeddings import EncodedDocument
 from storygraph.errors import EmptyDocumentError
 from storygraph.graph import (
     PUBLIC_EDGE_INDEX,
+    CooccurrenceCounts,
     assign_edge_params,
     build_graph,
     build_graphs,
     count_cooccurrences,
-    graph_stats,
+    decode_pairs,
+    encode_pairs,
 )
 
 
@@ -39,22 +41,43 @@ def brute_force_pairs(ids, window):
     return counts
 
 
+def pair_counts(counted):
+    """(src, dst) -> count, from the counted pair codes."""
+    pairs = [tuple(p) for p in decode_pairs(counted.codes).tolist()]
+    return dict(zip(pairs, counted.counts.tolist()))
+
+
+def pair_index(table):
+    """(src, dst) -> parameter index, built from the table's pairs rather than
+    its lookup."""
+    pairs = [tuple(p) for p in decode_pairs(table.codes).tolist()]
+    return {pair: i + 1 for i, pair in enumerate(pairs)}
+
+
 # --- counting ----------------------------------------------------------------
 
 
 def test_count_small_example():
     counts = count_cooccurrences([doc([1, 2, 3])], window=1)
-    assert counts == {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1}
+    assert pair_counts(counts) == {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1}
+    assert len(counts) == 4
 
 
 def test_count_repeated_token_self_pair():
     counts = count_cooccurrences([doc([1, 2, 1])], window=2)
-    assert counts == {(1, 2): 2, (2, 1): 2, (1, 1): 2}
+    assert pair_counts(counts) == {(1, 2): 2, (2, 1): 2, (1, 1): 2}
 
 
 def test_count_accumulates_over_documents():
     counts = count_cooccurrences([doc([1, 2]), doc([1, 2])], window=1)
-    assert counts[(1, 2)] == 2
+    assert pair_counts(counts)[(1, 2)] == 2
+
+
+def test_count_codes_sort_like_pairs():
+    counts = count_cooccurrences([doc([3, 0, 2**31 - 1, 1])], window=3)
+    pairs = [tuple(p) for p in decode_pairs(counts.codes).tolist()]
+    assert pairs == sorted(pairs)
+    assert np.array_equal(encode_pairs(*decode_pairs(counts.codes).T), counts.codes)
 
 
 def test_count_window_validation():
@@ -68,7 +91,8 @@ def test_count_window_validation():
     st.integers(min_value=1, max_value=5),
 )
 def test_count_matches_brute_force(ids, window):
-    assert count_cooccurrences([doc(ids)], window) == brute_force_pairs(ids, window)
+    counted = pair_counts(count_cooccurrences([doc(ids)], window))
+    assert counted == brute_force_pairs(ids, window)
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,8 +101,8 @@ def test_count_matches_brute_force(ids, window):
     st.integers(min_value=1, max_value=4),
 )
 def test_count_monotone_in_window(ids, window):
-    narrow = count_cooccurrences([doc(ids)], window)
-    wide = count_cooccurrences([doc(ids)], window + 1)
+    narrow = pair_counts(count_cooccurrences([doc(ids)], window))
+    wide = pair_counts(count_cooccurrences([doc(ids)], window + 1))
     assert set(narrow) <= set(wide)
     assert all(wide[pair] >= narrow[pair] for pair in narrow)
 
@@ -87,20 +111,30 @@ def test_count_monotone_in_window(ids, window):
 
 
 def test_assign_edge_params_threshold_and_order():
-    counts = Counter({(3, 1): 5, (1, 3): 5, (1, 2): 1, (2, 2): 2})
+    # pairs in sorted order: (1,2), (1,3), (2,2), (3,1)
+    counts = CooccurrenceCounts(
+        codes=encode_pairs([1, 1, 2, 3], [2, 3, 2, 1]),
+        counts=np.array([1, 5, 2, 5]),
+    )
     table = assign_edge_params(counts, min_frequency=2, window=2)
-    # sorted qualifying pairs: (1,3), (2,2), (3,1)
-    assert table.pair_index == {(1, 3): 1, (2, 2): 2, (3, 1): 3}
+    assert pair_index(table) == {(1, 3): 1, (2, 2): 2, (3, 1): 3}
     assert table.num_edge_params == 4
     assert table.distinct_pair_count == 4
-    assert table.index_for(1, 2) == PUBLIC_EDGE_INDEX
-    assert table.index_for(9, 9) == PUBLIC_EDGE_INDEX
-    assert table.index_for(3, 1) == 3
+    looked_up = table.edge_params(encode_pairs([1, 9, 3, 1, 0], [2, 9, 1, 3, 0]))
+    assert looked_up.tolist() == [PUBLIC_EDGE_INDEX, PUBLIC_EDGE_INDEX, 3, 1,
+                                  PUBLIC_EDGE_INDEX]
+
+
+def test_edge_params_on_empty_table():
+    table = assign_edge_params(count_cooccurrences([doc([1])], 1), 1, 1)
+    assert table.num_edge_params == 1
+    assert table.edge_params(encode_pairs([1, 2], [2, 1])).tolist() == [
+        PUBLIC_EDGE_INDEX, PUBLIC_EDGE_INDEX]
 
 
 def test_assign_edge_params_validation():
     with pytest.raises(ValueError):
-        assign_edge_params(Counter(), min_frequency=0, window=1)
+        assign_edge_params(count_cooccurrences([], 1), min_frequency=0, window=1)
 
 
 # --- graph building ------------------------------------------------------------
@@ -127,13 +161,16 @@ def test_build_graph_adjacency_sorted_and_collapsed():
 def test_build_graph_incoming_and_params():
     d = doc([1, 2, 3])
     table = _table_for([d], 1)
+    index = pair_index(table)
     g = build_graph(d, window=1, table=table)
-    # node positions: 1->0, 2->1, 3->2
-    assert g.incoming(0) == [(1, table.index_for(2, 1))]
-    assert set(g.incoming(1)) == {
-        (0, table.index_for(1, 2)),
-        (2, table.index_for(3, 2)),
-    }
+    # node positions: 1->0, 2->1, 3->2; entries are (dst, src, param)
+    entries = list(zip(g.edge_dst.tolist(), g.edge_src.tolist(), g.edge_param.tolist()))
+    assert entries == [
+        (0, 1, index[(2, 1)]),
+        (1, 0, index[(1, 2)]),
+        (1, 2, index[(3, 2)]),
+        (2, 1, index[(2, 3)]),
+    ]
 
 
 def test_build_graph_public_fallback_for_unseen_pairs():
@@ -186,6 +223,7 @@ def test_build_graph_matches_brute_force(ids, window, k):
     position = {t: i for i, t in enumerate(seen)}
 
     oracle_pairs = brute_force_pairs(ids, window)
+    index = pair_index(table)
     expected_entries = sorted(
         {(position[b], position[a]) for (a, b) in oracle_pairs}
     )
@@ -194,38 +232,8 @@ def test_build_graph_matches_brute_force(ids, window, k):
     for e in range(g.n_entries):
         src_tok = int(g.node_ids[g.edge_src[e]])
         dst_tok = int(g.node_ids[g.edge_dst[e]])
-        expected = table.pair_index.get((src_tok, dst_tok), PUBLIC_EDGE_INDEX)
+        expected = index.get((src_tok, dst_tok), PUBLIC_EDGE_INDEX)
         assert int(g.edge_param[e]) == expected
         if oracle_pairs[(src_tok, dst_tok)] >= k:
-            assert int(g.edge_param[e]) != PUBLIC_EDGE_INDEX or (
-                (src_tok, dst_tok) not in table.pair_index
-            )
+            assert int(g.edge_param[e]) != PUBLIC_EDGE_INDEX
 
-
-# --- stats ---------------------------------------------------------------------
-
-
-def test_graph_stats_single_document():
-    d = doc([1, 2, 3])
-    graphs = [build_graph(d, 1, _table_for([d], 1))]
-    stats = graph_stats("p", graphs, train_seconds=1.5)
-    assert stats.node_count == 3
-    assert stats.edge_count == 4  # (1,2),(2,1),(2,3),(3,2)
-    assert stats.train_size == 1
-    assert not stats.flagged_empty
-
-
-def test_graph_stats_counts_distinct_across_documents():
-    docs = [doc([1, 2], doc_id="a"), doc([2, 1], doc_id="b"), doc([3, 3, 3], doc_id="c")]
-    table = _table_for(docs, 1)
-    graphs = build_graphs(docs, 1, table)
-    stats = graph_stats("p", graphs, 0.0)
-    assert stats.node_count == 3
-    # pairs: (1,2),(2,1) from a and b; (3,3) from c
-    assert stats.edge_count == 3
-
-
-def test_graph_stats_empty_flag():
-    stats = graph_stats("p", [], 0.0)
-    assert stats.flagged_empty
-    assert stats.node_count == 0

@@ -61,7 +61,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert loaded.vocabulary.id_to_token == bundle.vocabulary.id_to_token
     assert loaded.vocabulary.token_to_id == bundle.vocabulary.token_to_id
     assert loaded.vocabulary.counts == bundle.vocabulary.counts
-    assert loaded.edge_table.pair_index == bundle.edge_table.pair_index
+    assert loaded.edge_table.codes.dtype == bundle.edge_table.codes.dtype
+    assert np.array_equal(loaded.edge_table.codes, bundle.edge_table.codes)
     assert loaded.edge_table.num_edge_params == bundle.edge_table.num_edge_params
     assert loaded.edge_table.window == bundle.edge_table.window
     assert loaded.edge_table.min_frequency == bundle.edge_table.min_frequency
@@ -158,6 +159,49 @@ def test_rejects_corrupt_header_json(tmp_path):
         load_model(path)
 
 
+def _pairs_offset(path):
+    """Byte offset of the edge pairs section: it ends the file."""
+    n_pairs = load_model(path).edge_table.num_edge_params - 1
+    return len(path.read_bytes()) - 16 * n_pairs
+
+
+def test_rejects_unsorted_edge_pairs(tmp_path):
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    start = _pairs_offset(path)
+    raw = bytearray(path.read_bytes())
+    first, second = raw[start : start + 16], raw[start + 16 : start + 32]
+    raw[start : start + 32] = second + first  # swap the first two pairs
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="strictly increasing"):
+        load_model(path)
+
+
+def test_rejects_duplicate_edge_pairs(tmp_path):
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    start = _pairs_offset(path)
+    raw = bytearray(path.read_bytes())
+    raw[start + 16 : start + 32] = raw[start : start + 16]
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="strictly increasing"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("token_id", [4, -1])
+def test_rejects_edge_pair_token_out_of_range(tmp_path, token_id):
+    bundle, _ = make_bundle()  # vocabulary of 4
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([token_id], dtype="<i8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFileError, match="outside"):
+        load_model(path)
+
+
 # --- baseline bundle ---------------------------------------------------------
 
 
@@ -210,6 +254,44 @@ def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):
     save_baseline_model(base_path, base)
     with pytest.raises(CorruptFileError):
         load_model(base_path)
+
+
+def _header_version_bumped(raw: bytes) -> bytes:
+    field = b'"format_version": 1'
+    assert field in raw
+    return raw.replace(field, b'"format_version": 2', 1)
+
+
+def test_rejects_header_version_mismatch(tmp_path):
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    path.write_bytes(_header_version_bumped(path.read_bytes()))
+    with pytest.raises(VersionMismatchError):
+        load_model(path)
+
+
+def test_baseline_rejects_corrupt_containers(tmp_path):
+    bundle, _ = fit_small_baseline()
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    raw = path.read_bytes()
+    wrong_version = bytearray(raw)
+    wrong_version[7] = 99
+    bad_json = bytearray(raw)
+    bad_json[16] ^= 0xFF
+    cases = [
+        (b"NOTMAGIC" + b"\x00" * 64, CorruptFileError),
+        (bytes(wrong_version), VersionMismatchError),
+        (_header_version_bumped(raw), VersionMismatchError),
+        (bytes(bad_json), CorruptFileError),
+        (raw + b"\x00\x01", CorruptFileError),
+        *((raw[:cut], CorruptFileError) for cut in (3, 10, len(raw) // 2, len(raw) - 1)),
+    ]
+    for blob, error in cases:
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            load_baseline_model(path)
 
 
 def test_baseline_round_trip_preserves_tree_structure(tmp_path):
