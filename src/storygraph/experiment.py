@@ -96,8 +96,7 @@ class ExperimentConfig:
             "vectors": Path(self.vectors_path).name if self.vectors_path else "none",
             "windows": list(self.windows),
             "idf": "ln((1+N)/(1+df))+1",
-            "forest": "100 trees, unlimited depth, min leaf 1, "
-            "sqrt(F) features (classify) / F/3 (regress)",
+            "forest": bl.RandomForestConfig().describe(),
         }
 
 

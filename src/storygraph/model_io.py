@@ -7,6 +7,10 @@ Arrays round-trip bit-exactly. The edge pairs are the (src, dst) token
 ids of the edge table's pair codes (see graph.py) in code order, so index
 i+1 in the edge-weight vector belongs to pairs[i]; pre-threshold
 co-occurrence counts are not persisted.
+
+A `.baseline` file holds the idf vector, then each tree's flat preorder
+arrays in the layout the baseline.py docstring states; loading refuses a
+tree that breaks it.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import (
-    Forest,
-    RandomForestConfig,
-    TfidfModel,
-    Tree,
-    TreeNode,
-)
+from .baseline import Forest, RandomForestConfig, TfidfModel, Tree
 from .embeddings import Vocabulary
 from .errors import CorruptFileError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
@@ -201,72 +199,43 @@ class BaselineBundle:
     forest: Forest
 
 
-def _flatten_tree(root: TreeNode, n_classes: int):
-    """Preorder arrays (feature, threshold, left, right, value, histogram);
-    child index -1 marks a leaf."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    hist_rows: list[np.ndarray] = []
-    stack: list[tuple[TreeNode, int, int]] = [(root, -1, 0)]
-    while stack:
-        node, parent, side = stack.pop()
-        idx = len(feature)
-        if parent >= 0:
-            (left if side == 0 else right)[parent] = idx
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        value.append(node.value)
-        if node.histogram is not None:
-            hist_rows.append(node.histogram)
-        else:
-            hist_rows.append(np.zeros(n_classes))
-        if not node.is_leaf:
-            assert node.right is not None
-            stack.append((node.right, idx, 1))
-            stack.append((node.left, idx, 0))
-    histogram = (
-        np.stack(hist_rows) if n_classes else np.zeros((len(feature), 0))
-    )
-    return (
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value, dtype=np.float64),
-        histogram,
-    )
+# per-node arrays of a tree in file order; the (nodes x classes) histogram
+# follows them, and has no bytes when regressing
+_TREE_ARRAYS = (
+    ("feature", "<i8"),
+    ("threshold", "<f8"),
+    ("left", "<i8"),
+    ("right", "<i8"),
+    ("value", "<f8"),
+)
 
 
-def _unflatten_tree(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    value: np.ndarray,
-    histogram: np.ndarray,
-    task: str,
-) -> TreeNode:
-    n = feature.shape[0]
-    nodes = [TreeNode() for _ in range(n)]
-    for i in range(n):
-        node = nodes[i]
-        if left[i] < 0:
-            if task == "classify":
-                node.histogram = histogram[i].copy()
-            node.value = float(value[i])
-        else:
-            if not 0 <= int(left[i]) < n or not 0 <= int(right[i]) < n:
-                raise CorruptFileError("tree child index out of range")
-            node.feature = int(feature[i])
-            node.threshold = float(threshold[i])
-            node.left = nodes[int(left[i])]
-            node.right = nodes[int(right[i])]
-    return nodes[0]
+def _check_tree(path: str | Path, tree: Tree, n_features: int) -> None:
+    """Refuse a tree outside the preorder layout of baseline.py: descending
+    a cycle or a stray child index would never end or would crash."""
+    n = tree.feature.shape[0]
+    node = np.arange(n)
+    internal = tree.left != -1
+    problems = [
+        (~internal & (tree.right != -1), "a leaf with a right child"),
+        (internal & (tree.left != node + 1), "a left child that is not the next node"),
+        (internal & ((tree.right <= node + 1) | (tree.right >= n)),
+         "a right child out of order"),
+        (internal & ((tree.feature < 0) | (tree.feature >= n_features)),
+         "a split feature out of range"),
+    ]
+    for bad, what in problems:
+        if bad.any():
+            raise CorruptFileError(f"{path}: tree node {int(np.argmax(bad))} has {what}")
+    parents = np.bincount(
+        np.concatenate([tree.left[internal], tree.right[internal]]), minlength=n
+    )
+    parents[0] += 1  # the root is nobody's child; count it as one here
+    if np.any(parents != 1):
+        raise CorruptFileError(
+            f"{path}: tree node {int(np.argmax(parents != 1))} "
+            "is not the child of exactly one node"
+        )
 
 
 def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
@@ -275,7 +244,6 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
     terms_by_column: list[str] = [""] * tfidf.n_features
     for gram, col in tfidf.vocabulary.items():
         terms_by_column[col] = gram
-    flats = [_flatten_tree(t.root, forest.n_classes) for t in forest.trees]
     header = {
         "format_version": FORMAT_VERSION,
         "task": forest.task,
@@ -283,7 +251,7 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
         "n_classes": forest.n_classes,
         "forest_config": asdict(forest.config),
         "bootstrap_seeds": [t.bootstrap_seed for t in forest.trees],
-        "tree_node_counts": [int(f[0].shape[0]) for f in flats],
+        "tree_node_counts": [int(t.feature.shape[0]) for t in forest.trees],
         "terms": terms_by_column,
         "document_count": tfidf.document_count,
         "max_ngram": tfidf.max_ngram,
@@ -291,14 +259,10 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
     with open(path, "wb") as fh:
         _write_header(fh, BASELINE_MAGIC_PREFIX, header)
         fh.write(np.ascontiguousarray(tfidf.idf, dtype="<f8").tobytes())
-        for feature, threshold, left, right, value, histogram in flats:
-            fh.write(np.ascontiguousarray(feature, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(threshold, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(left, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(right, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
-            if forest.n_classes:
-                fh.write(np.ascontiguousarray(histogram, dtype="<f8").tobytes())
+        for tree in forest.trees:
+            for name, dtype in _TREE_ARRAYS:
+                fh.write(np.ascontiguousarray(getattr(tree, name), dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(tree.histogram, dtype="<f8").tobytes())
 
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
@@ -322,23 +286,21 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
         )
     if len(seeds) != len(node_counts):
         raise CorruptFileError(f"{path}: per-tree metadata lengths disagree")
+    if min(node_counts, default=1) < 1:
+        raise CorruptFileError(f"{path}: a tree without nodes")
+    if not (task == "classify" and n_classes > 0 or task == "regress" and n_classes == 0):
+        raise CorruptFileError(f"{path}: task {task!r} with {n_classes} classes")
 
     idf, pos = _take(data, pos, "<f8", (n_features,))
     trees = []
     for seed, count in zip(seeds, node_counts):
-        feature, pos = _take(data, pos, "<i8", (count,))
-        threshold, pos = _take(data, pos, "<f8", (count,))
-        left, pos = _take(data, pos, "<i8", (count,))
-        right, pos = _take(data, pos, "<i8", (count,))
-        value, pos = _take(data, pos, "<f8", (count,))
-        if n_classes:
-            histogram, pos = _take(data, pos, "<f8", (count, n_classes))
-        else:
-            histogram = np.zeros((count, 0))
-        root = _unflatten_tree(
-            feature, threshold, left, right, value, histogram, task
-        )
-        trees.append(Tree(root=root, bootstrap_seed=seed))
+        arrays = {}
+        for name, dtype in _TREE_ARRAYS:
+            arrays[name], pos = _take(data, pos, dtype, (count,))
+        histogram, pos = _take(data, pos, "<f8", (count, n_classes))
+        tree = Tree(**arrays, histogram=histogram, bootstrap_seed=seed)
+        _check_tree(path, tree, n_features)
+        trees.append(tree)
     if pos != len(data):
         raise CorruptFileError(f"{path}: {len(data) - pos} unexpected trailing bytes")
 

@@ -1,6 +1,7 @@
 """Vectorizer and forest: frozen idf values, split-finding oracles, and
 hand-built tree checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storygraph import baseline
 from storygraph.baseline import (
     Forest,
     RandomForestConfig,
     SparseVector,
     Tree,
-    TreeNode,
     iter_ngrams,
     rf_fit,
     rf_predict,
@@ -22,6 +23,10 @@ from storygraph.baseline import (
     tfidf_transform,
 )
 from storygraph.errors import DegenerateDataError, EmptyCorpusError
+
+import forest_oracle
+
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "histogram")
 
 
 def dense(x, dim):
@@ -140,37 +145,31 @@ def test_sparse_vector_validation():
 # --- forest: hand-built trees -------------------------------------------------
 
 
-def leaf(value, histogram=None):
-    return TreeNode(
-        feature=-1,
-        threshold=0.0,
-        left=None,
-        right=None,
-        histogram=histogram,
-        value=value,
-    )
+def leaf(value, n_classes=None):
+    """A leaf's (value, histogram row): a one-hot count of class `value`
+    when classifying, no columns when regressing."""
+    if n_classes is None:
+        return value, np.zeros(0)
+    hist = np.zeros(n_classes)
+    hist[int(value)] = 1.0
+    return 0.0, hist
 
 
 def stump(feature, threshold, left_value, right_value, n_classes=None):
-    def mk(v):
-        hist = None
-        if n_classes is not None:
-            hist = np.zeros(n_classes)
-            hist[int(v)] = 1.0
-        return leaf(v, hist)
-
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=mk(left_value),
-        right=mk(right_value),
-        histogram=None,
-        value=left_value,
+    """Root split over two leaves, as the flat preorder arrays of a Tree."""
+    (lv, lh), (rv, rh) = leaf(left_value, n_classes), leaf(right_value, n_classes)
+    return dict(
+        feature=np.array([feature, -1, -1], dtype=np.int64),
+        threshold=np.array([threshold, 0.0, 0.0]),
+        left=np.array([1, -1, -1], dtype=np.int64),
+        right=np.array([2, -1, -1], dtype=np.int64),
+        value=np.array([0.0, lv, rv]),
+        histogram=np.stack([np.zeros_like(lh), lh, rh]),
     )
 
 
-def forest_of(roots, task, n_features, n_classes=0):
-    trees = [Tree(root=r, bootstrap_seed=i) for i, r in enumerate(roots)]
+def forest_of(arrays, task, n_features, n_classes=0):
+    trees = [Tree(**a, bootstrap_seed=i) for i, a in enumerate(arrays)]
     config = RandomForestConfig(n_trees=len(trees))
     return Forest(
         trees=trees,
@@ -182,31 +181,31 @@ def forest_of(roots, task, n_features, n_classes=0):
 
 
 def test_predict_majority_vote():
-    roots = [
+    trees = [
         stump(0, 0.5, 1, 1, n_classes=3),
         stump(0, 0.5, 1, 1, n_classes=3),
         stump(0, 0.5, 2, 2, n_classes=3),
     ]
-    f = forest_of(roots, "classify", n_features=2, n_classes=3)
+    f = forest_of(trees, "classify", n_features=2, n_classes=3)
     assert rf_predict(f, dense([0.0, 0.0], 2)) == 1
 
 
 def test_predict_vote_tie_breaks_to_lowest_class():
-    roots = [stump(0, 0.5, 2, 2, n_classes=3), stump(0, 0.5, 0, 0, n_classes=3)]
-    f = forest_of(roots, "classify", n_features=2, n_classes=3)
+    trees = [stump(0, 0.5, 2, 2, n_classes=3), stump(0, 0.5, 0, 0, n_classes=3)]
+    f = forest_of(trees, "classify", n_features=2, n_classes=3)
     assert rf_predict(f, dense([1.0, 0.0], 2)) == 0
 
 
 def test_predict_regression_averages_leaf_means():
-    roots = [stump(0, 0.5, 2.0, 2.0), stump(0, 0.5, 4.0, 4.0)]
-    f = forest_of(roots, "regress", n_features=1)
+    trees = [stump(0, 0.5, 2.0, 2.0), stump(0, 0.5, 4.0, 4.0)]
+    f = forest_of(trees, "regress", n_features=1)
     assert rf_predict(f, dense([0.2], 1)) == pytest.approx(3.0)
 
 
 def test_descend_goes_left_on_equality():
     # x <= threshold routes left
-    root = stump(0, 0.5, 7, 9, n_classes=10)
-    f = forest_of([root], "classify", n_features=1, n_classes=10)
+    tree = stump(0, 0.5, 7, 9, n_classes=10)
+    f = forest_of([tree], "classify", n_features=1, n_classes=10)
     assert rf_predict(f, dense([0.5], 1)) == 7
     assert rf_predict(f, dense([0.50001], 1)) == 9
 
@@ -257,16 +256,10 @@ def test_fit_is_deterministic():
     a = rf_fit(xs, ys, cfg, task="classify")
     b = rf_fit(xs, ys, cfg, task="classify")
 
-    def spine(node, acc):
-        acc.append((node.feature, node.threshold))
-        if node.left is not None:
-            spine(node.left, acc)
-            spine(node.right, acc)
-        return acc
-
     for ta, tb in zip(a.trees, b.trees):
         assert ta.bootstrap_seed == tb.bootstrap_seed
-        assert spine(ta.root, []) == spine(tb.root, [])
+        assert np.array_equal(ta.feature, tb.feature)
+        assert np.array_equal(ta.threshold, tb.threshold)
 
 
 def test_fit_seed_changes_bootstrap():
@@ -294,7 +287,7 @@ def test_min_leaf_limits_tree_growth():
                              bootstrap=False)
     f = rf_fit(xs, ys, cfg, task="classify")
     for t in f.trees:
-        assert t.root.left is None  # cannot split without starving a side
+        assert t.left.tolist() == [-1]  # cannot split without starving a side
 
 
 def test_max_depth_zero_is_a_single_leaf():
@@ -302,7 +295,7 @@ def test_max_depth_zero_is_a_single_leaf():
     cfg = RandomForestConfig(n_trees=2, max_depth=0, seed=0)
     f = rf_fit(xs, ys, cfg, task="classify")
     for t in f.trees:
-        assert t.root.left is None
+        assert t.left.tolist() == [-1]
 
 
 # --- split finding vs brute force ----------------------------------------------
@@ -340,12 +333,13 @@ def fit_single_full_tree(X, y):
     return rf_fit(xs, list(y), cfg, task="classify")
 
 
-def collect_splits(node, acc):
-    if node.left is not None:
-        acc.append((node.feature, node.threshold))
-        collect_splits(node.left, acc)
-        collect_splits(node.right, acc)
-    return acc
+def collect_splits(tree):
+    """(feature, threshold) of every internal node, in preorder."""
+    return [
+        (int(f), float(t))
+        for f, t, child in zip(tree.feature, tree.threshold, tree.left)
+        if child >= 0
+    ]
 
 
 def test_root_split_matches_brute_force_exactly():
@@ -359,16 +353,16 @@ def test_root_split_matches_brute_force_exactly():
             continue
         score, feature, threshold = brute_force_best_split(X, y)
         f = fit_single_full_tree(X, y)
-        root = f.trees[0].root
+        tree = f.trees[0]
         if score == np.inf or not np.isfinite(score):
             continue
-        if root.left is None:
+        if tree.left[0] < 0:
             # production found no impurity-reducing split; brute force must
             # agree that no split with finite score beats a pure leaf
             assert len(np.unique(y)) == 1 or score == np.inf
             continue
-        assert root.feature == feature
-        assert root.threshold == threshold
+        assert tree.feature[0] == feature
+        assert tree.threshold[0] == threshold
 
 
 def test_split_tie_breaks_to_lowest_feature_then_threshold():
@@ -376,8 +370,8 @@ def test_split_tie_breaks_to_lowest_feature_then_threshold():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 0, 1])
     f = fit_single_full_tree(X, y)
-    assert f.trees[0].root.feature == 0
-    assert f.trees[0].root.threshold == 0.5
+    assert f.trees[0].feature[0] == 0
+    assert f.trees[0].threshold[0] == 0.5
 
 
 def test_full_tree_purifies_training_data():
@@ -396,6 +390,82 @@ def test_fit_invariant_to_duplicating_a_useless_sample_order():
     f1 = fit_single_full_tree(X, y)
     order = [3, 0, 2, 1]
     f2 = fit_single_full_tree(X[order], y[order])
-    assert collect_splits(f1.trees[0].root, []) == collect_splits(
-        f2.trees[0].root, []
+    assert collect_splits(f1.trees[0]) == collect_splits(f2.trees[0])
+
+
+# --- forest: vectorised grower and predictor vs the frozen oracle --------------
+
+
+def sparse_corpus(seed, n=36, n_features=50):
+    """Sparse rows whose values tie often, with repeated and empty rows."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for i in range(n):
+        if i > 4 and rng.random() < 0.2:
+            vectors.append(vectors[int(rng.integers(0, i))])
+            continue
+        nnz = int(rng.integers(0, 10))
+        idx = np.sort(rng.choice(n_features, size=nnz, replace=False))
+        if rng.random() < 0.5:
+            vals = rng.choice([0.125, 0.25, 0.5, 0.75], size=nnz)
+        else:
+            vals = rng.random(nnz) + 0.01
+        vectors.append(
+            SparseVector(indices=idx.astype(np.int64), values=vals, dim=n_features)
+        )
+    return vectors, rng
+
+
+def sparse_labels(task, rng, n):
+    if task == "classify":
+        return rng.integers(0, 4, size=n).tolist()
+    # story points with ties, plus fractions that round differently when
+    # summed in another order
+    points = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
+    return np.where(rng.random(n) < 0.5, points, rng.random(n) * 13).tolist()
+
+
+GRID = list(itertools.product((True, False), (1, 2), (2, None)))
+
+
+@pytest.mark.parametrize("block_cells", [None, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_fit_matches_frozen_oracle(task, seed, block_cells, monkeypatch):
+    # 40 cells holds one candidate per block when classifying and one to a
+    # few when regressing, so the cross-block strict-improvement rule
+    # decides most nodes
+    if block_cells is not None:
+        monkeypatch.setattr(baseline, "SPLIT_BLOCK_CELLS", block_cells)
+    vectors, rng = sparse_corpus(seed)
+    labels = sparse_labels(task, rng, len(vectors))
+    for bootstrap, min_leaf, max_depth in GRID:
+        config = RandomForestConfig(
+            n_trees=3, seed=seed, bootstrap=bootstrap, min_leaf=min_leaf,
+            max_depth=max_depth,
+        )
+        forest = rf_fit(vectors, labels, config, task=task)
+        expected = forest_oracle.fit_trees(vectors, labels, config, task)
+        assert len(forest.trees) == len(expected)
+        for tree, (seed_want, arrays) in zip(forest.trees, expected):
+            assert tree.bootstrap_seed == seed_want
+            for name in TREE_FIELDS:
+                got, want = getattr(tree, name), arrays[name]
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_predict_many_matches_per_row_walk(task):
+    vectors, rng = sparse_corpus(5)
+    labels = sparse_labels(task, rng, len(vectors))
+    forest = rf_fit(vectors, labels, RandomForestConfig(n_trees=7, seed=3), task=task)
+    empty = SparseVector(
+        indices=np.zeros(0, dtype=np.int64), values=np.zeros(0), dim=50
     )
+    queries = vectors + [empty] + sparse_corpus(6)[0]
+    many = rf_predict_many(forest, queries)
+    assert many == [rf_predict(forest, v) for v in queries]
+    assert many == [forest_oracle.predict_one(forest, v) for v in queries]
+    assert rf_predict_many(forest, []) == []
+    assert rf_predict_many(forest, iter([empty])) == [rf_predict(forest, empty)]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from storygraph.baseline import RandomForestConfig
 from storygraph.corpus import DatasetSplit, StoryPointLevel, TokenizedDocument
 from storygraph.embeddings import build_vocab
 from storygraph.experiment import (
@@ -66,6 +67,18 @@ def tok(doc_id, words, level=StoryPointLevel.SMALL, sp=2):
 
 
 # --- small helpers -------------------------------------------------------------
+
+
+def test_echo_describes_the_forest_the_baseline_fits(tmp_path):
+    echo = ExperimentConfig(data_dir=tmp_path, output_dir=tmp_path).echo()
+    # reports print this line; it must not change with the code behind it
+    assert echo["forest"] == (
+        "100 trees, unlimited depth, min leaf 1, "
+        "sqrt(F) features (classify) / F/3 (regress)"
+    )
+    assert echo["forest"] == RandomForestConfig().describe()
+    fewer = replace(RandomForestConfig(), n_trees=7, max_depth=3)
+    assert fewer.describe().startswith("7 trees, max depth 3, min leaf 1, ")
 
 
 def test_derive_seed_matches_definition():

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from storygraph.baseline import RandomForestConfig, rf_fit, rf_predict, tfidf_fit, tfidf_transform
+from storygraph.baseline import (
+    RandomForestConfig,
+    Tree,
+    rf_fit,
+    rf_predict,
+    tfidf_fit,
+    tfidf_transform,
+)
 from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument, Vocabulary
 from storygraph.errors import CorruptFileError, VersionMismatchError
@@ -300,13 +307,96 @@ def test_baseline_round_trip_preserves_tree_structure(tmp_path):
     save_baseline_model(path, bundle)
     loaded = load_baseline_model(path)
 
-    def flatten(node, acc):
-        acc.append((node.feature, node.threshold, node.value))
-        if node.left is not None:
-            flatten(node.left, acc)
-            flatten(node.right, acc)
-        return acc
-
     for a, b in zip(bundle.forest.trees, loaded.forest.trees):
-        assert flatten(a.root, []) == flatten(b.root, [])
+        for name in ("feature", "threshold", "left", "right", "value", "histogram"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.bootstrap_seed == b.bootstrap_seed
+
+
+def five_node_tree():
+    """Root split on feature 0; its left child splits on feature 1; three
+    leaves. Preorder: 0 (1, 4), 1 (2, 3), leaves 2, 3, 4."""
+    return Tree(
+        feature=np.array([0, 1, -1, -1, -1], dtype=np.int64),
+        threshold=np.array([0.5, 0.25, 0.0, 0.0, 0.0]),
+        left=np.array([1, 2, -1, -1, -1], dtype=np.int64),
+        right=np.array([4, 3, -1, -1, -1], dtype=np.int64),
+        value=np.zeros(5),
+        histogram=np.array([[0, 0], [0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.float64),
+        bootstrap_seed=7,
+    )
+
+
+def test_baseline_loads_hand_built_tree(tmp_path):
+    bundle, xs = fit_small_baseline()
+    bundle.forest.trees = [five_node_tree()]
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    loaded = load_baseline_model(path)
+    assert np.array_equal(loaded.forest.trees[0].right, [4, 3, -1, -1, -1])
+    assert [rf_predict(loaded.forest, x) for x in xs] == [
+        rf_predict(bundle.forest, x) for x in xs
+    ]
+
+
+def _self_loop(t):
+    t.left[0] = 0
+
+
+def _back_edge(t):
+    t.right[1] = 0
+
+
+def _shared_child(t):
+    t.right[0] = 3  # node 3 is also node 1's right child; node 4 is orphaned
+
+
+def _leaf_with_one_child(t):
+    t.right[2] = 3
+
+
+def _feature_out_of_range(t):
+    t.feature[1] = 10**6
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_self_loop, "left child that is not the next node"),
+        (_back_edge, "right child out of order"),
+        (_shared_child, "not the child of exactly one node"),
+        (_leaf_with_one_child, "leaf with a right child"),
+        (_feature_out_of_range, "split feature out of range"),
+    ],
+)
+def test_baseline_rejects_malformed_tree(tmp_path, corrupt, message):
+    # each of these loaded at one time, and a self-loop then made
+    # prediction descend forever
+    bundle, _ = fit_small_baseline()
+    tree = five_node_tree()
+    corrupt(tree)
+    bundle.forest.trees = [tree]
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    with pytest.raises(CorruptFileError, match=message):
+        load_baseline_model(path)
+
+
+def test_baseline_rejects_empty_tree_and_unknown_task(tmp_path):
+    bundle, _ = fit_small_baseline()
+    empty = five_node_tree()
+    for name in ("feature", "threshold", "left", "right", "value"):
+        setattr(empty, name, getattr(empty, name)[:0])
+    empty.histogram = empty.histogram[:0]
+    bundle.forest.trees = [empty]
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    with pytest.raises(CorruptFileError, match="without nodes"):
+        load_baseline_model(path)
+
+    bundle, _ = fit_small_baseline()
+    bundle.forest.task = "cluster"
+    save_baseline_model(path, bundle)
+    with pytest.raises(CorruptFileError, match="task"):
+        load_baseline_model(path)
