@@ -246,14 +246,18 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir) / "prepare"
     out_dir.mkdir(parents=True, exist_ok=True)
     vectors = opts.get("vectors", fallback=None)
-    pretrained = (
-        load_pretrained_vectors(Path(vectors), dim=config.embedding_dim)
-        if vectors
-        else {}
-    )
     for project in config.resolved_projects():
         prepared = ex.prepare_project(config, project)
         split = prepared.split
+        pretrained = (
+            load_pretrained_vectors(
+                Path(vectors),
+                {tok for doc in split.train for tok in doc.tokens},
+                dim=config.embedding_dim,
+            )
+            if vectors
+            else {}
+        )
         lines = [
             f"# seed = {config.train.seed}",
             f"# split_hash = {prepared.split_hash}",

@@ -94,34 +94,52 @@ class EmbeddingTable:
 
 
 def load_pretrained_vectors(
-    path: str | Path, dim: int = DEFAULT_DIM
+    path: str | Path, tokens: Iterable[str], dim: int = DEFAULT_DIM
 ) -> dict[str, np.ndarray]:
-    """Parse a plain-text vector file: one token followed by `dim` floats per line.
+    """The rows of `tokens` in a plain-text vector file, which holds one
+    token followed by `dim` space-separated floats per line.
 
-    Lines with the wrong number of fields are skipped and counted; if the
-    majority of lines disagree with `dim` the file itself is judged to be of
-    a different dimensionality and DimensionMismatchError is raised.
+    One streaming pass: every line's field count is checked, but numbers
+    are converted only on lines whose token is wanted, so memory follows
+    `tokens`, not the file. A line with the wrong field count, and a wanted
+    line holding a non-numeric or non-finite (nan, inf, overflowing) value,
+    is skipped and counted; if skipped lines outnumber the rest, the file is
+    judged to be of a different dimensionality and DimensionMismatchError is
+    raised. A token listed twice keeps its last good row; a wanted token
+    absent from the file is absent from the result.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"vector file not found: {path}")
+    wanted = frozenset(tokens)
     vectors: dict[str, np.ndarray] = {}
+    good = 0
     skipped = 0
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
+            # a line of dim + 1 fields holds exactly dim separators
+            if line.count(" ") != dim:
                 skipped += 1
                 continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                skipped += 1
-                continue
-            vectors[parts[0]] = vec
-    if skipped > len(vectors):
+            token, _, rest = line.partition(" ")
+            if token in wanted:
+                try:
+                    vec = np.fromiter(
+                        map(float, rest.rstrip("\n").split(" ")),
+                        dtype=np.float64,
+                        count=dim,
+                    )
+                except ValueError:
+                    skipped += 1
+                    continue
+                if not np.isfinite(vec).all():
+                    skipped += 1
+                    continue
+                vectors[token] = vec
+            good += 1
+    if skipped > good:
         raise DimensionMismatchError(
-            f"{path}: {skipped} lines skipped vs {len(vectors)} parsed; "
+            f"{path}: {skipped} lines skipped vs {good} parsed; "
             f"file does not look {dim}-dimensional"
         )
     return vectors

@@ -18,7 +18,6 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +137,6 @@ def mean_absolute_error(predictions, targets) -> float:
     )
 
 
-@lru_cache(maxsize=4)
-def _pretrained(path_str: str, dim: int):
-    return load_pretrained_vectors(path_str, dim=dim)
-
-
 @dataclass
 class PreparedProject:
     project: str
@@ -203,23 +197,31 @@ Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
 
 
 def _encode(
-    config: ExperimentConfig, prepared: PreparedProject, pretrained, *docsets
+    config: ExperimentConfig,
+    prepared: PreparedProject,
+    *docsets,
+    use_vectors: bool = False,
 ) -> Encoded:
     """The training vocabulary, its initial embeddings, and each docset
-    encoded against it."""
+    encoded against it.
+
+    With `use_vectors` and a vector file configured, embedding rows of
+    training tokens come from that file; only their rows are read."""
+    train = prepared.split.train
+    pretrained = {}
+    if use_vectors and config.vectors_path:
+        pretrained = load_pretrained_vectors(
+            config.vectors_path,
+            {tok for doc in train for tok in doc.tokens},
+            dim=config.embedding_dim,
+        )
     vocab, table = build_vocab(
-        prepared.split.train,
+        train,
         pretrained,
         seed=derive_seed(config.train.seed, prepared.project, "vocab"),
         dim=config.embedding_dim,
     )
     return vocab, table, [vocab.encode_all(docs) for docs in docsets]
-
-
-def _pretrained_vectors(config: ExperimentConfig):
-    if not config.vectors_path:
-        return {}
-    return _pretrained(str(config.vectors_path), config.embedding_dim)
 
 
 def _edge_table(config: ExperimentConfig, train_enc: list[EncodedDocument]) -> EdgeTable:
@@ -352,8 +354,8 @@ def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> Proje
     try:
         if config.model in ("gnn", "both"):
             encoded = _encode(
-                config, prepared, _pretrained_vectors(config),
-                split.train, split.validation, split.test,
+                config, prepared, split.train, split.validation, split.test,
+                use_vectors=True,
             )
             _run_gnn(config, prepared, encoded, result, models_dir)
         if config.model in ("tfidf-rf", "both"):
@@ -448,7 +450,7 @@ def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     for project in config.resolved_projects():
         prepared = prepare_project(config, project)
         split = prepared.split
-        vocab, _, (train_enc,) = _encode(config, prepared, {}, split.train)
+        vocab, _, (train_enc,) = _encode(config, prepared, split.train)
         edges = _edge_table(config, train_enc)
         report.rows.append(
             ProjectResult(
@@ -485,14 +487,14 @@ def _sweep_project(config: ExperimentConfig, project: str, run_dir: Path) -> lis
     prepared = prepare_project(config, project)
     split = prepared.split
     if config.model not in ("gnn", "both"):
-        _, _, (train_enc,) = _encode(config, prepared, {}, split.train)
+        _, _, (train_enc,) = _encode(config, prepared, split.train)
         return [
             SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
             for window in config.windows
         ]
     encoded = _encode(
-        config, prepared, _pretrained_vectors(config),
-        split.train, split.validation, split.test,
+        config, prepared, split.train, split.validation, split.test,
+        use_vectors=True,
     )
     rows = []
     for window in config.windows:

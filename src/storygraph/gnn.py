@@ -12,6 +12,7 @@ One round of message passing per document graph (configurable):
 The forward pass records everything backward needs (dropout mask, per-round
 messages and argmax winners), so gradients are exact: max pooling routes
 gradient only to the winning lane, ties won by the lowest source position.
+`predict` computes the same probabilities without recording anything.
 Training is mini-batch gradient descent with adaptive moments and
 early stopping on validation accuracy.
 """
@@ -167,22 +168,9 @@ class ForwardTrace:
     probabilities: np.ndarray  # (C,)
 
 
-def forward(
-    params: ModelParameters,
-    graph: DocumentGraph,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-    rounds: int = 1,
-) -> ForwardTrace:
-    """Run the model on one graph and record the full trace.
-
-    Dropout is applied to node input representations only, and only when
-    `training` is true (inverted dropout: survivors scaled by 1/(1-p), so
-    inference needs no rescaling).
-    """
-    n = graph.n_nodes
-    if n == 0:
+def _check_graph(params: ModelParameters, graph: DocumentGraph, rounds: int) -> None:
+    """Refuse a graph whose ids fall outside the parameters, or no rounds."""
+    if graph.n_nodes == 0:
         raise IndexOutOfRangeError(f"{graph.doc_id}: graph has no nodes")
     if int(graph.node_ids.max()) >= params.vocab_size or int(graph.node_ids.min()) < 0:
         raise IndexOutOfRangeError(
@@ -199,6 +187,34 @@ def forward(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
+
+def _classify(
+    params: ModelParameters, readout: np.ndarray, doc_id: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and class probabilities of a readout; refuses non-finite ones."""
+    logits = params.classifier_weights @ readout + params.classifier_bias
+    probabilities = softmax(np.maximum(logits, 0.0))
+    if not np.all(np.isfinite(probabilities)):
+        raise NonFiniteActivationError(f"{doc_id}: non-finite class probabilities")
+    return logits, probabilities
+
+
+def forward(
+    params: ModelParameters,
+    graph: DocumentGraph,
+    dropout: float = 0.0,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+    rounds: int = 1,
+) -> ForwardTrace:
+    """Run the model on one graph and record the full trace.
+
+    Dropout is applied to node input representations only, and only when
+    `training` is true (inverted dropout: survivors scaled by 1/(1-p), so
+    inference needs no rescaling).
+    """
+    _check_graph(params, graph, rounds)
+    n = graph.n_nodes
     r = params.embeddings[graph.node_ids]
     mask = None
     if training and dropout > 0.0:
@@ -244,12 +260,7 @@ def forward(
         round_inputs.append(updated)
 
     readout = round_inputs[-1].sum(axis=0)
-    logits = params.classifier_weights @ readout + params.classifier_bias
-    probabilities = softmax(np.maximum(logits, 0.0))
-    if not np.all(np.isfinite(probabilities)):
-        raise NonFiniteActivationError(
-            f"{graph.doc_id}: non-finite class probabilities"
-        )
+    logits, probabilities = _classify(params, readout, graph.doc_id)
     return ForwardTrace(
         doc_id=graph.doc_id,
         n_nodes=n,
@@ -516,9 +527,27 @@ def train(
 def predict(
     params: ModelParameters, graph: DocumentGraph, rounds: int = 1
 ) -> tuple[int, np.ndarray]:
-    """Argmax class with deterministic lowest-index tie-break, dropout off."""
-    trace = forward(params, graph, training=False, rounds=rounds)
-    return int(np.argmax(trace.probabilities)), trace.probabilities
+    """Argmax class with deterministic lowest-index tie-break, dropout off.
+
+    Computes the probabilities `forward` gives without recording a trace:
+    each destination's message is one `np.maximum.reduceat` over its
+    contiguous block of entries, since inference needs no winners.
+    """
+    _check_graph(params, graph, rounds)
+    r = params.embeddings[graph.node_ids]
+    eta = sigmoid(params.gates[graph.node_ids])[:, None]
+    weights = params.edge_weights[graph.edge_param][:, None]
+    # entries are sorted by destination: a block starts where it changes
+    starts = np.flatnonzero(np.diff(graph.edge_dst, prepend=-1))
+    receivers = graph.edge_dst[starts]
+    msg = np.zeros_like(r)
+    for _ in range(rounds):
+        msg[receivers] = np.maximum.reduceat(
+            weights * r[graph.edge_src], starts, axis=0
+        )
+        r = (1.0 - eta) * msg + eta * r
+    _, probabilities = _classify(params, r.sum(axis=0), graph.doc_id)
+    return int(np.argmax(probabilities)), probabilities
 
 
 def predict_story_point(

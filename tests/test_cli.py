@@ -4,11 +4,12 @@ subcommand leaves behind."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
 
-from conftest import synth_rows, write_project_csv
+from conftest import FILLER, LEVEL_POOLS, synth_rows, write_project_csv
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +167,27 @@ def test_eval_on_missing_model_file_fails_cleanly(capsys, tmp_path, synth_datase
     )
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_train_skips_a_non_finite_vector_row(capsys, tmp_path, synth_dataset):
+    rng = np.random.default_rng(4)
+    words = FILLER + [w for pool in LEVEL_POOLS.values() for w in pool]
+    lines = [w + " " + " ".join(f"{x:.6f}" for x in rng.normal(size=8))
+             for w in words]
+    lines[0] = FILLER[0] + " nan" + " 0.5" * 7
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    common = ("--data", str(synth_dataset), "--out", str(out), "--project", "alpha",
+              "--vectors", str(vectors), "--dim", "8")
+    code, _, err = run_cli(capsys, "train", "--model", "gnn", *common, *FAST)
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "prepare", *common)
+    assert code == 0, err
+    rows = (out / "prepare" / "alpha.vocab.tsv").read_text().splitlines()
+    provenance = dict(line.split("\t")[::3] for line in rows)
+    assert provenance[FILLER[0]] == "random"
+    assert provenance[FILLER[1]] == "pretrained"
 
 
 def test_stats_writes_stats_only(capsys, tmp_path, synth_dataset):

@@ -101,7 +101,7 @@ def test_load_pretrained_vectors(tmp_path):
         "bad a b c\n",
         encoding="utf-8",
     )
-    vectors = load_pretrained_vectors(path, dim=3)
+    vectors = load_pretrained_vectors(path, {"apple", "short", "pear", "bad"}, dim=3)
     assert set(vectors) == {"apple", "pear"}
     assert np.array_equal(vectors["apple"], np.array([1.0, 2.0, 3.0]))
 
@@ -110,12 +110,73 @@ def test_load_pretrained_vectors_wrong_dim(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1.0 2.0\nb 3.0 4.0\nc 5.0 6.0\n", encoding="utf-8")
     with pytest.raises(DimensionMismatchError):
-        load_pretrained_vectors(path, dim=5)
+        load_pretrained_vectors(path, {"a", "b", "c"}, dim=5)
 
 
 def test_load_pretrained_vectors_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_pretrained_vectors(tmp_path / "nope.txt", dim=3)
+        load_pretrained_vectors(tmp_path / "nope.txt", {"a"}, dim=3)
+
+
+def _vector_file(tmp_path, lines):
+    path = tmp_path / "vec.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_subset_load_equals_full_load_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(40)]
+    path = _vector_file(
+        tmp_path,
+        [w + " " + " ".join(repr(float(x)) for x in rng.normal(size=4)) for w in words],
+    )
+    full = load_pretrained_vectors(path, words, dim=4)
+    wanted = {"w3", "w17", "w39", "absent"}
+    subset = load_pretrained_vectors(path, wanted, dim=4)
+    assert set(subset) == {"w3", "w17", "w39"}
+    for token, vec in subset.items():
+        assert np.array_equal(vec, full[token])
+
+
+def test_wrong_field_counts_raise_even_when_wanted_rows_parse(tmp_path):
+    lines = ["want 1.0 2.0 3.0", "also 4.0 5.0 6.0"]
+    lines += [f"x{i} 1.0 2.0" for i in range(5)]
+    path = _vector_file(tmp_path, lines)
+    with pytest.raises(DimensionMismatchError):
+        load_pretrained_vectors(path, {"want", "also"}, dim=3)
+
+
+def test_one_wanted_row_among_many_good_rows_loads(tmp_path):
+    lines = [f"x{i} 1.0 2.0 3.0" for i in range(20)] + ["want 0.5 0.25 0.125"]
+    path = _vector_file(tmp_path, lines + ["short 1.0"])
+    vectors = load_pretrained_vectors(path, {"want"}, dim=3)
+    assert set(vectors) == {"want"}
+    assert np.array_equal(vectors["want"], np.array([0.5, 0.25, 0.125]))
+
+
+def test_repeated_token_keeps_its_last_row(tmp_path):
+    path = _vector_file(tmp_path, ["dup 1.0 1.0", "other 3.0 3.0", "dup 2.0 2.0"])
+    vectors = load_pretrained_vectors(path, {"dup"}, dim=2)
+    assert np.array_equal(vectors["dup"], np.array([2.0, 2.0]))
+
+
+def test_wanted_token_missing_from_file_is_absent(tmp_path):
+    path = _vector_file(tmp_path, ["here 1.0 2.0"])
+    assert set(load_pretrained_vectors(path, {"here", "gone"}, dim=2)) == {"here"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+def test_non_finite_row_is_skipped(tmp_path, value):
+    path = _vector_file(tmp_path, [f"bad 1.0 {value}", "good 1.0 2.0", "ok 3.0 4.0"])
+    vectors = load_pretrained_vectors(path, {"bad", "good"}, dim=2)
+    assert set(vectors) == {"good"}
+
+
+def test_non_finite_rows_count_toward_the_verdict(tmp_path):
+    path = _vector_file(tmp_path, ["a nan 1.0", "b inf 1.0", "c 1.0 2.0"])
+    with pytest.raises(DimensionMismatchError):
+        load_pretrained_vectors(path, {"a", "b", "c"}, dim=2)
 
 
 def test_dump_vocabulary(tmp_path):

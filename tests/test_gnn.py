@@ -479,3 +479,57 @@ def test_predict_story_point_maps_class_to_value():
     assert gnn.predict_story_point(params, graph, class_values=(3, 8)) == 3
     with pytest.raises(UnknownClassIndexError):
         gnn.predict_story_point(params, graph, class_values=())
+
+
+def isolated_node_instance(rng, dim=4):
+    """Three nodes; node 0 has no incoming entry, node 2 takes two."""
+    params = gnn.ModelParameters(
+        embeddings=rng.normal(size=(5, dim)),
+        edge_weights=rng.normal(size=3),
+        gates=rng.normal(size=5),
+        classifier_weights=rng.normal(size=(3, dim)),
+        classifier_bias=rng.normal(size=3),
+    )
+    graph = DocumentGraph(
+        doc_id="iso",
+        label=0,
+        node_ids=np.array([4, 1, 3], dtype=np.int64),
+        edge_src=np.array([0, 0, 1], dtype=np.int64),
+        edge_dst=np.array([1, 2, 2], dtype=np.int64),
+        edge_param=np.array([1, 2, 0], dtype=np.int64),
+    )
+    return params, graph
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_predict_probabilities_equal_forward(rounds):
+    rng = np.random.default_rng(31)
+    cases = [hand_instance(), isolated_node_instance(rng)]
+    one, table = graph_for([2])
+    assert one.n_nodes == 1 and one.n_entries == 0
+    cases.append((gnn.init_parameters(rng.normal(size=(3, 4)),
+                                      table.num_edge_params, 3, seed=1), one))
+    cases += [random_instance(rng) for _ in range(12)]
+    for params, graph in cases:
+        trace = gnn.forward(params, graph, rounds=rounds)
+        index, probs = gnn.predict(params, graph, rounds=rounds)
+        assert np.array_equal(probs, trace.probabilities)
+        assert index == int(np.argmax(trace.probabilities))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_predict_shares_forward_checks():
+    g, table = graph_for([1, 2])
+    params = gnn.init_parameters(np.zeros((2, 3)), table.num_edge_params, 2, seed=0)
+    with pytest.raises(IndexOutOfRangeError):
+        gnn.predict(params, g)
+    params, graph = hand_instance()
+    params.edge_weights = params.edge_weights[:2]
+    with pytest.raises(IndexOutOfRangeError):
+        gnn.predict(params, graph)
+    params, graph = hand_instance()
+    with pytest.raises(ValueError):
+        gnn.predict(params, graph, rounds=0)
+    params.embeddings[1, 0] = np.inf
+    with pytest.raises(NonFiniteActivationError):
+        gnn.predict(params, graph)
