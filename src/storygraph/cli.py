@@ -5,7 +5,15 @@ manifests and vocabulary dumps), train (word-graph model, optionally with
 the baseline for a side-by-side table), baseline (tf-idf forest only),
 eval (score a saved model), stats (graph-scale analysis), sweep (window
 sizes). Option values resolve as: command-line flag, then config file
-(--config, JSON object keyed by flag name), then built-in default.
+(--config, JSON object keyed by flag name), then built-in default. The
+built-in defaults are the field defaults of ExperimentConfig and
+TrainConfig, which the help texts quote; one function builds the
+ExperimentConfig of every subcommand.
+
+eval takes the run from the model file: project, text mode, seed, window
+and k. It rebuilds that project's split, refuses the model if the split
+no longer hashes to the one it was trained on, and refuses a --project,
+--mode or --seed (flag or config file) that disagrees with the model.
 
 The dataset root comes from --data, the config file, or the
 STORYGRAPH_DATA environment variable, in that order. Exit codes: 0 on a
@@ -20,80 +28,89 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment as ex
-from .embeddings import build_vocab, dump_vocabulary, load_pretrained_vectors
+from .embeddings import dump_vocabulary
 from .errors import StoryGraphError
-from .gnn import TrainConfig, predict
-from .graph import build_graphs
+from .gnn import TrainConfig
 from .model_io import load_model
 
 DATA_ENV_VAR = "STORYGRAPH_DATA"
 
-DEFAULTS = {
-    "out": "runs",
-    "seed": 42,
-    "mode": ex.MODE_RAW,
-    "task": "classify",
-    "model": "both",
-    "jobs": 1,
-    "window": 20,
-    "batch_size": 32,
-    "dropout": 0.5,
-    "min_edge_frequency": 2,
-    "learning_rate": 1e-3,
-    "weight_decay": 1e-4,
-    "max_epochs": 300,
-    "patience": 10,
-    "rounds": 1,
-    "dim": 300,
-    "windows": "2,5,10,20,50,100",
+TASKS = {"classify": ex.TASK_CLASSIFY, "regress": ex.TASK_REGRESS}
+CHOICES = {
+    "mode": (ex.MODE_RAW, ex.MODE_FILTERED),
+    "model": ("gnn", "tfidf-rf", "both"),
+    "task": tuple(TASKS),
 }
 
-TASKS = {"classify": ex.TASK_CLASSIFY, "regress": ex.TASK_REGRESS}
+# option (flag destination and config-file key) -> the ExperimentConfig
+# field it sets; each TrainConfig field is an option of its own name
+RUN_OPTIONS = {
+    "data": "data_dir",
+    "out": "output_dir",
+    "project": "projects",
+    "mode": "text_mode",
+    "task": "task",
+    "model": "model",
+    "jobs": "jobs",
+    "dim": "embedding_dim",
+    "windows": "windows",
+    "vectors": "vectors_path",
+}
+TRAIN_OPTIONS = {f.name: type(f.default) for f in fields(TrainConfig)}
+
+
+def _option(parser: argparse.ArgumentParser, flag: str, text: str,
+            dest: str | None = None, **kwargs) -> None:
+    """Add an option whose help shows its built-in default: the default of
+    the config field it sets."""
+    dest = dest or flag[2:]
+    config = ex.ExperimentConfig(data_dir=Path())
+    if dest in TRAIN_OPTIONS:
+        default = getattr(config.train, dest)
+    else:
+        default = getattr(config, RUN_OPTIONS[dest])
+    if dest == "task":
+        default = next(name for name, task in TASKS.items() if task == default)
+    elif dest == "windows":
+        default = ",".join(map(str, default))
+    parser.add_argument(flag, dest=dest, help=f"{text} (default: {default})", **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help=f"dataset directory of per-project CSV files "
                         f"(default: ${DATA_ENV_VAR})")
-    parser.add_argument("--out", help="output directory (default: runs)")
+    _option(parser, "--out", "output directory")
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--project", action="append",
                         help="project name, repeatable (default: all projects)")
-    parser.add_argument("--seed", type=int, help="master seed (default: 42)")
-    parser.add_argument("--mode", choices=[ex.MODE_RAW, ex.MODE_FILTERED],
-                        help="text mode (default: raw)")
-    parser.add_argument("--jobs", type=int,
-                        help="projects trained in parallel (default: 1)")
+    _option(parser, "--seed", "master seed", type=int)
+    _option(parser, "--mode", "text mode", choices=CHOICES["mode"])
+    _option(parser, "--jobs", "projects trained in parallel", type=int)
+
+
+def _add_embedding(parser: argparse.ArgumentParser) -> None:
+    _option(parser, "--dim", "embedding dimension", type=int)
+    parser.add_argument("--vectors", help="pretrained word-vector text file")
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int,
-                        help="sliding window size w (default: 20)")
-    parser.add_argument("--batch-size", type=int, dest="batch_size",
-                        help="minibatch size (default: 32)")
-    parser.add_argument("--dropout", type=float,
-                        help="input dropout rate (default: 0.5)")
-    parser.add_argument("--k", type=int, dest="min_edge_frequency",
-                        help="minimum pair count for a private edge weight; "
-                        "rarer pairs share the public weight (default: 2)")
-    parser.add_argument("--lr", type=float, dest="learning_rate",
-                        help="learning rate (default: 0.001)")
-    parser.add_argument("--weight-decay", type=float, dest="weight_decay",
-                        help="L2 weight decay (default: 0.0001)")
-    parser.add_argument("--epochs", type=int, dest="max_epochs",
-                        help="epoch budget (default: 300)")
-    parser.add_argument("--patience", type=int,
-                        help="early-stopping patience in epochs (default: 10)")
-    parser.add_argument("--rounds", type=int,
-                        help="message-passing rounds (default: 1)")
-    parser.add_argument("--dim", type=int,
-                        help="embedding dimension (default: 300)")
-    parser.add_argument("--vectors", help="pretrained word-vector text file")
-    parser.add_argument("--task", choices=sorted(TASKS),
-                        help="classify effort levels or regress story points "
-                        "(default: classify)")
+    _option(parser, "--window", "sliding window size w", type=int)
+    _option(parser, "--batch-size", "minibatch size", "batch_size", type=int)
+    _option(parser, "--dropout", "input dropout rate", type=float)
+    _option(parser, "--k", "minimum pair count for a private edge weight; rarer "
+            "pairs share the public weight", "min_edge_frequency", type=int)
+    _option(parser, "--lr", "learning rate", "learning_rate", type=float)
+    _option(parser, "--weight-decay", "L2 weight decay", "weight_decay", type=float)
+    _option(parser, "--epochs", "epoch budget", "max_epochs", type=int)
+    _option(parser, "--patience", "early-stopping patience in epochs", type=int)
+    _option(parser, "--rounds", "message-passing rounds", type=int)
+    _add_embedding(parser)
+    _option(parser, "--task", "classify effort levels or regress story points",
+            choices=sorted(TASKS))
     parser.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock columns so reruns are byte-identical")
     parser.add_argument("--no-save-models", action="store_true",
@@ -110,15 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="write split manifests and vocabulary dumps")
     _add_common(p)
-    p.add_argument("--dim", type=int, help="embedding dimension (default: 300)")
-    p.add_argument("--vectors", help="pretrained word-vector text file")
+    _add_embedding(p)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train the word-graph model (and baseline)")
     _add_common(p)
     _add_training(p)
-    p.add_argument("--model", choices=["gnn", "tfidf-rf", "both"],
-                   help="which model(s) to run (default: both)")
+    _option(p, "--model", "which model(s) to run", choices=CHOICES["model"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="train and score the tf-idf forest only")
@@ -126,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training(p)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("eval", help="score a saved model on a project's test split")
+    p = sub.add_parser("eval", help="score a saved model on its own test split")
     _add_common(p)
     p.add_argument("--model", required=True, dest="model_file",
                    help="model file written by train")
@@ -140,17 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="edge counts and accuracy across window sizes")
     _add_common(p)
     _add_training(p)
-    p.add_argument("--model", choices=["gnn", "tfidf-rf", "both"],
-                   help="include accuracy by training at each window; "
-                   "tfidf-rf emits edge counts only (default: both)")
-    p.add_argument("--windows",
-                   help="comma-separated window sizes (default: 2,5,10,20,50,100)")
+    _option(p, "--model", "include accuracy by training at each window; "
+            "tfidf-rf emits edge counts only", choices=CHOICES["model"])
+    _option(p, "--windows", "comma-separated window sizes")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 class _Options:
-    """Flag > config file > default resolution over the parsed namespace."""
+    """An option's value: its flag, else its config-file entry, else None
+    (the config field's default applies)."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
@@ -160,27 +174,18 @@ class _Options:
             self._file = json.loads(Path(config_path).read_text(encoding="utf-8"))
             if not isinstance(self._file, dict):
                 raise StoryGraphError("config file must hold a JSON object")
-            known = set(DEFAULTS) | {"data", "project", "vectors"}
-            unknown = sorted(set(self._file) - known)
+            unknown = sorted(set(self._file) - set(RUN_OPTIONS) - set(TRAIN_OPTIONS))
             if unknown:
                 raise StoryGraphError(
                     f"unknown config file key(s): {', '.join(unknown)}"
                 )
 
-    def get(self, key: str, fallback=None):
+    def get(self, key: str):
         value = self._args.get(key)
-        if value is not None:
-            return value
-        if key in self._file:
-            return self._file[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return fallback
+        return self._file.get(key) if value is None else value
 
     def data_dir(self) -> Path:
-        value = self._args.get("data") or self._file.get("data") or os.environ.get(
-            DATA_ENV_VAR
-        )
+        value = self.get("data") or os.environ.get(DATA_ENV_VAR)
         if not value:
             raise _MissingDataDir(
                 f"dataset directory not found: give --data, a config entry, "
@@ -196,68 +201,59 @@ class _MissingDataDir(Exception):
     pass
 
 
-def _train_config(opts: _Options) -> TrainConfig:
-    return TrainConfig(
-        window=int(opts.get("window")),
-        batch_size=int(opts.get("batch_size")),
-        dropout=float(opts.get("dropout")),
-        learning_rate=float(opts.get("learning_rate")),
-        weight_decay=float(opts.get("weight_decay")),
-        max_epochs=int(opts.get("max_epochs")),
-        patience=int(opts.get("patience")),
-        seed=int(opts.get("seed")),
-        min_edge_frequency=int(opts.get("min_edge_frequency")),
-        rounds=int(opts.get("rounds")),
-    )
+def _option_value(key: str, value):
+    """An option's value as the config field it sets holds it."""
+    if key == "project" and isinstance(value, str):
+        value = [value]
+    elif key == "windows" and isinstance(value, str):
+        value = [int(w) for w in value.replace(" ", "").split(",") if w]
+    if key in ("project", "windows"):
+        kind = str if key == "project" else int
+        if not (isinstance(value, list) and all(type(v) is kind for v in value)):
+            raise StoryGraphError(
+                f"{key}: {value!r} is neither a string nor a list of {kind.__name__}"
+            )
+        return tuple(value)
+    if key in CHOICES:
+        if value not in CHOICES[key]:
+            raise StoryGraphError(
+                f"{key}: {value!r} is not one of {', '.join(CHOICES[key])}"
+            )
+        return TASKS[value] if key == "task" else value
+    kind = Path if key in ("out", "vectors") else TRAIN_OPTIONS.get(key, int)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as err:
+        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}") from err
 
 
-def _experiment_config(opts: _Options, model: str | None = None) -> ex.ExperimentConfig:
-    vectors = opts.get("vectors", fallback=None)
-    windows = tuple(
-        int(w) for w in str(opts.get("windows")).replace(" ", "").split(",") if w
-    )
-    return ex.ExperimentConfig(
+def _experiment_config(opts: _Options, **fixed) -> ex.ExperimentConfig:
+    """The run's configuration, for every subcommand: each option from its
+    flag, else the config file, else the config field's default. `fixed`
+    fields (the subcommand's model, a saved model's run) override all."""
+    values = {
+        key: _option_value(key, value)
+        for key in (*RUN_OPTIONS, *TRAIN_OPTIONS)
+        if key != "data" and (value := opts.get(key)) is not None
+    }
+    train = TrainConfig(**{k: values.pop(k) for k in TRAIN_OPTIONS if k in values})
+    config = ex.ExperimentConfig(
         data_dir=opts.data_dir(),
-        output_dir=Path(opts.get("out")),
-        projects=tuple(opts.get("project", fallback=()) or ()),
-        model=model or str(opts.get("model")),
-        text_mode=str(opts.get("mode")),
-        task=TASKS[str(opts.get("task"))],
-        windows=windows,
-        train=_train_config(opts),
-        vectors_path=Path(vectors) if vectors else None,
-        embedding_dim=int(opts.get("dim")),
-        jobs=int(opts.get("jobs")),
-        include_timings=not opts.get("no_timings", fallback=False),
-        save_models=not opts.get("no_save_models", fallback=False),
+        train=train,
+        include_timings=not opts.get("no_timings"),
+        save_models=not opts.get("no_save_models"),
+        **{RUN_OPTIONS[key]: value for key, value in values.items()},
     )
+    return replace(config, **fixed)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    config = ex.ExperimentConfig(
-        data_dir=opts.data_dir(),
-        output_dir=Path(opts.get("out")),
-        projects=tuple(opts.get("project", fallback=()) or ()),
-        text_mode=str(opts.get("mode")),
-        train=TrainConfig(seed=int(opts.get("seed"))),
-        embedding_dim=int(opts.get("dim")),
-    )
+    config = _experiment_config(_Options(args))
     out_dir = Path(config.output_dir) / "prepare"
     out_dir.mkdir(parents=True, exist_ok=True)
-    vectors = opts.get("vectors", fallback=None)
     for project in config.resolved_projects():
         prepared = ex.prepare_project(config, project)
         split = prepared.split
-        pretrained = (
-            load_pretrained_vectors(
-                Path(vectors),
-                {tok for doc in split.train for tok in doc.tokens},
-                dim=config.embedding_dim,
-            )
-            if vectors
-            else {}
-        )
         lines = [
             f"# seed = {config.train.seed}",
             f"# split_hash = {prepared.split_hash}",
@@ -272,12 +268,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         (out_dir / f"{project}.split.txt").write_text(
             "\n".join(lines) + "\n", encoding="utf-8"
         )
-        vocab, table = build_vocab(
-            split.train,
-            pretrained,
-            seed=ex.derive_seed(config.train.seed, project, "vocab"),
-            dim=config.embedding_dim,
-        )
+        vocab, table, _ = ex._encode(config, prepared, use_vectors=True)
         dump_vocabulary(vocab, table, out_dir / f"{project}.vocab.tsv")
         print(f"{project}: {len(split.train)}/{len(split.validation)}/"
               f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
@@ -332,18 +323,15 @@ def _run_and_emit(config: ex.ExperimentConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    return _run_and_emit(_experiment_config(opts))
+    return _run_and_emit(_experiment_config(_Options(args)))
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    return _run_and_emit(_experiment_config(opts, model="tfidf-rf"))
+    return _run_and_emit(_experiment_config(_Options(args), model="tfidf-rf"))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    config = _experiment_config(opts, model="gnn")
+    config = _experiment_config(_Options(args), model="gnn")
     report = ex.run_graph_stats(config)
     run_dir = Path(config.output_dir) / ex.experiment_name(config, "stats")
     written = ex.emit_report(report, run_dir, include_timings=False, stats_only=True)
@@ -355,8 +343,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    config = _experiment_config(opts)
+    config = _experiment_config(_Options(args))
     report = ex.run_window_sweep(config)
     run_dir = Path(config.output_dir) / ex.experiment_name(config, "sweep")
     written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
@@ -370,43 +357,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _Options(args)
     bundle = load_model(args.model_file)
-    seed = args.seed if args.seed is not None else bundle.config.seed
-    config = ex.ExperimentConfig(
-        data_dir=opts.data_dir(),
-        output_dir=Path(opts.get("out")),
-        projects=tuple(opts.get("project", fallback=()) or ()),
-        text_mode=str(opts.get("mode")),
-        task=ex.TASK_REGRESS if bundle.class_values else ex.TASK_CLASSIFY,
-        train=TrainConfig(
-            window=bundle.config.window,
-            min_edge_frequency=bundle.config.min_edge_frequency,
-            seed=seed,
-        ),
-    )
-    projects = config.resolved_projects()
-    if not projects:
-        raise StoryGraphError("no projects to evaluate")
-    for project in projects:
-        prepared = ex.prepare_project(config, project)
-        split = prepared.split
-        encoded = bundle.vocabulary.encode_all(split.test)
-        if config.task == ex.TASK_REGRESS:
-            labels = ex.labels_for(split.test, config.task, bundle.class_values)
-        else:
-            labels = [int(d.level) for d in split.test]
-        graphs = build_graphs(
-            encoded, bundle.config.window, bundle.edge_table, labels=labels
+    asked = _experiment_config(opts)
+    config = replace(asked, text_mode=bundle.text_mode, train=bundle.config)
+    for key, given, saved in (
+        ("project", ",".join(asked.projects), bundle.project),
+        ("mode", asked.text_mode, bundle.text_mode),
+        ("seed", asked.train.seed, bundle.config.seed),
+    ):
+        # an option left at its default never conflicts with the model
+        if opts.get(key) is not None and given != saved:
+            raise StoryGraphError(
+                f"{args.model_file} was trained with {key} {saved}, not {given}"
+            )
+    prepared = ex.prepare_project(config, bundle.project)
+    if prepared.split_hash != bundle.split_hash:
+        raise StoryGraphError(
+            f"{bundle.project}: the data now splits to hash {prepared.split_hash}, "
+            f"the model was trained on split {bundle.split_hash}"
         )
-        predictions = [
-            predict(bundle.params, g, rounds=bundle.config.rounds)[0] for g in graphs
-        ]
-        accuracy = ex.accuracy_percent(predictions, labels)
-        line = f"{project}: accuracy {accuracy:.2f}% (n={len(graphs)})"
-        if bundle.class_values:
-            points = [bundle.class_values[p] for p in predictions]
-            actual = [d.raw_story_point for d in split.test]
-            line += f", mae {ex.mean_absolute_error(points, actual):.2f}"
-        print(line)
+    test = prepared.split.test
+    accuracy, mae = ex.score_gnn(bundle, bundle.vocabulary.encode_all(test), test)
+    line = f"{bundle.project}: accuracy {accuracy:.2f}% (n={len(test)})"
+    if mae is not None:
+        line += f", mae {mae:.2f}"
+    print(line)
     return 0
 
 

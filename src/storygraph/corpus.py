@@ -110,13 +110,6 @@ class LoadReport:
     skipped_story_point: int = 0
     skipped_duplicate_key: int = 0
 
-    def summary(self) -> str:
-        return (
-            f"{self.project}: loaded {self.issues_loaded}/{self.rows_total} rows "
-            f"(skipped: {self.skipped_story_point} bad story point, "
-            f"{self.skipped_duplicate_key} duplicate key)"
-        )
-
 
 def _parse_story_point(raw: str) -> int | None:
     """Return a positive integer story point, or None if unusable."""
@@ -256,13 +249,6 @@ class TokenizeReport:
     empty_documents: int = 0
     empty_document_keys: list[str] = field(default_factory=list)
     pos_filter_fallbacks: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"{self.project}: {self.documents} documents, "
-            f"{self.empty_documents} rejected empty, "
-            f"{self.pos_filter_fallbacks} filter fallbacks"
-        )
 
 
 def tokenize_issues(

@@ -17,7 +17,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,11 @@ MODE_FILTERED = "verb-noun-filter"
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings. Its field defaults, with TrainConfig's, are the
+    built-in defaults of every run, the CLI's included."""
+
     data_dir: Path
-    output_dir: Path
+    output_dir: Path = Path("runs")
     projects: tuple[str, ...] = ()  # empty: every *.csv under data_dir
     model: str = "both"  # "gnn" | "tfidf-rf" | "both"
     text_mode: str = MODE_RAW
@@ -77,20 +80,11 @@ class ExperimentConfig:
     def echo(self) -> dict[str, object]:
         """Everything a reader needs to audit or rerun the experiment."""
         return {
+            **asdict(self.train),
             "task": self.task,
             "text_mode": self.text_mode,
             "model": self.model,
-            "seed": self.train.seed,
-            "window": self.train.window,
-            "min_edge_frequency": self.train.min_edge_frequency,
-            "batch_size": self.train.batch_size,
-            "dropout": self.train.dropout,
             "optimizer": "adam",
-            "learning_rate": self.train.learning_rate,
-            "weight_decay": self.train.weight_decay,
-            "max_epochs": self.train.max_epochs,
-            "patience": self.train.patience,
-            "rounds": self.train.rounds,
             "embedding_dim": self.embedding_dim,
             "vectors": Path(self.vectors_path).name if self.vectors_path else "none",
             "windows": list(self.windows),
@@ -135,6 +129,28 @@ def mean_absolute_error(predictions, targets) -> float:
     return float(
         np.mean(np.abs(np.asarray(predictions, float) - np.asarray(targets, float)))
     )
+
+
+def score_gnn(
+    bundle: ModelBundle,
+    encoded: list[EncodedDocument],
+    docs: tuple[TokenizedDocument, ...],
+) -> tuple[float, float | None]:
+    """A model's accuracy (%) on documents encoded against its vocabulary,
+    and, when its classes are story points, its MAE in story points."""
+    cv = bundle.class_values
+    task = TASK_REGRESS if cv else TASK_CLASSIFY
+    graphs = build_graphs(
+        encoded, bundle.config.window, bundle.edge_table,
+        labels=labels_for(docs, task, cv),
+    )
+    rounds = bundle.config.rounds
+    predictions = [gnn.predict(bundle.params, g, rounds=rounds)[0] for g in graphs]
+    accuracy = accuracy_percent(predictions, [g.label for g in graphs])
+    if not cv:
+        return accuracy, None
+    actual = [d.raw_story_point for d in docs]
+    return accuracy, mean_absolute_error([cv[p] for p in predictions], actual)
 
 
 @dataclass
@@ -252,10 +268,6 @@ def _run_gnn(
         val_enc, config.train.window, edges,
         labels=labels_for(split.validation, task, cv),
     )
-    test_graphs = build_graphs(
-        test_enc, config.train.window, edges,
-        labels=labels_for(split.test, task, cv),
-    )
 
     n_classes = len(cv) if task == TASK_REGRESS else len(StoryPointLevel)
     init_params = gnn.init_parameters(
@@ -268,16 +280,21 @@ def _run_gnn(
     started = time.perf_counter()
     trained = gnn.train(init_params, train_graphs, val_graphs, train_cfg)
     result.train_seconds = time.perf_counter() - started
-    params = trained.params
 
-    predictions = [
-        gnn.predict(params, g, rounds=train_cfg.rounds)[0] for g in test_graphs
-    ]
-    result.gnn_accuracy = accuracy_percent(predictions, [g.label for g in test_graphs])
-    if task == TASK_REGRESS:
-        predicted_points = [cv[p] for p in predictions]
-        actual_points = [d.raw_story_point for d in split.test]
-        result.gnn_mae = mean_absolute_error(predicted_points, actual_points)
+    # the master-seed config goes into the bundle: the per-project train
+    # seed is re-derivable from it, and split recovery at eval time needs
+    # the master
+    bundle = ModelBundle(
+        params=trained.params,
+        config=config.train,
+        vocabulary=vocab,
+        edge_table=edges,
+        project=project,
+        text_mode=config.text_mode,
+        split_hash=prepared.split_hash,
+        class_values=cv,
+    )
+    result.gnn_accuracy, result.gnn_mae = score_gnn(bundle, test_enc, split.test)
 
     # every training token is a node of some training graph, and every
     # counted pair an edge of one
@@ -285,16 +302,6 @@ def _run_gnn(
     result.edge_count = edges.distinct_pair_count
 
     if models_dir is not None:
-        # the master-seed config goes into the file: the per-project train
-        # seed is re-derivable from it, and split recovery at eval time
-        # needs the master
-        bundle = ModelBundle(
-            params=params,
-            config=config.train,
-            vocabulary=vocab,
-            edge_table=edges,
-            class_values=cv,
-        )
         save_model(models_dir / f"{project}.model", bundle)
 
 

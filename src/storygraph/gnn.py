@@ -43,7 +43,8 @@ DECAYED_ARRAYS = ("embeddings", "edge_weights", "classifier_weights")
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters. Defaults are the reference configuration."""
+    """Training hyperparameters. Defaults are the reference configuration,
+    and the CLI's built-in defaults."""
 
     window: int = 20
     batch_size: int = 32
@@ -52,9 +53,8 @@ class TrainConfig:
     weight_decay: float = 1e-4
     max_epochs: int = 300
     patience: int = 10
-    seed: int = 0
+    seed: int = 42
     min_edge_frequency: int = 2
-    class_mode: str = "level"  # "level" | "story-point"
     rounds: int = 1
 
 
@@ -105,12 +105,6 @@ class ModelParameters:
         for name, arr in self.named_arrays():
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteActivationError(f"non-finite values in {name}")
-
-    def allclose(self, other: "ModelParameters") -> bool:
-        return all(
-            np.array_equal(arr, getattr(other, name))
-            for name, arr in self.named_arrays()
-        )
 
 
 def init_parameters(

@@ -3,6 +3,8 @@
 Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
 UTF-8 JSON header, then raw little-endian arrays in a fixed order
 (five float64 parameter arrays, then the indexed edge pairs as int64).
+A `.model` header also records the run the model was trained in: its
+project, text mode, training config (with the master seed) and split hash.
 Arrays round-trip bit-exactly. The edge pairs are the (src, dst) token
 ids of the edge table's pair codes (see graph.py) in code order, so index
 i+1 in the edge-weight vector belongs to pairs[i]; pre-threshold
@@ -30,17 +32,21 @@ from .graph import EdgeTable, decode_pairs, encode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class ModelBundle:
-    """A trained model plus everything needed to score unseen issues."""
+    """A trained model, the run it was trained in, and everything needed to
+    score unseen issues."""
 
     params: ModelParameters
-    config: TrainConfig
+    config: TrainConfig  # with the master seed, from which the split follows
     vocabulary: Vocabulary
     edge_table: EdgeTable
+    project: str
+    text_mode: str
+    split_hash: str  # of the train/validation/test split it was trained on
     class_values: tuple[int, ...] = ()  # story-point mode: value per class index
 
 
@@ -65,6 +71,9 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "n_edge_params": int(params.edge_weights.shape[0]),
         "n_pairs": int(pairs.shape[0]),
         "config": asdict(bundle.config),
+        "project": bundle.project,
+        "text_mode": bundle.text_mode,
+        "split_hash": bundle.split_hash,
         "class_values": list(bundle.class_values),
         "tokens": list(vocab.id_to_token),
         "token_counts": [int(c) for c in vocab.counts],
@@ -101,7 +110,8 @@ def _read_container(path: str | Path, magic: bytes, kind: str) -> tuple[dict, by
     version = data[len(magic)]
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}"
+            f"{path}: format version {version}, this build reads {FORMAT_VERSION}; "
+            "retrain to get a readable file"
         )
     pos = len(magic) + 1
     (header_len,) = struct.unpack_from("<Q", data, pos)
@@ -133,6 +143,9 @@ def load_model(path: str | Path) -> ModelBundle:
         tokens = list(header["tokens"])
         token_counts = list(header["token_counts"])
         config = TrainConfig(**header["config"])
+        project = str(header["project"])
+        text_mode = str(header["text_mode"])
+        split_hash = str(header["split_hash"])
         class_values = tuple(int(x) for x in header["class_values"])
         edge_window = int(header["edge_window"])
         edge_min_frequency = int(header["edge_min_frequency"])
@@ -184,6 +197,9 @@ def load_model(path: str | Path) -> ModelBundle:
         config=config,
         vocabulary=vocabulary,
         edge_table=table,
+        project=project,
+        text_mode=text_mode,
+        split_hash=split_hash,
         class_values=class_values,
     )
 

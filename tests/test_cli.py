@@ -3,6 +3,7 @@ subcommand leaves behind."""
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,98 @@ def test_eval_reproduces_training_accuracy(capsys, tmp_path, synth_dataset):
     assert f"accuracy {trained_pct}" in eval_out
 
 
+def train_gnn(capsys, data, out, *extra):
+    """Train alpha's GNN; returns its model file and train-time output line."""
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(data), "--out", str(out),
+        "--project", "alpha", "--model", "gnn", *FAST, *extra,
+    )
+    assert code == 0, err
+    line = next(l for l in stdout.splitlines() if l.startswith("alpha: "))
+    kinds = [d for d in out.iterdir() if (d / "models" / "alpha.model").is_file()]
+    return kinds[0] / "models" / "alpha.model", line
+
+
+def test_eval_takes_the_run_from_the_model(capsys, tmp_path, synth_dataset):
+    model, trained = train_gnn(capsys, synth_dataset, tmp_path / "runs",
+                               "--mode", "verb-noun-filter")
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 0, err
+    pct = trained.split("gnn ")[1].rstrip("%")
+    # only the model's own project, on its own mode and split
+    assert out.splitlines() == [f"alpha: accuracy {pct}% (n=12)"]
+
+
+def test_eval_of_a_regression_model_reports_training_mae(capsys, tmp_path, synth_dataset):
+    model, trained = train_gnn(capsys, synth_dataset, tmp_path / "runs",
+                               "--task", "regress")
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 0, err
+    assert out.rstrip().endswith(f", mae {trained.split('gnn mae ')[1]}")
+
+
+@pytest.mark.parametrize("conflict", [
+    ("--project", "beta"), ("--mode", "raw"), ("--seed", "7"), ("config", {"seed": 7}),
+    ("config", {"project": ["beta"]}),
+])
+def test_eval_refuses_a_run_the_model_was_not_trained_on(
+        capsys, tmp_path, synth_dataset, conflict):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs",
+                         "--mode", "verb-noun-filter")
+    flag, value = conflict
+    if flag == "config":
+        (tmp_path / "run.json").write_text(json.dumps(value))
+        flag, value = "--config", str(tmp_path / "run.json")
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model), flag, value
+    )
+    assert code == 1
+    assert err.startswith("error: StoryGraphError: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_eval_refuses_data_that_no_longer_splits_as_in_training(
+        capsys, tmp_path, synth_dataset):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    path = synth_dataset / "alpha.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    write_project_csv(path, rows[1:])
+    code, _, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1
+    assert err.startswith("error: StoryGraphError: alpha: ") and "split" in err
+
+
+def test_eval_refuses_a_version_1_model_file(capsys, tmp_path, synth_dataset):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    raw = bytearray(model.read_bytes())
+    raw[7] = 1  # the version byte follows the 7-byte magic
+    model.write_bytes(bytes(raw))
+    code, _, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1
+    assert err.startswith("error: VersionMismatchError: ") and "retrain" in err
+
+
+def test_eval_as_the_benchmark_calls_it(capsys, tmp_path, synth_dataset):
+    out = tmp_path / "runs"
+    model, _ = train_gnn(capsys, synth_dataset, out, "--mode", "verb-noun-filter")
+    code, stdout, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--out", str(out),
+        "--mode", "verb-noun-filter", "--project", "alpha", "--model", str(model),
+        "--jobs", "1",
+    )
+    assert code == 0, err
+    assert re.fullmatch(r"alpha: accuracy \d+\.\d\d% \(n=\d+\)\n", stdout)
+
+
 def test_eval_on_missing_model_file_fails_cleanly(capsys, tmp_path, synth_dataset):
     code, _, err = run_cli(
         capsys, "eval", "--data", str(synth_dataset), "--out", str(tmp_path),
@@ -244,6 +337,45 @@ def test_config_file_with_unknown_key_fails(capsys, tmp_path, synth_dataset):
     )
     assert code == 1
     assert "windoww" in err
+
+
+@pytest.mark.parametrize("entry", [{"project": "alpha"}, {"project": ["alpha"]}])
+def test_config_file_project_is_a_name_or_a_list(capsys, tmp_path, synth_dataset, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    code, stdout, err = run_cli(
+        capsys, "stats", "--data", str(synth_dataset),
+        "--out", str(tmp_path / "o"), "--config", str(cfg),
+    )
+    assert code == 0, err
+    assert "alpha: size " in stdout and "beta" not in stdout
+
+
+def test_config_file_windows_may_be_a_list(capsys, tmp_path, synth_dataset):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"windows": [2, 5]}))
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        "--project", "alpha", "--model", "tfidf-rf", "--config", str(cfg),
+    )
+    assert code == 0, err
+    assert [l.split(":")[0] for l in stdout.splitlines()[:2]] == [
+        "alpha w=2", "alpha w=5"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"project": 3}, {"project": ["alpha", 3]}, {"windows": 5}, {"windows": [2, "5"]},
+    {"window": [3]}, {"mode": "lemmas"},
+])
+def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    code, _, err = run_cli(
+        capsys, "sweep", "--data", str(synth_dataset),
+        "--out", str(tmp_path / "o"), "--config", str(cfg),
+    )
+    assert code == 1
+    assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
 
 
 def test_error_lines_name_the_exception(capsys, tmp_path):

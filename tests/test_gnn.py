@@ -404,7 +404,10 @@ def test_training_is_deterministic():
     config = gnn.TrainConfig(max_epochs=5, batch_size=4, seed=3)
     a = gnn.train(params, graphs[:16], graphs[16:], config)
     b = gnn.train(params, graphs[:16], graphs[16:], config)
-    assert a.params.allclose(b.params)
+    assert all(
+        np.array_equal(arr, getattr(b.params, name))
+        for name, arr in a.params.named_arrays()
+    )
     assert [e.train_loss for e in a.epochs] == [e.train_loss for e in b.epochs]
 
 

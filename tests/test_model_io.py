@@ -1,5 +1,7 @@
 """Round-trip fidelity and corruption handling for the binary model files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,9 @@ def make_bundle(seed=0):
             config=config,
             vocabulary=vocab,
             edge_table=table,
+            project="alpha",
+            text_mode="raw",
+            split_hash="0123456789ab",
             class_values=(2, 8, 20),
         ),
         docs,
@@ -74,6 +79,8 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert loaded.edge_table.window == bundle.edge_table.window
     assert loaded.edge_table.min_frequency == bundle.edge_table.min_frequency
     assert loaded.class_values == bundle.class_values
+    assert (loaded.project, loaded.text_mode, loaded.split_hash) == (
+        bundle.project, bundle.text_mode, bundle.split_hash)
 
 
 def test_loaded_model_predicts_identically(tmp_path):
@@ -105,13 +112,7 @@ def test_save_is_deterministic(tmp_path):
 def test_empty_class_values(tmp_path):
     # classification bundles carry no story-point mapping
     bundle, _ = make_bundle()
-    bundle = ModelBundle(
-        params=bundle.params,
-        config=bundle.config,
-        vocabulary=bundle.vocabulary,
-        edge_table=bundle.edge_table,
-        class_values=(),
-    )
+    bundle = dataclasses.replace(bundle, class_values=())
     path = tmp_path / "m.model"
     save_model(path, bundle)
     assert load_model(path).class_values == ()
@@ -264,9 +265,9 @@ def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):
 
 
 def _header_version_bumped(raw: bytes) -> bytes:
-    field = b'"format_version": 1'
+    field = b'"format_version": 2'
     assert field in raw
-    return raw.replace(field, b'"format_version": 2', 1)
+    return raw.replace(field, b'"format_version": 3', 1)
 
 
 def test_rejects_header_version_mismatch(tmp_path):
