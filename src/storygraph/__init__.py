@@ -54,7 +54,6 @@ from .gnn import (
     init_parameters,
     loss,
     predict,
-    predict_story_point,
     train,
 )
 from .graph import (
@@ -117,7 +116,6 @@ __all__ = [
     "load_pretrained_vectors",
     "loss",
     "predict",
-    "predict_story_point",
     "rf_fit",
     "rf_predict",
     "run_classification",

@@ -12,8 +12,9 @@ ExperimentConfig of every subcommand.
 
 eval takes the run from the model file: project, text mode, seed, window
 and k. It rebuilds that project's split, refuses the model if the split
-no longer hashes to the one it was trained on, and refuses a --project,
---mode or --seed (flag or config file) that disagrees with the model.
+no longer hashes to the one it was trained on, and refuses any option the
+model fixes (project, mode, task, dim, every TrainConfig field) that a
+flag or the config file sets to another value.
 
 The dataset root comes from --data, the config file, or the
 STORYGRAPH_DATA environment variable, in that order. Exit codes: 0 on a
@@ -63,20 +64,23 @@ RUN_OPTIONS = {
 TRAIN_OPTIONS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
+def _field(config: ex.ExperimentConfig, key: str):
+    """The value of the config field that option `key` sets; a tuple as
+    the comma-separated text a flag gives."""
+    if key in TRAIN_OPTIONS:
+        return getattr(config.train, key)
+    value = getattr(config, RUN_OPTIONS[key])
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
 def _option(parser: argparse.ArgumentParser, flag: str, text: str,
             dest: str | None = None, **kwargs) -> None:
     """Add an option whose help shows its built-in default: the default of
     the config field it sets."""
     dest = dest or flag[2:]
-    config = ex.ExperimentConfig(data_dir=Path())
-    if dest in TRAIN_OPTIONS:
-        default = getattr(config.train, dest)
-    else:
-        default = getattr(config, RUN_OPTIONS[dest])
+    default = _field(ex.ExperimentConfig(data_dir=Path()), dest)
     if dest == "task":
         default = next(name for name, task in TASKS.items() if task == default)
-    elif dest == "windows":
-        default = ",".join(map(str, default))
     parser.add_argument(flag, dest=dest, help=f"{text} (default: {default})", **kwargs)
 
 
@@ -89,7 +93,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="project name, repeatable (default: all projects)")
     _option(parser, "--seed", "master seed", type=int)
     _option(parser, "--mode", "text mode", choices=CHOICES["mode"])
-    _option(parser, "--jobs", "projects trained in parallel", type=int)
+    _option(parser, "--jobs", "projects run in parallel", type=int)
 
 
 def _add_embedding(parser: argparse.ArgumentParser) -> None:
@@ -247,77 +251,69 @@ def _experiment_config(opts: _Options, **fixed) -> ex.ExperimentConfig:
     return replace(config, **fixed)
 
 
+def _prepare_files(config: ex.ExperimentConfig, project: str, out_dir: Path) -> str:
+    """Write one project's split manifest and vocabulary dump; returns the
+    line that summarises them."""
+    prepared = ex.prepare_project(config, project)
+    split = prepared.split
+    lines = [
+        f"# seed = {config.train.seed}",
+        f"# split_hash = {prepared.split_hash}",
+    ]
+    for section, docs in (
+        ("train", split.train),
+        ("validation", split.validation),
+        ("test", split.test),
+    ):
+        lines.append(f"[{section}]")
+        lines.extend(d.doc_id for d in docs)
+    (out_dir / f"{project}.split.txt").write_text(
+        "\n".join(lines) + "\n", encoding="utf-8"
+    )
+    vocab, table, _ = ex._encode(config, prepared, use_vectors=True)
+    dump_vocabulary(vocab, table, out_dir / f"{project}.vocab.tsv")
+    return (f"{project}: {len(split.train)}/{len(split.validation)}/"
+            f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
     config = _experiment_config(_Options(args))
     out_dir = Path(config.output_dir) / "prepare"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for project in config.resolved_projects():
-        prepared = ex.prepare_project(config, project)
-        split = prepared.split
-        lines = [
-            f"# seed = {config.train.seed}",
-            f"# split_hash = {prepared.split_hash}",
-        ]
-        for section, docs in (
-            ("train", split.train),
-            ("validation", split.validation),
-            ("test", split.test),
-        ):
-            lines.append(f"[{section}]")
-            lines.extend(d.doc_id for d in docs)
-        (out_dir / f"{project}.split.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
-        vocab, table, _ = ex._encode(config, prepared, use_vectors=True)
-        dump_vocabulary(vocab, table, out_dir / f"{project}.vocab.tsv")
-        print(f"{project}: {len(split.train)}/{len(split.validation)}/"
-              f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
+    for line in ex._collect(config, config.resolved_projects(), out_dir, _prepare_files):
+        print(line)
     print(f"manifests: {out_dir}")
     return 0
 
 
-def _print_eval_rows(report: ex.EvalReport) -> None:
+# metric (a REPORT_COLUMNS suffix) -> how one model's score is printed
+SCORE_FORMATS = {"accuracy": "{} {:.2f}%", "mae": "{} mae {:.2f}"}
+
+
+def _print_scores(report: ex.EvalReport) -> None:
+    """One line of scores per project, then their averages."""
+    columns = ex.score_columns(report.kind)
+    _, metric = ex.REPORT_COLUMNS[report.kind]
+    shown = SCORE_FORMATS[metric]
+
+    def scores(values) -> str:
+        return ", ".join(
+            shown.format(column.lower(), value)
+            for (column, _), value in zip(columns, values)
+            if value is not None
+        )
+
     for row in report.rows:
-        if report.kind == "classification":
-            parts = []
-            if row.baseline_accuracy is not None:
-                parts.append(f"tfidf-rf {row.baseline_accuracy:.2f}%")
-            if row.gnn_accuracy is not None:
-                parts.append(f"gnn {row.gnn_accuracy:.2f}%")
-        else:
-            parts = []
-            if row.baseline_mae is not None:
-                parts.append(f"tfidf-rfr mae {row.baseline_mae:.2f}")
-            if row.gnn_mae is not None:
-                parts.append(f"gnn mae {row.gnn_mae:.2f}")
-        print(f"{row.project}: " + ", ".join(parts))
+        print(f"{row.project}: " + scores(getattr(row, attr) for _, attr in columns))
+    print("average: " + scores(report.average(attr) for _, attr in columns))
 
 
 def _run_and_emit(config: ex.ExperimentConfig) -> int:
-    if config.task == ex.TASK_REGRESS:
-        report = ex.run_regression(config)
-        kind = "regression"
-    else:
-        report = ex.run_classification(config)
-        kind = "classification"
-    run_dir = Path(config.output_dir) / ex.experiment_name(config, kind)
+    run = ex.run_regression if config.task == ex.TASK_REGRESS else ex.run_classification
+    report = run(config)
+    run_dir = Path(config.output_dir) / ex.experiment_name(config, report.kind)
     written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
-    _print_eval_rows(report)
-    if report.kind == "classification":
-        avg_b = report.average_baseline_accuracy()
-        avg_g = report.average_gnn_accuracy()
-        summary = [
-            f"tfidf-rf {avg_b:.2f}%" if avg_b is not None else "",
-            f"gnn {avg_g:.2f}%" if avg_g is not None else "",
-        ]
-    else:
-        avg_b = report.average_baseline_mae()
-        avg_g = report.average_gnn_mae()
-        summary = [
-            f"tfidf-rfr mae {avg_b:.2f}" if avg_b is not None else "",
-            f"gnn mae {avg_g:.2f}" if avg_g is not None else "",
-        ]
-    print("average: " + ", ".join(s for s in summary if s))
+    _print_scores(report)
     print(f"report: {written[0]}")
     return 0
 
@@ -334,7 +330,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     config = _experiment_config(_Options(args), model="gnn")
     report = ex.run_graph_stats(config)
     run_dir = Path(config.output_dir) / ex.experiment_name(config, "stats")
-    written = ex.emit_report(report, run_dir, include_timings=False, stats_only=True)
+    written = ex.emit_report(report, run_dir, include_timings=False)
     for row in report.rows:
         print(f"{row.project}: size {row.train_size}, nodes {row.node_count}, "
               f"edges {row.edge_count}")
@@ -358,13 +354,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     opts = _Options(args)
     bundle = load_model(args.model_file)
     asked = _experiment_config(opts)
-    config = replace(asked, text_mode=bundle.text_mode, train=bundle.config)
-    for key, given, saved in (
-        ("project", ",".join(asked.projects), bundle.project),
-        ("mode", asked.text_mode, bundle.text_mode),
-        ("seed", asked.train.seed, bundle.config.seed),
-    ):
+    config = replace(
+        asked,
+        projects=(bundle.project,),
+        text_mode=bundle.text_mode,
+        task=ex.TASK_REGRESS if bundle.class_values else ex.TASK_CLASSIFY,
+        embedding_dim=bundle.params.embeddings.shape[1],
+        train=bundle.config,
+    )
+    for key in ("project", "mode", "task", "dim", *TRAIN_OPTIONS):
         # an option left at its default never conflicts with the model
+        given, saved = _field(asked, key), _field(config, key)
         if opts.get(key) is not None and given != saved:
             raise StoryGraphError(
                 f"{args.model_file} was trained with {key} {saved}, not {given}"

@@ -66,10 +66,6 @@ class TraceMismatchError(StoryGraphError):
     """A forward trace was paired with a different graph in backward."""
 
 
-class UnknownClassIndexError(StoryGraphError):
-    """A predicted class index has no story-point value attached."""
-
-
 # --- model persistence ----------------------------------------------------
 
 class VersionMismatchError(StoryGraphError):

@@ -344,16 +344,21 @@ def _run_baseline(
         )
 
 
-def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> ProjectResult:
-    prepared = prepare_project(config, project)
+def _result_for(prepared: PreparedProject) -> ProjectResult:
     split = prepared.split
-    result = ProjectResult(
-        project=project,
+    return ProjectResult(
+        project=prepared.project,
         train_size=len(split.train),
         val_size=len(split.validation),
         test_size=len(split.test),
         split_hash=prepared.split_hash,
     )
+
+
+def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> ProjectResult:
+    prepared = prepare_project(config, project)
+    split = prepared.split
+    result = _result_for(prepared)
     models_dir = None
     if config.save_models:
         models_dir = run_dir / "models"
@@ -372,30 +377,46 @@ def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> Proje
     return result
 
 
+def _stats_project(config: ExperimentConfig, project: str, run_dir: Path) -> ProjectResult:
+    """Split sizes and graph scale of one project, without training: every
+    training token is a node of some training graph and every counted pair
+    an edge of one, so no graph is built."""
+    prepared = prepare_project(config, project)
+    vocab, _, (train_enc,) = _encode(config, prepared, prepared.split.train)
+    result = _result_for(prepared)
+    result.node_count = vocab.size - 1
+    result.edge_count = _edge_table(config, train_enc).distinct_pair_count
+    return result
+
+
+# report kind -> (the baseline's column, the metric both models report in
+# ProjectResult's baseline_<metric> and gnn_<metric>)
+REPORT_COLUMNS = {
+    "classification": ("TFIDF-RF", "accuracy"),
+    "regression": ("TFIDF-RFR", "mae"),
+}
+
+
+def score_columns(kind: str) -> tuple[tuple[str, str], ...]:
+    """(column, ProjectResult attribute) of each model's score in a report
+    of this kind, baseline first."""
+    column, metric = REPORT_COLUMNS[kind]
+    return (column, f"baseline_{metric}"), ("GNN", f"gnn_{metric}")
+
+
 @dataclass
 class EvalReport:
-    kind: str  # "classification" | "regression"
+    kind: str  # a REPORT_COLUMNS key, or "stats" for runs that train nothing
     config_echo: dict
     rows: list[ProjectResult] = field(default_factory=list)
 
-    def _mean(self, attr: str) -> float | None:
+    def average(self, attr: str) -> float | None:
+        """Mean of a ProjectResult attribute over the rows that have it."""
         values = [getattr(r, attr) for r in self.rows]
         values = [v for v in values if v is not None]
         if not values:
             return None
         return float(np.mean(values))
-
-    def average_gnn_accuracy(self) -> float | None:
-        return self._mean("gnn_accuracy")
-
-    def average_baseline_accuracy(self) -> float | None:
-        return self._mean("baseline_accuracy")
-
-    def average_gnn_mae(self) -> float | None:
-        return self._mean("gnn_mae")
-
-    def average_baseline_mae(self) -> float | None:
-        return self._mean("baseline_mae")
 
 
 def experiment_name(config: ExperimentConfig, kind: str) -> str:
@@ -403,16 +424,14 @@ def experiment_name(config: ExperimentConfig, kind: str) -> str:
 
 
 def _run_dir(config: ExperimentConfig, kind: str) -> Path:
+    """The kind's run directory, holding a snapshot of the config."""
     run_dir = Path(config.output_dir) / experiment_name(config, kind)
     run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
-def _write_config_snapshot(config: ExperimentConfig, run_dir: Path) -> None:
     snapshot = dict(sorted(config.echo().items()))
     (run_dir / "config.json").write_text(
         json.dumps(snapshot, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    return run_dir
 
 
 def _collect(config: ExperimentConfig, projects, run_dir: Path, run_one) -> list:
@@ -427,50 +446,25 @@ def _collect(config: ExperimentConfig, projects, run_dir: Path, run_one) -> list
     return [run_one(config, p, run_dir) for p in projects]
 
 
+def _report(config: ExperimentConfig, kind: str, run_one) -> EvalReport:
+    rows = _collect(config, config.resolved_projects(), _run_dir(config, kind), run_one)
+    return EvalReport(kind=kind, config_echo=config.echo(), rows=rows)
+
+
 def run_classification(config: ExperimentConfig) -> EvalReport:
     """Per-project effort-level accuracy for the selected model(s)."""
-    config = replace(config, task=TASK_CLASSIFY)
-    run_dir = _run_dir(config, "classification")
-    _write_config_snapshot(config, run_dir)
-    rows = _collect(config, config.resolved_projects(), run_dir, _run_project)
-    return EvalReport(kind="classification", config_echo=config.echo(), rows=rows)
+    return _report(replace(config, task=TASK_CLASSIFY), "classification", _run_project)
 
 
 def run_regression(config: ExperimentConfig) -> EvalReport:
     """Per-project story-point MAE, story points used directly as labels."""
-    config = replace(config, task=TASK_REGRESS)
-    run_dir = _run_dir(config, "regression")
-    _write_config_snapshot(config, run_dir)
-    rows = _collect(config, config.resolved_projects(), run_dir, _run_project)
-    return EvalReport(kind="regression", config_echo=config.echo(), rows=rows)
+    return _report(replace(config, task=TASK_REGRESS), "regression", _run_project)
 
 
 def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     """Graph-scale analysis without training: per project, the size of the
-    training split and the distinct node/edge counts of its word graphs.
-
-    Every training token is a node of some training graph and every counted
-    pair an edge of one, so no graph is built."""
-    run_dir = _run_dir(config, "stats")
-    _write_config_snapshot(config, run_dir)
-    report = EvalReport(kind="classification", config_echo=config.echo())
-    for project in config.resolved_projects():
-        prepared = prepare_project(config, project)
-        split = prepared.split
-        vocab, _, (train_enc,) = _encode(config, prepared, split.train)
-        edges = _edge_table(config, train_enc)
-        report.rows.append(
-            ProjectResult(
-                project=project,
-                train_size=len(split.train),
-                val_size=len(split.validation),
-                test_size=len(split.test),
-                split_hash=prepared.split_hash,
-                node_count=vocab.size - 1,
-                edge_count=edges.distinct_pair_count,
-            )
-        )
-    return report
+    training split and the distinct node/edge counts of its word graphs."""
+    return _report(config, "stats", _stats_project)
 
 
 # --- window sweep -----------------------------------------------------------
@@ -520,7 +514,6 @@ def run_window_sweep(config: ExperimentConfig) -> SweepReport:
     model at each window unless the model selection excludes it.
     """
     run_dir = _run_dir(config, "sweep")
-    _write_config_snapshot(config, run_dir)
     report = SweepReport(config_echo=config.echo())
     for rows in _collect(config, config.resolved_projects(), run_dir, _sweep_project):
         report.rows.extend(rows)
@@ -538,110 +531,78 @@ def _comment_lines(echo: dict) -> list[str]:
     return [f"# {key} = {echo[key]}" for key in sorted(echo)]
 
 
-def _write_table(
-    path: Path, comments: list[str], header: list[str], body: list[list[str]],
-    delimiter: bool,
-) -> None:
-    lines = list(comments)
-    if delimiter:
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in body)
-    else:
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in body), 1)
-            if body
-            else len(header[i])
-            for i in range(len(header))
-        ]
-        def pad(cells):
-            return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-        lines.append(pad(header))
-        lines.append(pad(["-" * w for w in widths]))
-        lines.extend(pad(row) for row in body)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_tables(
+    out: Path, stem: str, comments: list[str], header: list[str],
+    body: list[list[str]],
+) -> list[Path]:
+    """The table as <stem>.csv and as column-aligned <stem>.txt."""
+    widths = [
+        max(len(header[i]), *(len(row[i]) for row in body), 1)
+        if body
+        else len(header[i])
+        for i in range(len(header))
+    ]
+
+    def pad(cells):
+        return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+
+    tables = {
+        ".csv": [",".join(row) for row in (header, *body)],
+        ".txt": [pad(header), pad(["-" * w for w in widths]), *map(pad, body)],
+    }
+    paths = []
+    for suffix, lines in tables.items():
+        path = out / (stem + suffix)
+        path.write_text("\n".join([*comments, *lines]) + "\n", encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 def emit_report(
     report: EvalReport | SweepReport,
     out_dir: str | Path,
     include_timings: bool = True,
-    stats_only: bool = False,
 ) -> list[Path]:
     """Write the report as plain text and as delimiter-separated values.
 
     The config echo rides along as '#' comment lines. Timings can be left
-    out to make the stats files reproducible byte for byte; stats_only
-    skips the accuracy/MAE table for runs that never trained anything.
+    out to make the stats files reproducible byte for byte. A report of a
+    kind without scores (a stats run trains nothing) gets only the stats
+    table.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     comments = _comment_lines(report.config_echo)
-    written: list[Path] = []
 
     if isinstance(report, SweepReport):
-        header = ["Project", "Window", "Edges", "Accuracy"]
         body = [
             [r.project, str(r.window), str(r.edge_count), _fmt(r.accuracy)]
             for r in report.rows
         ]
-        for name, delim in (("sweep.csv", True), ("sweep.txt", False)):
-            path = out / name
-            _write_table(path, comments, header, body, delim)
-            written.append(path)
-        return written
+        return _write_tables(
+            out, "sweep", comments, ["Project", "Window", "Edges", "Accuracy"], body
+        )
 
-    if not stats_only:
-        if report.kind == "classification":
-            header = ["No", "Software", "TFIDF-RF", "GNN", "SplitHash"]
-            body = [
-                [
-                    str(i + 1),
-                    r.project,
-                    _fmt(r.baseline_accuracy),
-                    _fmt(r.gnn_accuracy),
-                    r.split_hash,
-                ]
-                for i, r in enumerate(report.rows)
+    written: list[Path] = []
+    if report.kind in REPORT_COLUMNS:
+        columns = score_columns(report.kind)
+        body = [
+            [
+                str(i + 1),
+                r.project,
+                *(_fmt(getattr(r, attr)) for _, attr in columns),
+                r.split_hash,
             ]
-            if report.rows:
-                body.append(
-                    [
-                        "",
-                        "Average",
-                        _fmt(report.average_baseline_accuracy()),
-                        _fmt(report.average_gnn_accuracy()),
-                        "",
-                    ]
-                )
-        else:
-            header = ["No", "Software", "TFIDF-RFR", "GNN", "SplitHash"]
-            body = [
-                [
-                    str(i + 1),
-                    r.project,
-                    _fmt(r.baseline_mae),
-                    _fmt(r.gnn_mae),
-                    r.split_hash,
-                ]
-                for i, r in enumerate(report.rows)
-            ]
-            if report.rows:
-                body.append(
-                    [
-                        "",
-                        "Average",
-                        _fmt(report.average_baseline_mae()),
-                        _fmt(report.average_gnn_mae()),
-                        "",
-                    ]
-                )
-        for name, delim in (("report.csv", True), ("report.txt", False)):
-            path = out / name
-            _write_table(path, comments, header, body, delim)
-            written.append(path)
+            for i, r in enumerate(report.rows)
+        ]
+        if report.rows:
+            body.append(
+                ["", "Average", *(_fmt(report.average(attr)) for _, attr in columns), ""]
+            )
+        header = ["No", "Software", *(column for column, _ in columns), "SplitHash"]
+        written += _write_tables(out, "report", comments, header, body)
 
-    stats_header = ["Project", "Size", "Nodes", "Edges", "TrainTime"]
-    stats_body = [
+    body = [
         [
             r.project,
             str(r.train_size),
@@ -651,8 +612,5 @@ def emit_report(
         ]
         for r in report.rows
     ]
-    for name, delim in (("stats.csv", True), ("stats.txt", False)):
-        path = out / name
-        _write_table(path, comments, stats_header, stats_body, delim)
-        written.append(path)
-    return written
+    header = ["Project", "Size", "Nodes", "Edges", "TrainTime"]
+    return written + _write_tables(out, "stats", comments, header, body)

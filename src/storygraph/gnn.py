@@ -30,7 +30,6 @@ from .errors import (
     InvalidLabelError,
     NonFiniteActivationError,
     TraceMismatchError,
-    UnknownClassIndexError,
 )
 from .graph import DocumentGraph
 
@@ -542,19 +541,3 @@ def predict(
         r = (1.0 - eta) * msg + eta * r
     _, probabilities = _classify(params, r.sum(axis=0), graph.doc_id)
     return int(np.argmax(probabilities)), probabilities
-
-
-def predict_story_point(
-    params: ModelParameters,
-    graph: DocumentGraph,
-    class_values: Sequence[int],
-    rounds: int = 1,
-) -> int:
-    """Numeric story point of the argmax class, for models trained with
-    story points themselves as class labels."""
-    index, _ = predict(params, graph, rounds=rounds)
-    if index >= len(class_values):
-        raise UnknownClassIndexError(
-            f"class {index} has no story-point value ({len(class_values)} known)"
-        )
-    return int(class_values[index])

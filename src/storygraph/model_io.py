@@ -155,6 +155,10 @@ def load_model(path: str | Path) -> ModelBundle:
         raise CorruptFileError(
             f"{path}: header lists {len(tokens)} tokens for vocabulary of {v}"
         )
+    if class_values and len(class_values) != c:
+        raise CorruptFileError(
+            f"{path}: {len(class_values)} story-point values for {c} classes"
+        )
     if n_edge != n_pairs + 1:
         raise CorruptFileError(
             f"{path}: {n_edge} edge parameters cannot index {n_pairs} pairs"

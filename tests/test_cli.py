@@ -4,6 +4,7 @@ subcommand leaves behind."""
 import csv
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -140,6 +141,35 @@ def test_baseline_subcommand_trains_forest_only(capsys, tmp_path, synth_dataset)
     assert not (out / "classification-raw" / "models" / "alpha.model").exists()
 
 
+def report_scores(report_csv):
+    """(project, baseline cell, GNN cell) of each row of a report.csv."""
+    lines = [l for l in report_csv.read_text().splitlines() if not l.startswith("#")]
+    return [(r[1], r[2], r[3]) for r in (l.split(",") for l in lines[1:])]
+
+
+@pytest.mark.parametrize("argv, kind, line", [
+    (("train",), "classification", "{0}: tfidf-rf {1}%, gnn {2}%"),
+    (("train", "--model", "gnn"), "classification", "{0}: gnn {2}%"),
+    (("baseline",), "classification", "{0}: tfidf-rf {1}%"),
+    (("baseline", "--task", "regress"), "regression", "{0}: tfidf-rfr mae {1}"),
+])
+def test_score_lines_are_the_report_rows(capsys, tmp_path, synth_dataset,
+                                         argv, kind, line):
+    out = tmp_path / "runs"
+    code, stdout, err = run_cli(
+        capsys, *argv, "--data", str(synth_dataset), "--out", str(out), *FAST
+    )
+    assert code == 0, err
+    report = out / f"{kind}-raw" / "report.csv"
+    rows = report_scores(report)
+    assert [r[0] for r in rows] == ["alpha", "beta", "Average"]
+    assert stdout.splitlines() == [
+        *(line.format(*row) for row in rows[:2]),
+        line.format("average", *rows[2][1:]),
+        f"report: {report}",
+    ]
+
+
 def test_eval_reproduces_training_accuracy(capsys, tmp_path, synth_dataset):
     out = tmp_path / "runs"
     code, train_out, _ = run_cli(
@@ -197,7 +227,9 @@ def test_eval_of_a_regression_model_reports_training_mae(capsys, tmp_path, synth
 
 @pytest.mark.parametrize("conflict", [
     ("--project", "beta"), ("--mode", "raw"), ("--seed", "7"), ("config", {"seed": 7}),
-    ("config", {"project": ["beta"]}),
+    ("config", {"project": ["beta"]}), ("config", {"task": "regress"}),
+    ("config", {"dim": 50}), ("config", {"window": 7}),
+    ("config", {"min_edge_frequency": 9}), ("config", {"rounds": 3}),
 ])
 def test_eval_refuses_a_run_the_model_was_not_trained_on(
         capsys, tmp_path, synth_dataset, conflict):
@@ -212,6 +244,41 @@ def test_eval_refuses_a_run_the_model_was_not_trained_on(
     )
     assert code == 1
     assert err.startswith("error: StoryGraphError: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_eval_accepts_options_that_agree_with_the_model(capsys, tmp_path, synth_dataset):
+    model, trained = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"task": "classify", "dim": 8, "window": 3, "min_edge_frequency": 1,
+         "rounds": 1, "seed": 42, "project": "alpha", "mode": "raw"}))
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model),
+        "--config", str(tmp_path / "run.json"),
+    )
+    assert code == 0, err
+    assert out.startswith(f"alpha: accuracy {trained.split('gnn ')[1]} ")
+
+
+def rewrite_header(model, **fields):
+    """Replace header fields of a model file, keeping its arrays."""
+    raw = model.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)  # after magic and version byte
+    header = json.loads(raw[16:16 + length])
+    header.update(fields)
+    text = json.dumps(header).encode()
+    model.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + length:])
+
+
+def test_eval_refuses_story_point_values_that_do_not_match_the_classes(
+        capsys, tmp_path, synth_dataset):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs", "--task", "regress")
+    rewrite_header(model, class_values=[3])
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1
+    assert err.startswith("error: CorruptFileError: ") and "Traceback" not in err
     assert out == ""
 
 
@@ -298,6 +365,23 @@ def test_stats_writes_stats_only(capsys, tmp_path, synth_dataset):
     assert run_cli(capsys, "stats", "--data", str(synth_dataset),
                    "--out", str(out))[0] == 0
     assert (stats_dir / "stats.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["stats", "prepare"])
+def test_jobs_leave_files_and_lines_unchanged(capsys, tmp_path, synth_dataset, command):
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        code, stdout, err = run_cli(
+            capsys, command, "--data", str(synth_dataset), "--out", str(out),
+            "--jobs", jobs,
+        )
+        assert code == 0, err
+        files = {p.relative_to(out): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        outputs.append((stdout.replace(str(out), "OUT"), files))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][1]) >= 3
 
 
 def test_sweep_counts_edges_per_window(capsys, tmp_path, synth_dataset):

@@ -147,12 +147,12 @@ def test_experiment_name_combines_kind_and_mode(tmp_path):
 
 def test_eval_report_averages_skip_missing():
     report = EvalReport(kind="classification", config_echo={})
-    assert report.average_gnn_accuracy() is None
+    assert report.average("gnn_accuracy") is None
     report.rows.append(ProjectResult(project="a", gnn_accuracy=80.0))
     report.rows.append(ProjectResult(project="b", gnn_accuracy=60.0))
     report.rows.append(ProjectResult(project="c"))  # no value: excluded
-    assert report.average_gnn_accuracy() == pytest.approx(70.0)
-    assert report.average_baseline_mae() is None
+    assert report.average("gnn_accuracy") == pytest.approx(70.0)
+    assert report.average("baseline_mae") is None
 
 
 # --- preparation ----------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_run_classification_end_to_end(synth_dataset, tmp_path):
         assert row.gnn_mae is None and row.baseline_mae is None
         assert row.node_count > 0 and row.edge_count > 0
         assert len(row.split_hash) == 12
-    assert report.average_gnn_accuracy() == pytest.approx(
+    assert report.average("gnn_accuracy") == pytest.approx(
         np.mean([r.gnn_accuracy for r in report.rows])
     )
 
@@ -319,6 +319,7 @@ def test_project_errors_carry_project_name(synth_dataset, tmp_path, monkeypatch)
 def test_run_graph_stats_counts_without_training(synth_dataset, tmp_path):
     cfg = make_config(synth_dataset, tmp_path / "out")
     report = run_graph_stats(cfg)
+    assert report.kind == "stats"
     assert [r.project for r in report.rows] == ["alpha", "beta"]
     for row in report.rows:
         assert row.node_count > 0
@@ -471,7 +472,9 @@ def test_emit_report_without_timings_masks_train_time(tmp_path):
 
 
 def test_emit_report_stats_only_skips_accuracy_table(tmp_path):
-    paths = emit_report(sample_report(), tmp_path, stats_only=True)
+    report = sample_report()
+    report.kind = "stats"
+    paths = emit_report(report, tmp_path)
     assert {p.name for p in paths} == {"stats.csv", "stats.txt"}
     assert not (tmp_path / "report.csv").exists()
 

@@ -11,7 +11,6 @@ from storygraph.errors import (
     InvalidLabelError,
     NonFiniteActivationError,
     TraceMismatchError,
-    UnknownClassIndexError,
 )
 from storygraph import gnn
 from storygraph.graph import (
@@ -475,13 +474,6 @@ def test_predict_tie_breaks_to_lowest_class():
     index, probs = gnn.predict(params, g)
     assert index == 0
     assert np.allclose(probs, np.full(3, 1 / 3))
-
-
-def test_predict_story_point_maps_class_to_value():
-    params, graph = hand_instance()
-    assert gnn.predict_story_point(params, graph, class_values=(3, 8)) == 3
-    with pytest.raises(UnknownClassIndexError):
-        gnn.predict_story_point(params, graph, class_values=())
 
 
 def isolated_node_instance(rng, dim=4):
