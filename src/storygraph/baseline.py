@@ -7,6 +7,20 @@ minimizes weighted child impurity (Gini for classification, variance for
 regression), and ties fall to the lowest feature index, then the lowest
 threshold. Forest votes break ties toward the lowest class index.
 
+The trees of a forest grow in lockstep: each step pops the next preorder
+node of every unfinished tree and scores all of the step's split nodes in
+one search. Each tree keeps its own stack and generator and draws its
+bootstrap sample, then one candidate subsample per split node, in its own
+preorder, so its draws, node numbers and arrays are those of growing it
+alone. The search reads only the candidates' nonzeros. A candidate's values
+in a node sort into its negatives, one block of zeros, then its positives,
+so its cuts are those between distinct nonzeros plus at most two at the
+edges of the zero block. The block's class counts, or target sums and sums
+of squares, are the node's totals less the candidate's nonzero sums: exact,
+and so equal to a sequential scan of the sorted column, for class counts and
+for integral targets with n * max(|y|)**2 < 2**53 (n training rows). Other
+targets are summed one row at a time in the sorted column's order.
+
 A tree is six parallel arrays over its nodes in preorder (a node, then its
 left subtree, then its right subtree); `.baseline` files store exactly
 these arrays (see model_io):
@@ -27,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,10 +153,10 @@ def tfidf_transform(model: TfidfModel, tokens: Sequence[str]) -> SparseVector:
 
 # --- random forest ----------------------------------------------------------
 
-# Most cells of one dense (candidates x node rows) block in the split search;
-# a node with more is scored block by block, so a paper-scale regression root
-# (F/3 candidates x every training row) never holds its whole block at once.
-SPLIT_BLOCK_CELLS = 1 << 16
+# Most column entries (a candidate feature's nonzero in some training row)
+# one split-search call gathers. A step's split nodes are searched in calls
+# of whole nodes up to this many entries; a node with more is searched alone.
+SPLIT_BLOCK_CELLS = 1 << 11
 
 
 @dataclass
@@ -211,86 +225,247 @@ def _row_store(vectors: Sequence[SparseVector]) -> _RowStore:
     )
 
 
-def _cut_scores(
-    ys: np.ndarray, rows: np.ndarray, cuts: np.ndarray, task: str, n_classes: int
-) -> np.ndarray:
-    """Weighted child impurity of cutting row rows[i] of the sorted targets
-    ys (b x m) after position cuts[i]: Gini from cumulative class counts, or
-    variance from cumulative sums and sums of squares. Each cut gets the
-    arithmetic of a scan over its row alone."""
-    m = ys.shape[1]
-    nl = (cuts + 1).astype(np.float64)
-    nr = m - nl
-    if task == "classify":
-        cum = np.cumsum(ys[:, :, None] == np.arange(n_classes), axis=1)
-        left = cum[rows, cuts]
-        right = cum[rows, -1] - left
-        impurity_l = 1.0 - np.sum((left / nl[:, None]) ** 2, axis=1)
-        impurity_r = 1.0 - np.sum((right / nr[:, None]) ** 2, axis=1)
+class _ColumnStore(NamedTuple):
+    """CSC copy of the training rows without their stored zeros: column j's
+    nonzeros are in rows[indptr[j]:indptr[j + 1]], ascending, with values."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def _column_store(store: _RowStore, n_features: int) -> _ColumnStore:
+    row_of = np.repeat(np.arange(store.indptr.size - 1), np.diff(store.indptr))
+    keep = store.values != 0
+    columns = store.indices[keep]
+    order = np.argsort(columns, kind="stable")
+    counts = np.bincount(columns, minlength=n_features)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return _ColumnStore(indptr, row_of[keep][order], store.values[keep][order])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    first = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(starts - first, counts)
+
+
+class _Step(NamedTuple):
+    """The nodes of one lockstep step, over the flat list of their rows:
+    node i holds positions off[i]:off[i + 1]."""
+
+    off: np.ndarray
+    # per position: 1, then the one-hot class (Gini) or the target and its
+    # square (variance); int64 when every sum of it is exact
+    stat: np.ndarray
+    total: np.ndarray  # per node: stat summed over its positions
+    # per key node * n_rows + training row: how many of the node's positions
+    # hold the row, and where they start in by_key, the positions by key
+    copies: np.ndarray
+    start: np.ndarray
+    by_key: np.ndarray
+    n_rows: int
+
+
+def _step(
+    rows: list[np.ndarray], stat: np.ndarray, n_rows: int
+) -> tuple[_Step, np.ndarray]:
+    """The step over these nodes' rows, and the flat row list."""
+    off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=off[1:])
+    flat = np.concatenate(rows)
+    keys = np.repeat(np.arange(len(rows)) * n_rows, np.diff(off)) + flat
+    copies = np.bincount(keys, minlength=len(rows) * n_rows)
+    stat = stat[flat]
+    return (
+        _Step(
+            off,
+            stat,
+            np.add.reduceat(stat, off[:-1], axis=0),
+            copies,
+            np.cumsum(copies) - copies,
+            np.argsort(keys, kind="stable"),
+            n_rows,
+        ),
+        flat,
+    )
+
+
+def _gather(
+    columns: _ColumnStore, step: _Step, pair_node: np.ndarray, pair_feature: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pair, value, position) triples, pair ascending: every nonzero of each
+    pair's feature among its node's rows, once per copy of the row."""
+    starts = columns.indptr[pair_feature]
+    counts = columns.indptr[pair_feature + 1] - starts
+    entry = _ranges(starts, counts)
+    key = np.repeat(pair_node * step.n_rows, counts) + columns.rows[entry]
+    copies = step.copies[key]
+    return (
+        np.repeat(np.repeat(np.arange(pair_node.size), counts), copies),
+        np.repeat(columns.values[entry], copies),
+        step.by_key[_ranges(step.start[key], copies)],
+    )
+
+
+def _fold(
+    stat: np.ndarray,
+    value: np.ndarray,
+    pos: np.ndarray,
+    first: np.ndarray,
+    rank: np.ndarray,
+    node_start: np.ndarray,
+    node_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_best_splits' left sums and pair totals for stats whose sums round:
+    each pair's column is added one row at a time, in the order of its
+    stable sort (negatives, its zero rows in node order, positives), as a
+    sequential cumsum over the whole column would."""
+    count = np.diff(np.append(first, value.size))
+    n_neg = np.bincount(rank, weights=value < 0, minlength=first.size).astype(np.int64)
+    acc = np.zeros((first.size, stat.shape[1]))
+    left = np.empty((value.size, stat.shape[1]))
+
+    def scan(start: np.ndarray, length: np.ndarray, through: bool) -> None:
+        for k in range(int(length.max(initial=0))):
+            live = np.flatnonzero(length > k)
+            at = start[live] + k
+            if not through:
+                left[at] = acc[live]
+            acc[live] += stat[pos[at]]
+            if through:
+                left[at] = acc[live]
+
+    scan(first, n_neg, True)
+    # the zero rows: the node's positions in order, less the pair's nonzeros
+    zp = np.flatnonzero(node_rows > count)
+    by_pos = pos[np.lexsort((pos, rank))]
+    ptr, end = first[zp], first[zp] + count[zp]
+    start, size = node_start[zp], node_rows[zp]
+    for q in range(int(size.max(initial=0))):
+        skip = (ptr < end) & (by_pos[np.minimum(ptr, by_pos.size - 1)] == start + q)
+        add = ~skip & (size > q)
+        acc[zp[add]] += stat[start[add] + q]
+        ptr += skip
+    scan(first + n_neg, count - n_neg, False)
+    return left, acc
+
+
+def _best_splits(
+    columns: _ColumnStore,
+    step: _Step,
+    batch: list[tuple[int, np.ndarray]],
+    task: str,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node, feature, threshold) of the lowest-score cut of every node of
+    the batch, given as (node, ascending candidates), that has a cut leaving
+    min_leaf rows a side. Each (node, candidate) is a pair.
+
+    A pair's column sorts into its negatives, a block of zero rows, then its
+    positives. Cuts fall between consecutive distinct values: each one is
+    the cut just above a negative or just below a positive, so it is listed
+    at that nonzero, in threshold order. The first minimum of a node's
+    candidate-major scores is the lowest feature, then the lowest threshold.
+    """
+    pair_node = np.repeat([i for i, _ in batch], [c.size for _, c in batch])
+    pair_feature = np.concatenate([c for _, c in batch])
+    pair, value, pos = _gather(columns, step, pair_node, pair_feature)
+    # sort each pair's nonzeros by value, then position, through one int64
+    # key (exact while pairs x nonzeros x positions stays below 2**63)
+    by_value = np.argsort(value)
+    sorted_value = value[by_value]
+    value_rank = np.empty(value.size, dtype=np.int64)
+    distinct = np.diff(sorted_value, prepend=sorted_value[:1]) != 0
+    value_rank[by_value] = np.cumsum(distinct)
+    order = np.argsort((pair * value.size + value_rank) * step.off[-1] + pos)
+    pair, value, pos = pair[order], value[order], pos[order]
+    new = np.ones(pair.size, dtype=bool)
+    new[1:] = pair[1:] != pair[:-1]
+    first = np.flatnonzero(new)
+    rank = np.cumsum(new) - 1
+    count = np.diff(np.append(first, pair.size))
+    node = pair_node[pair[first]]
+    node_rows = np.diff(step.off)[node]
+
+    positive = value > 0
+    has_zero = (node_rows > count)[rank]
+    prev = np.append(0.0, value[:-1])
+    next_ = np.append(value[1:], 0.0)
+    has_prev = ~new
+    has_next = np.append(has_prev[1:], False)
+    # a positive's cut comes from the zero block when it is the first
+    # positive, else from the value before it; a negative's cut goes to the
+    # zero block when it is the last negative, else to the value after it
+    first_positive = positive & ~(has_prev & (prev > 0))
+    last_negative = ~positive & ~(has_next & (next_ < 0))
+    from_zero = first_positive & has_zero
+    to_zero = last_negative & has_zero
+    cut = np.flatnonzero(
+        from_zero
+        | to_zero
+        | (positive & has_prev & (prev < value))
+        | (~positive & has_next & (next_ < 0) & (value < next_))
+    )
+    # stats left of each cut, and the pair's column totals
+    if step.stat.dtype.kind == "i":
+        # exact in any order: the zero rows hold the node total less the
+        # pair's nonzeros. Running sums that wrap past int64 wrap alike,
+        # so their differences stay exact.
+        stat = step.stat.take(pos, axis=0)
+        csum = np.cumsum(stat, axis=0)
+        before = csum[first] - stat[first]
+        last = first + count - 1
+        zero = step.total[node] - (csum[last] - before)
+        at = rank[cut]
+        lhs = csum[cut] - before[at] + positive[cut, None] * (zero[at] - stat[cut])
+        rhs = step.total[node[at]] - lhs
     else:
-        # per-row sequential sums: any other order rounds differently
-        cum_s = np.cumsum(ys, axis=1)
-        cum_q = np.cumsum(ys**2, axis=1)
-        sl, ql = cum_s[rows, cuts], cum_q[rows, cuts]
-        sr = cum_s[rows, -1] - sl
-        qr = cum_q[rows, -1] - ql
+        left, total = _fold(
+            step.stat, value, pos, first, rank, step.off[node], node_rows
+        )
+        lhs = left[cut]
+        rhs = total[rank[cut]] - lhs
+    nl = lhs[:, 0].astype(np.float64)
+    nr = rhs[:, 0].astype(np.float64)
+    ok = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf))
+    cut, lhs, rhs, nl, nr = cut[ok], lhs[ok, 1:], rhs[ok, 1:], nl[ok], nr[ok]
+    if task == "classify":
+        impurity_l = 1.0 - np.sum((lhs / nl[:, None]) ** 2, axis=1)
+        impurity_r = 1.0 - np.sum((rhs / nr[:, None]) ** 2, axis=1)
+    else:
+        sl, ql, sr, qr = lhs[:, 0], lhs[:, 1], rhs[:, 0], rhs[:, 1]
         impurity_l = np.maximum(ql / nl - (sl / nl) ** 2, 0.0)
         impurity_r = np.maximum(qr / nr - (sr / nr) ** 2, 0.0)
-    return (nl * impurity_l + nr * impurity_r) / m
+    score = (nl * impurity_l + nr * impurity_r) / (nl + nr)
+    cut_node = node[rank[cut]]
+    by_score = np.lexsort((score, cut_node))
+    head = np.ones(by_score.size, dtype=bool)
+    head[1:] = cut_node[by_score[1:]] != cut_node[by_score[:-1]]
+    best = cut[by_score[head]]
+    low = np.where(positive, np.where(from_zero, 0.0, prev), value)
+    high = np.where(positive, value, np.where(to_zero, 0.0, next_))
+    return node[rank[best]], pair_feature[pair[best]], (low[best] + high[best]) / 2.0
 
 
-def _best_split(
-    store: _RowStore,
-    y: np.ndarray,
-    node_rows: np.ndarray,
-    is_candidate: np.ndarray,
-    task: str,
-    n_classes: int,
-    min_leaf: int,
-) -> tuple[int, float, np.ndarray] | None:
-    """Lowest-score (feature, threshold, goes-left mask) over every midpoint
-    cut of every candidate feature, or None when no cut leaves min_leaf rows
-    a side. Each candidate with a nonzero in the node fills one row of a
-    dense block over the node's rows, sorted stably; the first minimum of
-    the candidate-major scores is the lowest feature, then the lowest
-    threshold, and a later block wins only with a strictly lower score."""
-    m = node_rows.shape[0]
-    # every stored entry of the node's rows, repeated rows included: its
-    # position in node_rows and its index into the store
-    starts = store.indptr[node_rows]
-    lengths = store.indptr[node_rows + 1] - starts
-    pos = np.repeat(np.arange(m), lengths)
-    first = np.cumsum(lengths) - lengths
-    flat = np.arange(pos.shape[0]) + np.repeat(starts - first, lengths)
-    hit = is_candidate[store.indices[flat]]
-    pos, flat = pos[hit], flat[hit]
-    active, rank = np.unique(store.indices[flat], return_inverse=True)
-    nl = np.arange(1, m)
-    ok = (nl >= min_leaf) & (m - nl >= min_leaf)
-
-    # Gini keeps a class-count cell per block cell and class
-    per_block = max(1, SPLIT_BLOCK_CELLS // (m * max(1, n_classes)))
-    best: tuple[int, float, np.ndarray] | None = None
-    best_score = np.inf
-    for a0 in range(0, active.shape[0], per_block):
-        take = (rank >= a0) & (rank < a0 + per_block)
-        x = np.zeros((min(per_block, active.shape[0] - a0), m))
-        x[rank[take] - a0, pos[take]] = store.values[flat[take]]
-        order = np.argsort(x, axis=1, kind="stable")
-        xs = np.take_along_axis(x, order, axis=1)
-        # cuts between distinct values leaving min_leaf rows a side, by
-        # candidate and then threshold
-        rows, cuts = np.nonzero((xs[:, :-1] < xs[:, 1:]) & ok)
-        if rows.size == 0:
-            continue
-        score = _cut_scores(y[order], rows, cuts, task, n_classes)
-        at = int(np.argmin(score))
-        if score[at] < best_score:
-            best_score = score[at]
-            row, cut = rows[at], cuts[at]
-            threshold = float((xs[row, cut] + xs[row, cut + 1]) / 2.0)
-            best = (int(active[a0 + row]), threshold, x[row] <= threshold)
-    return best
+def _batches(
+    draws: Iterable[tuple[int, np.ndarray]], column_nnz: np.ndarray
+) -> Iterator[list[tuple[int, np.ndarray]]]:
+    """The (node, candidates) draws in runs of whole nodes whose candidates
+    hold at most SPLIT_BLOCK_CELLS column entries, or of one node that holds
+    more. Draws lazily, so only one run's candidates are held."""
+    batch: list[tuple[int, np.ndarray]] = []
+    held = 0
+    for node, candidates in draws:
+        entries = int(column_nnz[candidates].sum())
+        if batch and held + entries > SPLIT_BLOCK_CELLS:
+            yield batch
+            batch, held = [], 0
+        batch.append((node, candidates))
+        held += entries
+    if batch:
+        yield batch
 
 
 def _resolve_max_features(spec: int | str, n_features: int, task: str) -> int:
@@ -304,60 +479,111 @@ def _resolve_max_features(spec: int | str, n_features: int, task: str) -> int:
     raise ValueError(f"unknown max_features {spec!r}")
 
 
-def _grow_tree(
-    store: _RowStore,
+def _grow_trees(
+    columns: _ColumnStore,
     n_features: int,
     labels: np.ndarray,
-    rows: np.ndarray,
+    stat: np.ndarray,
+    roots: list[np.ndarray],
+    rngs: list[np.random.Generator],
     config: RandomForestConfig,
     task: str,
     n_classes: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, ...]:
-    """The Tree arrays, feature through histogram, of one grown tree."""
+) -> list[tuple[np.ndarray, ...]]:
+    """The Tree arrays, feature through histogram, of every tree, grown in
+    lockstep: each step pops the next preorder node of every unfinished tree
+    and searches all of the step's split nodes together."""
     k = _resolve_max_features(config.max_features, n_features, task)
-    # per node: [feature, threshold, left, right, value, histogram row]
-    nodes: list[list] = []
-    # (rows, depth, node whose right child this is, or -1); the stack pops
-    # nodes in preorder, and iterating avoids the interpreter's recursion
-    # limit on deep trees
-    stack: list[tuple[np.ndarray, int, int]] = [(rows, 0, -1)]
-    while stack:
-        node_rows, depth, right_of = stack.pop()
-        node = len(nodes)
-        if right_of >= 0:
-            nodes[right_of][3] = node
-        y = labels[node_rows]
-        pure = np.all(y == y[0])
-        too_deep = config.max_depth is not None and depth >= config.max_depth
-        split = None
-        if not (pure or too_deep or node_rows.shape[0] < max(2, 2 * config.min_leaf)):
-            is_candidate = np.full(n_features, k >= n_features)
-            if k < n_features:
-                is_candidate[rng.choice(n_features, size=k, replace=False)] = True
-            split = _best_split(
-                store, y, node_rows, is_candidate, task, n_classes, config.min_leaf
+    min_rows = max(2, 2 * config.min_leaf)
+    n_rows = labels.shape[0]
+    column_nnz = np.diff(columns.indptr)
+    # per tree, per node: [feature, threshold, left, right, value, histogram row]
+    nodes: list[list[list]] = [[] for _ in rngs]
+    # per tree: (rows, depth, node whose right child this is, or -1); the
+    # stack pops its tree's nodes in preorder
+    stacks = [[(rows, 0, -1)] for rows in roots]
+    live = list(range(len(rngs)))
+    while live:
+        popped = [stacks[t].pop() for t in live]
+        step, flat = _step([p[0] for p in popped], stat, n_rows)
+        off = step.off
+        y = labels[flat]
+        pure = np.minimum.reduceat(y, off[:-1]) == np.maximum.reduceat(y, off[:-1])
+        split = ~pure & (np.diff(off) >= min_rows)
+        if config.max_depth is not None:
+            split &= np.array([p[1] for p in popped]) < config.max_depth
+
+        feature = np.full(len(popped), -1)
+        threshold = np.zeros(len(popped))
+        # each tree draws from its own generator in its own preorder
+        draws = (
+            (i, np.arange(n_features) if k >= n_features
+             else np.sort(rngs[live[i]].choice(n_features, size=k, replace=False)))
+            for i in np.flatnonzero(split).tolist()
+        )
+        for batch in _batches(draws, column_nnz):
+            found, feature_found, threshold_found = _best_splits(
+                columns, step, batch, task, config.min_leaf
             )
-        if split is None:
-            if task == "classify":
-                hist = np.bincount(y, minlength=n_classes).astype(np.float64)
-                nodes.append([-1, 0.0, -1, -1, 0.0, hist])
-            else:
-                nodes.append([-1, 0.0, -1, -1, float(y.mean()), np.zeros(0)])
-            continue
-        feature, threshold, go_left = split
-        nodes.append([feature, threshold, node + 1, -1, 0.0, np.zeros(n_classes)])
-        stack.append((node_rows[~go_left], depth + 1, node))
-        stack.append((node_rows[go_left], depth + 1, -1))
-    feature, threshold, left, right, value, histogram = zip(*nodes)
-    return (
-        np.array(feature, dtype=np.int64),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int64),
-        np.array(right, dtype=np.int64),
-        np.array(value, dtype=np.float64),
-        np.array(histogram, dtype=np.float64),
-    )
+            feature[found], threshold[found] = feature_found, threshold_found
+
+        won = np.flatnonzero(feature >= 0)
+        go_left = np.repeat(0.0 <= threshold, np.diff(off))
+        pair, x, pos = _gather(columns, step, won, feature[won])
+        go_left[pos] = x <= threshold[won][pair]
+        histogram = step.total[:, 1:].astype(np.float64)
+        for i, (t, (rows, depth, right_of)) in enumerate(zip(live, popped)):
+            tree = nodes[t]
+            node = len(tree)
+            if right_of >= 0:
+                tree[right_of][3] = node
+            if feature[i] < 0:
+                if task == "classify":
+                    tree.append([-1, 0.0, -1, -1, 0.0, histogram[i]])
+                else:
+                    mean = float(y[off[i] : off[i + 1]].mean())
+                    tree.append([-1, 0.0, -1, -1, mean, np.zeros(0)])
+                continue
+            tree.append(
+                [feature[i], threshold[i], node + 1, -1, 0.0, np.zeros(n_classes)]
+            )
+            mask = go_left[off[i] : off[i + 1]]
+            stacks[t].append((rows[~mask], depth + 1, node))
+            stacks[t].append((rows[mask], depth + 1, -1))
+        live = [t for t in live if stacks[t]]
+    grown = []
+    for tree in nodes:
+        feature, threshold, left, right, value, histogram = zip(*tree)
+        grown.append((
+            np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.int64),
+            np.array(right, dtype=np.int64),
+            np.array(value, dtype=np.float64),
+            np.array(histogram, dtype=np.float64),
+        ))
+    return grown
+
+
+def _split_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
+    """Per training row: 1, then its one-hot class or its target and the
+    target's square. int64 for classes, and for integral targets whose
+    sums over n rows stay below 2**53, so that every sum is exact in any
+    order; float64 otherwise."""
+    n = y.shape[0]
+    if task == "classify":
+        stat = np.zeros((n, 1 + n_classes), dtype=np.int64)
+        stat[:, 0] = 1
+        stat[np.arange(n), 1 + y] = 1
+        return stat
+    integral = bool(np.all(y == np.trunc(y)))
+    if integral:
+        bound = float(np.max(np.abs(y)))
+        integral = n * bound * bound < 2.0**53
+    if integral:
+        yi = y.astype(np.int64)
+        return np.column_stack([np.ones(n, dtype=np.int64), yi, yi * yi])
+    return np.column_stack([np.ones(n), y, y**2])
 
 
 def rf_fit(
@@ -380,6 +606,11 @@ def rf_fit(
     if len(dims) != 1:
         raise ValueError(f"inconsistent feature dimensions {sorted(dims)}")
     n_features = dims.pop()
+    store = _row_store(features)
+    bad = np.flatnonzero(~np.isfinite(store.values))
+    if bad.size:
+        row = int(np.searchsorted(store.indptr, bad[0], "right")) - 1
+        raise ValueError(f"feature vector {row} has a non-finite value")
 
     if task == "classify":
         y = np.asarray(labels, dtype=np.int64)
@@ -390,16 +621,20 @@ def rf_fit(
         y = np.asarray(labels, dtype=np.float64)
         n_classes = 0
 
-    store = _row_store(features)
     tree_seeds = np.random.SeedSequence(config.seed).generate_state(config.n_trees)
-    trees = []
-    for seed in tree_seeds.tolist():
-        rng = np.random.default_rng(seed)
-        rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        tree = _grow_tree(store, n_features, y, rows, config, task, n_classes, rng)
-        trees.append(Tree(*tree, bootstrap_seed=int(seed)))
+    rngs = [np.random.default_rng(seed) for seed in tree_seeds.tolist()]
+    roots = [
+        rng.integers(0, n, size=n) if config.bootstrap else np.arange(n) for rng in rngs
+    ]
+    grown = _grow_trees(
+        _column_store(store, n_features), n_features, y,
+        _split_stats(y, task, n_classes), roots, rngs, config, task, n_classes,
+    )
     return Forest(
-        trees=trees,
+        trees=[
+            Tree(*arrays, bootstrap_seed=int(seed))
+            for arrays, seed in zip(grown, tree_seeds.tolist())
+        ],
         config=config,
         task=task,
         n_features=n_features,

@@ -363,17 +363,14 @@ def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> Proje
     if config.save_models:
         models_dir = run_dir / "models"
         models_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        if config.model in ("gnn", "both"):
-            encoded = _encode(
-                config, prepared, split.train, split.validation, split.test,
-                use_vectors=True,
-            )
-            _run_gnn(config, prepared, encoded, result, models_dir)
-        if config.model in ("tfidf-rf", "both"):
-            _run_baseline(config, prepared, result, models_dir)
-    except Exception as err:
-        raise type(err)(f"{project}: {err}") from err
+    if config.model in ("gnn", "both"):
+        encoded = _encode(
+            config, prepared, split.train, split.validation, split.test,
+            use_vectors=True,
+        )
+        _run_gnn(config, prepared, encoded, result, models_dir)
+    if config.model in ("tfidf-rf", "both"):
+        _run_baseline(config, prepared, result, models_dir)
     return result
 
 
@@ -434,16 +431,42 @@ def _run_dir(config: ExperimentConfig, kind: str) -> Path:
     return run_dir
 
 
+def _named(err: Exception, project: str) -> Exception:
+    """An error of err's type whose message names the project, or err
+    itself when its type is not built from one message."""
+    if isinstance(err, UnicodeDecodeError):
+        # built from its fields: the name goes in front of the reason
+        return UnicodeDecodeError(
+            err.encoding, err.object, err.start, err.end, f"{project}: {err.reason}"
+        )
+    try:
+        return type(err)(f"{project}: {err}")
+    except TypeError:
+        return err
+
+
+def _run_named(run_one, config: ExperimentConfig, project: str, run_dir: Path):
+    """run_one(config, project, run_dir), naming the project in any error
+    it raises."""
+    try:
+        return run_one(config, project, run_dir)
+    except Exception as err:
+        named = _named(err, project)
+        if named is err:
+            raise
+        raise named from err
+
+
 def _collect(config: ExperimentConfig, projects, run_dir: Path, run_one) -> list:
     """run_one(config, project, run_dir) per project, in project order, in
-    up to config.jobs worker processes."""
-    if config.jobs > 1 and len(projects) > 1:
+    up to config.jobs worker processes. An error names its project."""
+    n = len(projects)
+    if config.jobs > 1 and n > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(
-                pool.map(run_one, [config] * len(projects), projects,
-                         [run_dir] * len(projects))
+                pool.map(_run_named, [run_one] * n, [config] * n, projects, [run_dir] * n)
             )
-    return [run_one(config, p, run_dir) for p in projects]
+    return [_run_named(run_one, config, p, run_dir) for p in projects]
 
 
 def _report(config: ExperimentConfig, kind: str, run_one) -> EvalReport:

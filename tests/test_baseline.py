@@ -455,6 +455,71 @@ def test_fit_matches_frozen_oracle(task, seed, block_cells, monkeypatch):
                 assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
 
 
+def signed_corpus(seed):
+    """sparse_corpus's rows with about a third of the values negated and
+    some stored as explicit zeros (+0.0 and -0.0); repeated rows stay equal."""
+    vectors, rng = sparse_corpus(seed)
+    changed: dict[int, SparseVector] = {}
+    for vec in vectors:
+        if id(vec) in changed:
+            continue
+        values = np.where(rng.random(vec.nnz) < 0.35, -vec.values, vec.values)
+        values[rng.random(vec.nnz) < 0.15] = rng.choice([0.0, -0.0])
+        changed[id(vec)] = SparseVector(indices=vec.indices, values=values, dim=vec.dim)
+    return [changed[id(vec)] for vec in vectors], rng
+
+
+SIGNED_TARGETS = {
+    # whole story points, as every CLI regression passes: sums exact in
+    # any order, so the zero block is the node total less the nonzeros
+    "story points": ("regress", lambda rng, n: rng.choice(
+        [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 40.0, 100.0], size=n).tolist(), "i"),
+    "classes": ("classify", lambda rng, n: rng.integers(0, 4, size=n).tolist(), "i"),
+    # fractions round by summation order, so they take the sequential fold
+    "fractions": ("regress", lambda rng, n: (rng.random(n) * 13).tolist(), "f"),
+}
+
+
+@pytest.mark.parametrize("block_cells", [None, 40])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("targets", sorted(SIGNED_TARGETS))
+def test_fit_on_signed_values_matches_frozen_oracle(targets, seed, block_cells, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(baseline, "SPLIT_BLOCK_CELLS", block_cells)
+    task, draw, stat_kind = SIGNED_TARGETS[targets]
+    vectors, rng = signed_corpus(seed)
+    labels = draw(rng, len(vectors))
+    y = np.asarray(labels, dtype=np.int64 if task == "classify" else np.float64)
+    n_classes = int(y.max()) + 1 if task == "classify" else 0
+    assert baseline._split_stats(y, task, n_classes).dtype.kind == stat_kind
+    for bootstrap, min_leaf, max_depth in GRID:
+        config = RandomForestConfig(
+            n_trees=3, seed=seed, bootstrap=bootstrap, min_leaf=min_leaf,
+            max_depth=max_depth,
+        )
+        forest = rf_fit(vectors, labels, config, task=task)
+        expected = forest_oracle.fit_trees(vectors, labels, config, task)
+        for tree, (_, arrays) in zip(forest.trees, expected, strict=True):
+            for name in TREE_FIELDS:
+                got, want = getattr(tree, name), arrays[name]
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
+
+
+def test_integral_targets_too_large_to_sum_exactly_are_folded():
+    y = np.array([2.0**26, 1.0, 3.0])
+    assert baseline._split_stats(y, "regress", 0).dtype.kind == "f"
+    assert baseline._split_stats(y[1:], "regress", 0).dtype.kind == "i"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_feature_values(bad):
+    rows = [dense([1.0, 0.0], 2), dense([0.0, 2.0], 2), dense([bad, 1.0], 2),
+            dense([0.5, 0.5], 2)]
+    with pytest.raises(ValueError, match="feature vector 2 has a non-finite value"):
+        rf_fit(rows, [0, 1, 0, 1], RandomForestConfig(n_trees=1), task="classify")
+
+
 @pytest.mark.parametrize("task", ["classify", "regress"])
 def test_predict_many_matches_per_row_walk(task):
     vectors, rng = sparse_corpus(5)

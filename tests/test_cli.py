@@ -11,7 +11,7 @@ import pytest
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
 
-from conftest import FILLER, LEVEL_POOLS, synth_rows, write_project_csv
+from conftest import FILLER, LEVEL_POOLS, make_dataset, synth_rows, write_project_csv
 
 
 @pytest.fixture(autouse=True)
@@ -497,7 +497,42 @@ def test_csv_errors_follow_the_error_contract(capsys, tmp_path, synth_dataset, m
         capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o")
     )
     assert code == 1
-    assert err.startswith("error: Error: field larger than field limit")
+    assert err.startswith("error: Error: alpha: field larger than field limit")
+
+
+SMALL_PROJECT_RUNS = {
+    "stats": (),
+    "prepare": (),
+    "train": ("--model", "tfidf-rf"),
+    "sweep": ("--model", "tfidf-rf", "--windows", "2"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(SMALL_PROJECT_RUNS))
+def test_project_data_errors_name_the_project(capsys, tmp_path, synth_dataset,
+                                              command, jobs):
+    make_dataset(synth_dataset, {"small": 5})
+    code, _, err = run_cli(
+        capsys, command, "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        "--jobs", jobs, *SMALL_PROJECT_RUNS[command],
+    )
+    assert code == 1
+    assert err == "error: DatasetTooSmallError: small: need at least 10 documents, got 5\n"
+
+
+def test_undecodable_csv_names_the_project_without_traceback(capsys, tmp_path,
+                                                             synth_dataset):
+    (synth_dataset / "beta.csv").write_bytes(
+        b"issuekey,title,description,storypoint\nB-1,t\xff,d,2\n"
+    )
+    code, _, err = run_cli(
+        capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert err.startswith("error: UnicodeDecodeError: ")
+    assert "beta: " in err
+    assert "Traceback" not in err
 
 
 def test_parser_has_all_subcommands():
