@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -62,6 +63,16 @@ RUN_OPTIONS = {
     "vectors": "vectors_path",
 }
 TRAIN_OPTIONS = {f.name: type(f.default) for f in fields(TrainConfig)}
+
+# numeric option -> the half-open range [low, high) of its legal values
+# (high None: no upper end); a windows list is checked entry by entry
+RANGES = {
+    "dropout": (0, 1),
+    "learning_rate": (0, None),
+    "weight_decay": (0, None),
+    **dict.fromkeys(("batch_size", "max_epochs", "patience", "rounds", "window",
+                     "windows", "min_edge_frequency", "dim", "jobs"), (1, None)),
+}
 
 
 def _field(config: ex.ExperimentConfig, key: str):
@@ -206,7 +217,21 @@ class _MissingDataDir(Exception):
 
 
 def _option_value(key: str, value):
-    """An option's value as the config field it sets holds it."""
+    """An option's value as the config field it sets holds it, checked
+    against the option's range."""
+    value = _typed_value(key, value)
+    if key in RANGES:
+        low, high = RANGES[key]
+        for number in value if key == "windows" else (value,):
+            if not (math.isfinite(number) and low <= number
+                    and (high is None or number < high)):
+                legal = f"in [{low}, {high})" if high is not None else f">= {low}"
+                raise StoryGraphError(f"{key}: {number!r} is not {legal}")
+    return value
+
+
+def _typed_value(key: str, value):
+    """An option's value converted to the type of the config field it sets."""
     if key == "project" and isinstance(value, str):
         value = [value]
     elif key == "windows" and isinstance(value, str):
@@ -352,8 +377,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    bundle = load_model(args.model_file)
     asked = _experiment_config(opts)
+    bundle = load_model(args.model_file)
     config = replace(
         asked,
         projects=(bundle.project,),

@@ -15,6 +15,13 @@ gradient only to the winning lane, ties won by the lowest source position.
 `predict` computes the same probabilities without recording anything.
 Training is mini-batch gradient descent with adaptive moments and
 early stopping on validation accuracy.
+
+Working set: both passes pool each destination straight from its own
+block of weighted source rows, so no (entries x d) array is ever built;
+Adam updates each array in slices of at most ADAM_CHUNK elements; and
+`train` keeps one gradient set and one best-parameter set for the whole
+run, zeroed and overwritten in place. None of this changes an element of
+any result.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ LOG_CLAMP = 1e-12
 # Arrays that receive L2 weight decay; gates parameterize a mixing
 # coefficient and the bias is a plain offset, so neither is decayed.
 DECAYED_ARRAYS = ("embeddings", "edge_weights", "classifier_weights")
+
+# Elements per slice of an Adam step: its few temporaries then stay within
+# a few hundred kB instead of several copies of the embedding table.
+ADAM_CHUNK = 16384
 
 
 @dataclass
@@ -95,6 +106,11 @@ class ModelParameters:
         return ModelParameters(
             **{name: arr.copy() for name, arr in self.named_arrays()}
         )
+
+    def copy_from(self, other: "ModelParameters") -> None:
+        """Overwrite every array in place with `other`'s values."""
+        for name, arr in self.named_arrays():
+            np.copyto(arr, getattr(other, name))
 
     @classmethod
     def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
@@ -181,6 +197,19 @@ def _check_graph(params: ModelParameters, graph: DocumentGraph, rounds: int) -> 
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
 
+def _blocks(graph: DocumentGraph) -> list[tuple[int, int, int]]:
+    """(destination, start, end) of each node's block of incoming entries.
+
+    Entries are sorted by (dst, src), so a destination's entries are
+    contiguous and in ascending source order; nodes without incoming
+    entries have no block.
+    """
+    starts = np.flatnonzero(np.diff(graph.edge_dst, prepend=-1))
+    bounds = np.append(starts, graph.n_entries)
+    return list(zip(graph.edge_dst[starts].tolist(), bounds[:-1].tolist(),
+                    bounds[1:].tolist()))
+
+
 def _classify(
     params: ModelParameters, readout: np.ndarray, doc_id: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -219,33 +248,25 @@ def forward(
 
     eta = sigmoid(params.gates[graph.node_ids])
 
-    # Entries are sorted by (dst, src); per-destination blocks are contiguous
-    # and in ascending source order, so the first argmax hit is the lowest
-    # source position - the tie-break backward relies on.
-    positions = np.arange(n)
-    starts = np.searchsorted(graph.edge_dst, positions, side="left")
-    ends = np.searchsorted(graph.edge_dst, positions, side="right")
-
+    # Each destination pools its own block of entries, built from its
+    # sources' rows; the first argmax hit is the lowest source position,
+    # the tie-break backward relies on.
+    blocks = _blocks(graph)
+    src = graph.edge_src
+    weights = params.edge_weights[graph.edge_param][:, None]
+    dim = params.dim
+    lanes = np.arange(dim)
     round_inputs = [r]
     messages: list[np.ndarray] = []
     winners_all: list[np.ndarray] = []
-    dim = params.dim
     for _ in range(rounds):
         r_prev = round_inputs[-1]
-        contrib = (
-            params.edge_weights[graph.edge_param][:, None] * r_prev[graph.edge_src]
-            if graph.n_entries
-            else np.zeros((0, dim))
-        )
         msg = np.zeros((n, dim))
         winners = np.full((n, dim), -1, dtype=np.int64)
-        for node in range(n):
-            s, e = starts[node], ends[node]
-            if s == e:
-                continue
-            block = contrib[s:e]
+        for node, s, e in blocks:
+            block = weights[s:e] * r_prev[src[s:e]]
             am = np.argmax(block, axis=0)
-            msg[node] = block[am, np.arange(dim)]
+            msg[node] = block[am, lanes]
             winners[node] = s + am
         updated = (1.0 - eta)[:, None] * msg + eta[:, None] * r_prev
         messages.append(msg)
@@ -372,21 +393,32 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place adaptive-moment step; decay is classic L2 on gradients."""
+    """One in-place adaptive-moment step; decay is classic L2 on gradients.
+
+    Each array is updated in slices of at most ADAM_CHUNK elements (whole
+    rows of its first axis, at least one), so the step's temporaries stay
+    that small; every element sees the same operations in the same order
+    as a whole-array update.
+    """
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-    for name, arr in params.named_arrays():
-        g = getattr(grads, name)
-        if weight_decay and name in DECAYED_ARRAYS:
-            g = g + weight_decay * arr
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        arr -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for name, whole in params.named_arrays():
+        decayed = weight_decay and name in DECAYED_ARRAYS
+        rows = max(1, ADAM_CHUNK // max(1, whole[:1].size))
+        for lo in range(0, whole.shape[0], rows):
+            part = slice(lo, lo + rows)
+            arr = whole[part]
+            g = getattr(grads, name)[part]
+            if decayed:
+                g = g + weight_decay * arr
+            m = state.m[name][part]
+            v = state.v[name][part]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            arr -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # --- training ---------------------------------------------------------------
@@ -437,6 +469,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(params)
     result = TrainResult(params=params)
+    # one gradient set and one best-parameter set serve the whole run
+    grads = ModelParameters.zeros_like(params)
     best = params.copy()
     best_acc = -1.0
     stale_epochs = 0
@@ -448,7 +482,8 @@ def train(
         epoch_loss = 0.0
         for batch_no, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo : lo + config.batch_size]
-            grads = ModelParameters.zeros_like(params)
+            for _, arr in grads.named_arrays():
+                arr.fill(0.0)
             batch_loss = 0.0
             try:
                 for i in batch:
@@ -495,12 +530,12 @@ def train(
         )
         if not val_graphs:
             # no holdout signal: keep the latest parameters, never stop early
-            best = params.copy()
+            best.copy_from(params)
             result.best_epoch = epoch
             continue
         if val_acc > best_acc:
             best_acc = val_acc
-            best = params.copy()
+            best.copy_from(params)
             result.best_epoch = epoch
             result.best_val_accuracy = val_acc
             stale_epochs = 0
@@ -523,21 +558,19 @@ def predict(
     """Argmax class with deterministic lowest-index tie-break, dropout off.
 
     Computes the probabilities `forward` gives without recording a trace:
-    each destination's message is one `np.maximum.reduceat` over its
-    contiguous block of entries, since inference needs no winners.
+    each destination's message is the lanewise max of its block of
+    weighted source rows, since inference needs no winners.
     """
     _check_graph(params, graph, rounds)
+    blocks = _blocks(graph)
+    src = graph.edge_src
+    weights = params.edge_weights[graph.edge_param][:, None]
     r = params.embeddings[graph.node_ids]
     eta = sigmoid(params.gates[graph.node_ids])[:, None]
-    weights = params.edge_weights[graph.edge_param][:, None]
-    # entries are sorted by destination: a block starts where it changes
-    starts = np.flatnonzero(np.diff(graph.edge_dst, prepend=-1))
-    receivers = graph.edge_dst[starts]
     msg = np.zeros_like(r)
     for _ in range(rounds):
-        msg[receivers] = np.maximum.reduceat(
-            weights * r[graph.edge_src], starts, axis=0
-        )
+        for node, s, e in blocks:
+            msg[node] = (weights[s:e] * r[src[s:e]]).max(axis=0)
         r = (1.0 - eta) * msg + eta * r
     _, probabilities = _classify(params, r.sum(axis=0), graph.doc_id)
     return int(np.argmax(probabilities)), probabilities

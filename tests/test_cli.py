@@ -462,6 +462,69 @@ def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, 
     assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--dropout", "1.0", "dropout"),
+    ("--batch-size", "0", "batch_size"),
+    ("--dropout", "-0.5", "dropout"),
+    ("--batch-size", "-3", "batch_size"),
+    ("--epochs", "0", "max_epochs"),
+    ("--lr", "-1", "learning_rate"),
+    ("--weight-decay", "-1", "weight_decay"),
+    ("--dim", "0", "dim"),
+    ("--jobs", "0", "jobs"),
+    ("--patience", "0", "patience"),
+    ("--rounds", "0", "rounds"),
+    ("--window", "0", "window"),
+    ("--k", "0", "min_edge_frequency"),
+    ("--lr", "nan", "learning_rate"),
+])
+def test_out_of_range_option_fails_before_any_project_loads(
+        capsys, tmp_path, synth_dataset, flag, value, key):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(synth_dataset), "--out", str(out),
+        *FAST, flag, value,
+    )
+    assert code == 1
+    assert err.startswith(f"error: StoryGraphError: {key}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"dropout": 1.5}, {"windows": [2, 0]}, {"batch_size": 0}, {"jobs": -1},
+])
+def test_config_file_values_are_range_checked(capsys, tmp_path, synth_dataset, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    code, _, err = run_cli(
+        capsys, "sweep", "--data", str(synth_dataset),
+        "--out", str(tmp_path / "o"), "--config", str(cfg),
+    )
+    assert code == 1
+    assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
+
+
+def test_range_ends_are_legal(capsys, tmp_path, synth_dataset):
+    code, _, err = run_cli(
+        capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        "--dropout", "0", "--lr", "0", "--weight-decay", "0", "--batch-size", "1",
+        "--epochs", "1", "--patience", "1", "--rounds", "1", "--window", "1",
+        "--k", "1", "--dim", "1", "--jobs", "1",
+    )
+    assert code == 0, err
+
+
+def test_eval_checks_option_ranges_before_reading_the_model(capsys, tmp_path,
+                                                           synth_dataset):
+    code, _, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        "--model", str(tmp_path / "missing.model"), "--jobs", "0",
+    )
+    assert code == 1
+    assert err.startswith("error: StoryGraphError: jobs: ")
+
+
 def test_error_lines_name_the_exception(capsys, tmp_path):
     # a file, not a directory: OSError path
     f = tmp_path / "file.txt"

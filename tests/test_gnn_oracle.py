@@ -1,0 +1,264 @@
+"""The bounded-memory GNN passes against the frozen whole-array oracle
+(tests/gnn_oracle.py), and the working set each pass needs.
+
+Per-block pooling, chunked Adam and reused training buffers must change
+no element of any trace, probability, moment or parameter: every check
+here is exact equality, dtypes included.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import gnn_oracle
+from storygraph import gnn
+from storygraph.corpus import StoryPointLevel
+from storygraph.embeddings import EncodedDocument
+from storygraph.graph import (
+    DocumentGraph,
+    assign_edge_params,
+    build_graph,
+    count_cooccurrences,
+)
+
+
+def assert_same(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+def assert_same_params(actual, expected):
+    for name, arr in actual.named_arrays():
+        assert_same(arr, getattr(expected, name))
+
+
+def assert_same_trace(actual, expected):
+    assert (actual.doc_id, actual.n_nodes, actual.rounds) == (
+        expected.doc_id, expected.n_nodes, expected.rounds)
+    if expected.dropout_mask is None:
+        assert actual.dropout_mask is None
+    else:
+        assert_same(actual.dropout_mask, expected.dropout_mask)
+    for field in ("round_inputs", "messages", "winners"):
+        got, want = getattr(actual, field), getattr(expected, field)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same(a, b)
+    for field in ("gate_values", "readout", "logits", "probabilities"):
+        assert_same(getattr(actual, field), getattr(expected, field))
+
+
+def random_params(rng, vocab, dim, n_edge_params, n_classes):
+    return gnn.ModelParameters(
+        embeddings=rng.normal(size=(vocab, dim)),
+        edge_weights=rng.normal(size=n_edge_params),
+        gates=rng.normal(size=vocab),
+        classifier_weights=rng.normal(size=(n_classes, dim)),
+        classifier_bias=rng.normal(size=n_classes),
+    )
+
+
+def text_graph(ids, window, k=1):
+    doc = EncodedDocument(doc_id="d", token_ids=tuple(ids),
+                          level=StoryPointLevel.SMALL, raw_story_point=2)
+    table = assign_edge_params(count_cooccurrences([doc], window), k, window)
+    return build_graph(doc, window, table, label=0), table.num_edge_params
+
+
+def manual_graph(n_nodes, src, dst, params_of):
+    return DocumentGraph(
+        doc_id="m",
+        label=0,
+        node_ids=np.arange(1, n_nodes + 1, dtype=np.int64),
+        edge_src=np.array(src, dtype=np.int64),
+        edge_dst=np.array(dst, dtype=np.int64),
+        edge_param=np.array(params_of, dtype=np.int64),
+    )
+
+
+def oracle_cases(rng):
+    """(params, graph) pairs: text graphs of several windows, isolated
+    nodes, a lone node, and nodes with no entries at all."""
+    cases = []
+    for _ in range(10):
+        vocab, dim = int(rng.integers(4, 30)), int(rng.integers(1, 9))
+        ids = rng.integers(1, vocab, size=int(rng.integers(1, 40))).tolist()
+        graph, n_edge = text_graph(ids, int(rng.integers(1, 6)),
+                                   k=int(rng.integers(1, 3)))
+        cases.append((random_params(rng, vocab, dim, n_edge, 3), graph))
+    # node 0 and node 3 receive nothing, node 4 is isolated, node 2 takes
+    # three entries
+    isolated = manual_graph(5, [0, 0, 1, 3], [1, 2, 2, 2], [1, 2, 0, 1])
+    cases.append((random_params(rng, 6, 6, 3, 2), isolated))
+    cases.append((random_params(rng, 5, 6, 3, 2), manual_graph(4, [], [], [])))
+    lone, n_edge = text_graph([3], window=2)
+    cases.append((random_params(rng, 5, 6, n_edge, 2), lone))
+    return cases
+
+
+# --- forward and predict -------------------------------------------------------
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_forward_and_predict_match_the_oracle(rounds):
+    for params, graph in oracle_cases(np.random.default_rng(7)):
+        assert_same_trace(gnn.forward(params, graph, rounds=rounds),
+                          gnn_oracle.forward(params, graph, rounds=rounds))
+        index, probs = gnn.predict(params, graph, rounds=rounds)
+        want_index, want_probs = gnn_oracle.predict(params, graph, rounds=rounds)
+        assert index == want_index
+        assert_same(probs, want_probs)
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_dropout_ties_break_as_in_the_oracle(rounds):
+    # half the input lanes are zeroed, so many blocks tie at 0 (negative
+    # weights make the other lanes negative); the winners must agree
+    rng = np.random.default_rng(11)
+    params = random_params(rng, 12, 5, 1, 3)
+    params.edge_weights[:] = -1.0
+    graph, n_edge = text_graph(rng.integers(1, 12, size=30).tolist(), window=4, k=99)
+    assert n_edge == 1
+    ties = 0
+    for seed in range(8):
+        got = gnn.forward(params, graph, dropout=0.5, training=True,
+                          rng=np.random.default_rng(seed), rounds=rounds)
+        want = gnn_oracle.forward(params, graph, dropout=0.5, training=True,
+                                  rng=np.random.default_rng(seed), rounds=rounds)
+        assert_same_trace(got, want)
+        ties += int(np.count_nonzero(got.messages[0] == 0.0))
+    assert ties > 0
+
+
+# --- optimizer -----------------------------------------------------------------
+
+
+def adam_case(rng, vocab, dim, n_edge, order="C"):
+    params = random_params(rng, vocab, dim, n_edge, 3)
+    params.embeddings = np.asarray(params.embeddings, order=order)
+    grads = random_params(rng, vocab, dim, n_edge, 3)
+    return params, grads
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 1000])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_matches_the_whole_array_update(monkeypatch, chunk, order, weight_decay):
+    if chunk is not None:
+        monkeypatch.setattr(gnn, "ADAM_CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    # sizes that are no multiple of the chunk or of the row length
+    vocab, dim, n_edge = gnn.ADAM_CHUNK // 7 + 13, 9, gnn.ADAM_CHUNK * 2 + 3
+    params, grads = adam_case(rng, vocab, dim, n_edge, order)
+    expected = params.copy()
+    expected.embeddings = np.asarray(expected.embeddings, order=order)
+    state = gnn.AdamState.for_params(params)
+    expected_state = gnn.AdamState.for_params(expected)
+    for step in range(3):
+        gnn.adam_update(params, grads, state, learning_rate=1e-2,
+                        weight_decay=weight_decay)
+        gnn_oracle.adam_update(expected, grads, expected_state, learning_rate=1e-2,
+                               weight_decay=weight_decay)
+        assert state.step == expected_state.step == step + 1
+        assert_same_params(params, expected)
+        for name, _ in params.named_arrays():
+            assert_same(state.m[name], expected_state.m[name])
+            assert_same(state.v[name], expected_state.v[name])
+    assert params.embeddings.flags.f_contiguous == (order == "F")
+
+
+# --- training ------------------------------------------------------------------
+
+
+def training_set(rng, n=20, vocab=14, dim=5):
+    """Three labels, each with its own band of token ids."""
+    docs, labels = [], []
+    for i in range(n):
+        label = i % 3
+        ids = (1 + 4 * label + rng.integers(0, 5, size=int(rng.integers(1, 9)))) % vocab
+        docs.append(EncodedDocument(doc_id=f"t{i}", token_ids=tuple(ids.tolist()),
+                                    level=StoryPointLevel.SMALL, raw_story_point=2))
+        labels.append(label)
+    table = assign_edge_params(count_cooccurrences(docs, 3), 1, 3)
+    graphs = [build_graph(d, 3, table, label=y) for d, y in zip(docs, labels)]
+    params = gnn.init_parameters(rng.normal(scale=0.3, size=(vocab, dim)),
+                                 table.num_edge_params, 3, seed=1)
+    return params, graphs
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("with_validation", [True, False])
+def test_two_epoch_training_matches_the_oracle(monkeypatch, rounds, with_validation):
+    monkeypatch.setattr(gnn, "ADAM_CHUNK", 11)
+    params, graphs = training_set(np.random.default_rng(3))
+    val = graphs[14:] if with_validation else []
+    config = gnn.TrainConfig(max_epochs=2, patience=2, batch_size=4, dropout=0.5,
+                             learning_rate=0.05, weight_decay=1e-3, rounds=rounds,
+                             seed=9)
+    got = gnn.train(params, graphs[:14], val, config)
+    want, curve = gnn_oracle.train(params, graphs[:14], val, config)
+    assert_same_params(got.params, want.params)
+    assert got.best_epoch == want.best_epoch
+    assert got.best_val_accuracy == want.best_val_accuracy
+    assert [(e.train_loss, e.val_accuracy) for e in got.epochs] == curve
+
+
+def test_training_keeps_the_best_epoch_not_the_last():
+    # a step large enough to lose validation accuracy after epoch 1
+    params, graphs = training_set(np.random.default_rng(4))
+    config = gnn.TrainConfig(max_epochs=6, patience=6, batch_size=3, dropout=0.0,
+                             learning_rate=0.5, seed=2)
+    got = gnn.train(params, graphs[:14], graphs[14:], config)
+    want, _ = gnn_oracle.train(params, graphs[:14], graphs[14:], config)
+    assert got.best_epoch == want.best_epoch < len(got.epochs)
+    assert_same_params(got.params, want.params)
+
+
+# --- working set ---------------------------------------------------------------
+
+
+def traced_peak(run) -> int:
+    """Bytes `run` allocates at its peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def dense_instance(n_nodes=80, dim=300):
+    """Every ordered pair of distinct nodes is an entry: 6,320 entries."""
+    rng = np.random.default_rng(0)
+    dst, src = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
+    keep = dst != src
+    graph = DocumentGraph(
+        doc_id="dense", label=0,
+        node_ids=np.arange(n_nodes, dtype=np.int64),
+        edge_src=src[keep], edge_dst=dst[keep],
+        edge_param=rng.integers(0, 50, size=int(keep.sum())),
+    )
+    return random_params(rng, n_nodes, dim, 50, 4), graph
+
+
+def test_forward_and_predict_never_hold_an_entries_by_dim_array():
+    params, graph = dense_instance()
+    assert graph.n_entries >= 5000 and params.dim == 300
+    bound = graph.n_entries * params.dim * 8 // 4
+    rng = np.random.default_rng(1)
+    assert traced_peak(lambda: gnn.forward(params, graph, dropout=0.5, rng=rng,
+                                           training=True)) < bound
+    assert traced_peak(lambda: gnn.predict(params, graph)) < bound
+
+
+def test_adam_step_temporaries_stay_small():
+    rng = np.random.default_rng(2)
+    params, grads = adam_case(rng, 4000, 300, 5000)
+    state = gnn.AdamState.for_params(params)
+    peak = traced_peak(lambda: gnn.adam_update(params, grads, state,
+                                               learning_rate=1e-3,
+                                               weight_decay=1e-4))
+    assert peak < 1_000_000
