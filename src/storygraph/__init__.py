@@ -10,10 +10,10 @@ building graphs, training, evaluation, and report emission.
 from .baseline import (
     Forest,
     RandomForestConfig,
-    SparseVector,
+    TfidfMatrix,
     TfidfModel,
     rf_fit,
-    rf_predict,
+    rf_predict_many,
     tfidf_fit,
     tfidf_transform,
 )
@@ -93,9 +93,9 @@ __all__ = [
     "ModelParameters",
     "PosTagger",
     "RandomForestConfig",
-    "SparseVector",
     "StoryGraphError",
     "StoryPointLevel",
+    "TfidfMatrix",
     "TfidfModel",
     "TokenizedDocument",
     "TrainConfig",
@@ -117,7 +117,7 @@ __all__ = [
     "loss",
     "predict",
     "rf_fit",
-    "rf_predict",
+    "rf_predict_many",
     "run_classification",
     "run_graph_stats",
     "run_regression",

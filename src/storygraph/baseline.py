@@ -1,5 +1,8 @@
 """Traditional comparison pipeline: 1-4 gram tf-idf plus a random forest.
 
+A set of documents is one TfidfMatrix: CSR arrays with one row per
+document, which tfidf_transform writes and rf_fit and rf_predict_many read.
+
 Both halves are implemented here rather than imported so the exact split
 and tie-break semantics stay pinned down and testable: candidate thresholds
 are midpoints between consecutive distinct feature values, the best split
@@ -48,38 +51,38 @@ import numpy as np
 from .errors import DegenerateDataError, EmptyCorpusError
 
 MAX_NGRAM = 4
-UNIT_NORM_TOLERANCE = 1e-9
 
 
 # --- tf-idf -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sorted sparse feature vector; unit L2 norm unless empty."""
+class TfidfMatrix:
+    """Documents as CSR rows: row r's nonzeros are at feature columns
+    indices[indptr[r]:indptr[r + 1]], strictly increasing, with the matching
+    values. A row that tfidf_transform writes has unit L2 norm unless empty."""
 
-    indices: np.ndarray  # int64, strictly increasing
+    indptr: np.ndarray  # int64, rows + 1 pointers
+    indices: np.ndarray  # int64
     values: np.ndarray  # float64
-    dim: int
+    n_features: int
 
     def __post_init__(self) -> None:
-        if self.indices.shape != self.values.shape:
+        if self.indptr.size == 0 or self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0):
+            raise ValueError("row pointers must start at 0 and never decrease")
+        if self.indices.shape != self.values.shape or self.indptr[-1] != self.indices.size:
             raise ValueError("index/value arrays differ in length")
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
+        if self.indices.size and not (
+            0 <= self.indices.min() and self.indices.max() < self.n_features
+        ):
+            raise ValueError(f"feature indices must lie in [0, {self.n_features})")
+        # a row may only start below the index before it
+        descents = np.flatnonzero(np.diff(self.indices) <= 0) + 1
+        if not np.isin(descents, self.indptr).all():
             raise ValueError("feature indices must be strictly increasing")
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values**2)))
-
-    def value_at(self, feature: int) -> float:
-        pos = int(np.searchsorted(self.indices, feature))
-        if pos < self.indices.size and int(self.indices[pos]) == feature:
-            return float(self.values[pos])
-        return 0.0
+    def __len__(self) -> int:
+        return int(self.indptr.size) - 1
 
 
 def iter_ngrams(tokens: Sequence[str], max_n: int = MAX_NGRAM):
@@ -130,25 +133,32 @@ def tfidf_fit(
     )
 
 
-def tfidf_transform(model: TfidfModel, tokens: Sequence[str]) -> SparseVector:
-    """Count-weighted idf vector, L2-normalized; unseen n-grams are ignored
-    and a document with no known n-grams maps to the empty vector."""
-    counts: dict[int, int] = {}
-    for gram in iter_ngrams(tokens, model.max_ngram):
-        col = model.vocabulary.get(gram)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-    if not counts:
-        return SparseVector(
-            indices=np.zeros(0, dtype=np.int64),
-            values=np.zeros(0),
-            dim=model.n_features,
-        )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[int(j)] for j in indices], dtype=np.float64)
+def tfidf_transform(
+    model: TfidfModel, token_docs: Sequence[Sequence[str]]
+) -> TfidfMatrix:
+    """One row per document: count-weighted idf, L2-normalized. Unseen
+    n-grams are ignored, and a document with no known n-grams is an empty
+    row."""
+    indptr = np.zeros(len(token_docs) + 1, dtype=np.int64)
+    columns: list[int] = []
+    counts: list[int] = []
+    for r, tokens in enumerate(token_docs):
+        row: dict[int, int] = {}
+        for gram in iter_ngrams(tokens, model.max_ngram):
+            col = model.vocabulary.get(gram)
+            if col is not None:
+                row[col] = row.get(col, 0) + 1
+        for col in sorted(row):
+            columns.append(col)
+            counts.append(row[col])
+        indptr[r + 1] = len(columns)
+    indices = np.array(columns, dtype=np.int64)
+    values = np.array(counts, dtype=np.float64)
     values *= model.idf[indices]
-    values /= np.sqrt(np.sum(values**2))
-    return SparseVector(indices=indices, values=values, dim=model.n_features)
+    for s, e in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        if e > s:
+            values[s:e] /= np.sqrt(np.sum(values[s:e] ** 2))
+    return TfidfMatrix(indptr, indices, values, model.n_features)
 
 
 # --- random forest ----------------------------------------------------------
@@ -204,27 +214,6 @@ class Forest:
     n_classes: int = 0  # classification only
 
 
-class _RowStore(NamedTuple):
-    """CSR copy of sparse rows: row r's nonzeros are
-    indices[indptr[r]:indptr[r + 1]], ascending, and the matching values."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-
-def _row_store(vectors: Sequence[SparseVector]) -> _RowStore:
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([vec.nnz for vec in vectors], out=indptr[1:])
-    indices = [np.zeros(0, dtype=np.int64)] + [vec.indices for vec in vectors]
-    values = [np.zeros(0)] + [vec.values for vec in vectors]
-    return _RowStore(
-        indptr,
-        np.concatenate(indices).astype(np.int64, copy=False),
-        np.concatenate(values).astype(np.float64, copy=False),
-    )
-
-
 class _ColumnStore(NamedTuple):
     """CSC copy of the training rows without their stored zeros: column j's
     nonzeros are in rows[indptr[j]:indptr[j + 1]], ascending, with values."""
@@ -234,15 +223,15 @@ class _ColumnStore(NamedTuple):
     values: np.ndarray
 
 
-def _column_store(store: _RowStore, n_features: int) -> _ColumnStore:
-    row_of = np.repeat(np.arange(store.indptr.size - 1), np.diff(store.indptr))
-    keep = store.values != 0
-    columns = store.indices[keep]
+def _column_store(rows: TfidfMatrix) -> _ColumnStore:
+    row_of = np.repeat(np.arange(len(rows)), np.diff(rows.indptr))
+    keep = rows.values != 0
+    columns = rows.indices[keep]
     order = np.argsort(columns, kind="stable")
-    counts = np.bincount(columns, minlength=n_features)
+    counts = np.bincount(columns, minlength=rows.n_features)
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return _ColumnStore(indptr, row_of[keep][order], store.values[keep][order])
+    return _ColumnStore(indptr, row_of[keep][order], rows.values[keep][order])
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -587,7 +576,7 @@ def _split_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
 
 
 def rf_fit(
-    features: Sequence[SparseVector],
+    features: TfidfMatrix,
     labels: Sequence[int] | Sequence[float],
     config: RandomForestConfig | None = None,
     task: str = "classify",
@@ -602,14 +591,9 @@ def rf_fit(
         raise DegenerateDataError(f"{n} training sample(s), need at least 2")
     if n != len(labels):
         raise ValueError(f"{n} feature vectors but {len(labels)} labels")
-    dims = {vec.dim for vec in features}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent feature dimensions {sorted(dims)}")
-    n_features = dims.pop()
-    store = _row_store(features)
-    bad = np.flatnonzero(~np.isfinite(store.values))
+    bad = np.flatnonzero(~np.isfinite(features.values))
     if bad.size:
-        row = int(np.searchsorted(store.indptr, bad[0], "right")) - 1
+        row = int(np.searchsorted(features.indptr, bad[0], "right")) - 1
         raise ValueError(f"feature vector {row} has a non-finite value")
 
     if task == "classify":
@@ -627,7 +611,7 @@ def rf_fit(
         rng.integers(0, n, size=n) if config.bootstrap else np.arange(n) for rng in rngs
     ]
     grown = _grow_trees(
-        _column_store(store, n_features), n_features, y,
+        _column_store(features), features.n_features, y,
         _split_stats(y, task, n_classes), roots, rngs, config, task, n_classes,
     )
     return Forest(
@@ -637,7 +621,7 @@ def rf_fit(
         ],
         config=config,
         task=task,
-        n_features=n_features,
+        n_features=features.n_features,
         n_classes=n_classes,
     )
 
@@ -660,18 +644,19 @@ def _descend(
     return node
 
 
-def rf_predict_many(
-    forest: Forest, vectors: Iterable[SparseVector]
-) -> list[int] | list[float]:
-    """Per vector: majority vote (lowest class index on ties) or the mean of
-    leaf means, summed in tree order."""
-    vectors = list(vectors)
-    n = len(vectors)
-    store = _row_store(vectors)
-    width = max(forest.n_features, int(store.indices.max(initial=-1)) + 1)
-    row_of = np.repeat(np.arange(n), np.diff(store.indptr))
-    keys = np.append(row_of * width + store.indices, n * width)
-    values = np.append(store.values, 0.0)
+def rf_predict_many(forest: Forest, rows: TfidfMatrix) -> list[int] | list[float]:
+    """Per row: majority vote (lowest class index on ties) or the mean of
+    leaf means, summed in tree order. The rows must have the forest's
+    feature space."""
+    if rows.n_features != forest.n_features:
+        raise ValueError(
+            f"rows have {rows.n_features} features, the forest {forest.n_features}"
+        )
+    n = len(rows)
+    width = forest.n_features
+    row_of = np.repeat(np.arange(n), np.diff(rows.indptr))
+    keys = np.append(row_of * width + rows.indices, n * width)
+    values = np.append(rows.values, 0.0)
     if forest.task == "classify":
         votes = np.zeros((n, forest.n_classes), dtype=np.int64)
         for tree in forest.trees:
@@ -682,8 +667,3 @@ def rf_predict_many(
     for tree in forest.trees:
         total += tree.value[_descend(tree, keys, values, width, n)]
     return (total / len(forest.trees)).tolist()
-
-
-def rf_predict(forest: Forest, vector: SparseVector) -> int | float:
-    """Majority vote (lowest class index on ties) or mean of leaf means."""
-    return rf_predict_many(forest, [vector])[0]

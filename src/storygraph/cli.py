@@ -220,6 +220,8 @@ def _option_value(key: str, value):
     """An option's value as the config field it sets holds it, checked
     against the option's range."""
     value = _typed_value(key, value)
+    if key == "windows" and not value:
+        raise StoryGraphError("windows: no window size given")
     if key in RANGES:
         low, high = RANGES[key]
         for number in value if key == "windows" else (value,):
@@ -242,6 +244,9 @@ def _typed_value(key: str, value):
             raise StoryGraphError(
                 f"{key}: {value!r} is neither a string nor a list of {kind.__name__}"
             )
+        if key == "project" and len(set(value)) < len(value):
+            twice = sorted({v for v in value if value.count(v) > 1})
+            raise StoryGraphError(f"{key}: {', '.join(twice)} named more than once")
         return tuple(value)
     if key in CHOICES:
         if value not in CHOICES[key]:
@@ -250,6 +255,11 @@ def _typed_value(key: str, value):
             )
         return TASKS[value] if key == "task" else value
     kind = Path if key in ("out", "vectors") else TRAIN_OPTIONS.get(key, int)
+    # int() and float() would take a boolean, and int() drops a fraction
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")
     try:
         return kind(value)
     except (TypeError, ValueError) as err:
@@ -303,9 +313,10 @@ def _prepare_files(config: ex.ExperimentConfig, project: str, out_dir: Path) -> 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     config = _experiment_config(_Options(args))
+    projects = config.resolved_projects()
     out_dir = Path(config.output_dir) / "prepare"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for line in ex._collect(config, config.resolved_projects(), out_dir, _prepare_files):
+    for line in ex._collect(config, projects, out_dir, _prepare_files):
         print(line)
     print(f"manifests: {out_dir}")
     return 0

@@ -41,6 +41,7 @@ from .embeddings import (
     build_vocab,
     load_pretrained_vectors,
 )
+from .errors import EmptyDatasetError
 from .graph import EdgeTable, assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
@@ -75,7 +76,10 @@ class ExperimentConfig:
     def resolved_projects(self) -> tuple[str, ...]:
         if self.projects:
             return self.projects
-        return tuple(sorted(p.stem for p in Path(self.data_dir).glob("*.csv")))
+        found = tuple(sorted(p.stem for p in Path(self.data_dir).glob("*.csv")))
+        if not found:
+            raise EmptyDatasetError(f"{self.data_dir}: no *.csv project files")
+        return found
 
     def echo(self) -> dict[str, object]:
         """Everything a reader needs to audit or rerun the experiment."""
@@ -315,7 +319,6 @@ def _run_baseline(
     task = "classify" if config.task == TASK_CLASSIFY else "regress"
     started = time.perf_counter()
     tfidf = bl.tfidf_fit([d.tokens for d in split.train])
-    train_vecs = [bl.tfidf_transform(tfidf, d.tokens) for d in split.train]
     if task == "classify":
         targets: list = [int(d.level) for d in split.train]
     else:
@@ -323,11 +326,15 @@ def _run_baseline(
     rf_config = bl.RandomForestConfig(
         seed=derive_seed(config.train.seed, prepared.project, "baseline")
     )
-    forest = bl.rf_fit(train_vecs, targets, rf_config, task=task)
+    forest = bl.rf_fit(
+        bl.tfidf_transform(tfidf, [d.tokens for d in split.train]),
+        targets, rf_config, task=task,
+    )
     result.baseline_seconds = time.perf_counter() - started
 
-    test_vecs = [bl.tfidf_transform(tfidf, d.tokens) for d in split.test]
-    predictions = bl.rf_predict_many(forest, test_vecs)
+    predictions = bl.rf_predict_many(
+        forest, bl.tfidf_transform(tfidf, [d.tokens for d in split.test])
+    )
     if task == "classify":
         result.baseline_accuracy = accuracy_percent(
             predictions, [int(d.level) for d in split.test]
@@ -536,9 +543,9 @@ def run_window_sweep(config: ExperimentConfig) -> SweepReport:
     split, the quantity that grows with the window; accuracy re-trains the
     model at each window unless the model selection excludes it.
     """
-    run_dir = _run_dir(config, "sweep")
+    projects = config.resolved_projects()
     report = SweepReport(config_echo=config.echo())
-    for rows in _collect(config, config.resolved_projects(), run_dir, _sweep_project):
+    for rows in _collect(config, projects, _run_dir(config, "sweep"), _sweep_project):
         report.rows.extend(rows)
     return report
 

@@ -10,13 +10,11 @@ numbers nodes in the same preorder, so the two emit identical arrays.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from storygraph.baseline import (
     RandomForestConfig,
-    SparseVector,
+    TfidfMatrix,
     _resolve_max_features,
 )
 
@@ -25,14 +23,15 @@ class ColumnStore:
     """Column-major view of the sparse training matrix: per feature, the
     rows holding a nonzero and their values, sorted by row."""
 
-    def __init__(self, vectors: Sequence[SparseVector], n_features: int):
+    def __init__(self, matrix: TfidfMatrix):
         per_col_rows: dict[int, list[int]] = {}
         per_col_vals: dict[int, list[float]] = {}
-        for row, vec in enumerate(vectors):
-            for j, val in zip(vec.indices.tolist(), vec.values.tolist()):
+        for row in range(len(matrix)):
+            s, e = matrix.indptr[row], matrix.indptr[row + 1]
+            for j, val in zip(matrix.indices[s:e].tolist(), matrix.values[s:e].tolist()):
                 per_col_rows.setdefault(j, []).append(row)
                 per_col_vals.setdefault(j, []).append(val)
-        self.n_features = n_features
+        self.n_features = matrix.n_features
         self._cols = {
             j: (
                 np.array(rows, dtype=np.int64),
@@ -186,21 +185,20 @@ def grow_tree(store, labels, rows, config, task, n_classes, rng) -> dict:
 
 
 def fit_trees(
-    features: Sequence[SparseVector],
+    features: TfidfMatrix,
     labels,
     config: RandomForestConfig,
     task: str,
 ) -> list[tuple[int, dict]]:
     """(bootstrap seed, arrays) per tree, seeded and sampled as rf_fit is."""
     n = len(features)
-    n_features = features[0].dim
     if task == "classify":
         y = np.asarray(labels, dtype=np.int64)
         n_classes = int(y.max()) + 1
     else:
         y = np.asarray(labels, dtype=np.float64)
         n_classes = 0
-    store = ColumnStore(features, n_features)
+    store = ColumnStore(features)
     tree_seeds = np.random.SeedSequence(config.seed).generate_state(config.n_trees)
     trees = []
     for seed in tree_seeds.tolist():
@@ -212,14 +210,16 @@ def fit_trees(
     return trees
 
 
-def predict_one(forest, vector: SparseVector):
+def predict_one(forest, matrix: TfidfMatrix, row: int):
     """Per-row, per-tree walk: majority vote with lowest-index ties, or the
     mean of leaf means summed in tree order."""
+    s, e = matrix.indptr[row], matrix.indptr[row + 1]
+    values = dict(zip(matrix.indices[s:e].tolist(), matrix.values[s:e].tolist()))
     leaves = []
     for tree in forest.trees:
         node = 0
         while tree.left[node] >= 0:
-            x = vector.value_at(int(tree.feature[node]))
+            x = values.get(int(tree.feature[node]), 0.0)
             node = tree.left[node] if x <= tree.threshold[node] else tree.right[node]
         leaves.append((tree, node))
     if forest.task == "classify":

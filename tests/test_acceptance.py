@@ -458,7 +458,7 @@ def test_criterion_10_persistence_round_trip(tmp_path, synth_dataset):
         [str(rng.choice(token_pool)) for _ in range(int(rng.integers(3, 12)))]
         for _ in range(100)
     ]
-    vectors = [tfidf_transform(baseline.tfidf, t) for t in token_docs]
+    vectors = tfidf_transform(baseline.tfidf, token_docs)
     base_before = rf_predict_many(baseline.forest, vectors)
     base_path = tmp_path / "roundtrip.baseline"
     save_baseline_model(base_path, baseline)

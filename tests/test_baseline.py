@@ -3,6 +3,7 @@ hand-built tree checks."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,10 @@ from storygraph import baseline
 from storygraph.baseline import (
     Forest,
     RandomForestConfig,
-    SparseVector,
+    TfidfMatrix,
     Tree,
     iter_ngrams,
     rf_fit,
-    rf_predict,
     rf_predict_many,
     tfidf_fit,
     tfidf_transform,
@@ -29,11 +29,30 @@ import forest_oracle
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "histogram")
 
 
-def dense(x, dim):
-    """SparseVector from a plain list, for readable fixtures."""
-    arr = np.asarray(x, dtype=np.float64)
-    nz = np.nonzero(arr)[0]
-    return SparseVector(indices=nz.astype(np.int64), values=arr[nz], dim=dim)
+def from_rows(rows, n_features):
+    """TfidfMatrix whose rows are the given (indices, values) pairs."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in rows], out=indptr[1:])
+    indices = [np.zeros(0, dtype=np.int64)] + [np.asarray(i, np.int64) for i, _ in rows]
+    values = [np.zeros(0)] + [np.asarray(v, np.float64) for _, v in rows]
+    return TfidfMatrix(indptr, np.concatenate(indices), np.concatenate(values), n_features)
+
+
+def dense(rows, dim):
+    """TfidfMatrix of the nonzeros of plain lists, one per row, for readable
+    fixtures."""
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, dim)
+    return from_rows([(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in arr], dim)
+
+
+def take(matrix, rows):
+    """The matrix of the given rows of `matrix`, in the order given."""
+    ptr = matrix.indptr
+    return from_rows(
+        [(matrix.indices[ptr[r] : ptr[r + 1]], matrix.values[ptr[r] : ptr[r + 1]])
+         for r in rows],
+        matrix.n_features,
+    )
 
 
 # --- n-grams and tf-idf -------------------------------------------------------
@@ -88,28 +107,47 @@ def test_fit_rejects_empty_corpus():
 
 def test_transform_is_unit_norm():
     model = tfidf_fit([["a", "b"], ["a", "c"]], max_ngram=1)
-    vec = tfidf_transform(model, ["a", "b", "b"])
-    assert vec.norm() == pytest.approx(1.0)
-    assert vec.dim == 3
-    # b counted twice, both share the doc's normalizer
-    a, b = vec.value_at(0), vec.value_at(1)
+    vec = tfidf_transform(model, [["a", "b", "b"]])
+    assert np.sqrt(np.sum(vec.values**2)) == pytest.approx(1.0)
+    assert vec.n_features == 3
+    # b counted twice, both share the doc's normalizer; c is absent
+    assert vec.indices.tolist() == [0, 1]
+    a, b = vec.values
     assert b > a > 0
-    assert vec.value_at(2) == 0.0
 
 
 def test_transform_unseen_grams_ignored():
     model = tfidf_fit([["a", "b"]], max_ngram=1)
-    vec = tfidf_transform(model, ["a", "zzz"])
+    vec = tfidf_transform(model, [["a", "zzz"]])
     assert vec.indices.tolist() == [model.vocabulary["a"]]
-    assert vec.norm() == pytest.approx(1.0)
+    assert np.sqrt(np.sum(vec.values**2)) == pytest.approx(1.0)
 
 
 def test_transform_empty_for_unknown_document():
     model = tfidf_fit([["a", "b"]], max_ngram=1)
-    vec = tfidf_transform(model, ["zzz"])
-    assert vec.nnz == 0
-    assert vec.norm() == 0.0
-    assert vec.dim == model.n_features
+    vec = tfidf_transform(model, [["a"], ["zzz"], ["b"]])
+    assert len(vec) == 3
+    assert vec.indptr.tolist() == [0, 1, 1, 2]
+    assert vec.n_features == model.n_features
+    assert len(tfidf_transform(model, [])) == 0
+
+
+def test_transform_values_equal_per_document_formula():
+    rng = np.random.default_rng(3)
+    docs = [[str(w) for w in rng.choice(list("abcdefg"), size=int(rng.integers(0, 12)))]
+            for _ in range(40)]
+    model = tfidf_fit([d for d in docs[:30] if d])
+    matrix = tfidf_transform(model, docs)
+    for r, tokens in enumerate(docs):
+        grams = (model.vocabulary.get(g) for g in iter_ngrams(tokens))
+        counts = Counter(col for col in grams if col is not None)
+        cols = np.array(sorted(counts), dtype=np.int64)
+        v = np.array([counts[c] for c in cols], dtype=np.float64) * model.idf[cols]
+        if v.size:
+            v = v / np.sqrt(np.sum(v**2))
+        s, e = matrix.indptr[r], matrix.indptr[r + 1]
+        assert np.array_equal(matrix.indices[s:e], cols)
+        assert np.array_equal(matrix.values[s:e], v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,23 +161,36 @@ def test_transform_empty_for_unknown_document():
 )
 def test_transform_norm_is_zero_or_one(corpus, query):
     model = tfidf_fit(corpus)
-    n = tfidf_transform(model, query).norm()
+    n = np.sqrt(np.sum(tfidf_transform(model, [query]).values ** 2))
     assert n == 0.0 or abs(n - 1.0) < 1e-9
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError):
-        SparseVector(
-            indices=np.array([2, 1], dtype=np.int64),
-            values=np.array([1.0, 1.0]),
-            dim=3,
+@pytest.mark.parametrize("indptr, indices, n_values, message", [
+    pytest.param([0, 2], [2, 1], 2, "strictly increasing", id="decreasing-index"),
+    pytest.param([0, 2], [1, 1], 2, "strictly increasing", id="repeated-index"),
+    pytest.param([0, 1, 3], [0, 2, 2], 3, "strictly increasing", id="second-row"),
+    pytest.param([0, 1], [0], 2, "differ in length", id="values-longer"),
+    pytest.param([0, 3], [0, 1], 2, "differ in length", id="pointer-past-end"),
+    pytest.param([1, 2], [0], 1, "start at 0", id="pointer-not-at-0"),
+    pytest.param([], [], 0, "start at 0", id="no-pointers"),
+    pytest.param([0, 2, 1, 2], [0, 1], 2, "never decrease", id="pointer-decreases"),
+    pytest.param([0, 2], [0, 3], 2, r"lie in \[0, 3\)", id="index-too-large"),
+    pytest.param([0, 2], [-1, 0], 2, r"lie in \[0, 3\)", id="negative-index"),
+])
+def test_matrix_validation(indptr, indices, n_values, message):
+    with pytest.raises(ValueError, match=message):
+        TfidfMatrix(
+            np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.ones(n_values), 3,
         )
-    with pytest.raises(ValueError):
-        SparseVector(
-            indices=np.array([0], dtype=np.int64),
-            values=np.array([1.0, 2.0]),
-            dim=3,
-        )
+
+
+def test_matrix_rows_may_restart_their_indices():
+    matrix = TfidfMatrix(
+        np.array([0, 2, 2, 3], dtype=np.int64), np.array([1, 2, 0], dtype=np.int64),
+        np.ones(3), 3,
+    )
+    assert len(matrix) == 3
 
 
 # --- forest: hand-built trees -------------------------------------------------
@@ -187,27 +238,39 @@ def test_predict_majority_vote():
         stump(0, 0.5, 2, 2, n_classes=3),
     ]
     f = forest_of(trees, "classify", n_features=2, n_classes=3)
-    assert rf_predict(f, dense([0.0, 0.0], 2)) == 1
+    assert rf_predict_many(f, dense([0.0, 0.0], 2)) == [1]
 
 
 def test_predict_vote_tie_breaks_to_lowest_class():
     trees = [stump(0, 0.5, 2, 2, n_classes=3), stump(0, 0.5, 0, 0, n_classes=3)]
     f = forest_of(trees, "classify", n_features=2, n_classes=3)
-    assert rf_predict(f, dense([1.0, 0.0], 2)) == 0
+    assert rf_predict_many(f, dense([1.0, 0.0], 2)) == [0]
 
 
 def test_predict_regression_averages_leaf_means():
     trees = [stump(0, 0.5, 2.0, 2.0), stump(0, 0.5, 4.0, 4.0)]
     f = forest_of(trees, "regress", n_features=1)
-    assert rf_predict(f, dense([0.2], 1)) == pytest.approx(3.0)
+    assert rf_predict_many(f, dense([0.2], 1)) == [pytest.approx(3.0)]
 
 
 def test_descend_goes_left_on_equality():
     # x <= threshold routes left
     tree = stump(0, 0.5, 7, 9, n_classes=10)
     f = forest_of([tree], "classify", n_features=1, n_classes=10)
-    assert rf_predict(f, dense([0.5], 1)) == 7
-    assert rf_predict(f, dense([0.50001], 1)) == 9
+    assert rf_predict_many(f, dense([0.5], 1)) == [7]
+    assert rf_predict_many(f, dense([0.50001], 1)) == [9]
+
+
+def test_predict_refuses_rows_of_another_feature_space():
+    xs, ys = separable_xy()
+    f = rf_fit(xs, ys, RandomForestConfig(n_trees=3, seed=0))
+    model = tfidf_fit([["a", "b", "c"]], max_ngram=2)
+    wide = tfidf_transform(model, [["a", "b"]])
+    assert (f.n_features, wide.n_features) == (4, 5)
+    with pytest.raises(ValueError, match="rows have 5 features, the forest 4"):
+        rf_predict_many(f, wide)
+    with pytest.raises(ValueError, match="rows have 3 features, the forest 4"):
+        rf_predict_many(f, dense([1.0, 0.0, 0.0], 3))
 
 
 # --- forest: fitting ------------------------------------------------------------
@@ -221,9 +284,9 @@ def separable_xy(n_per_class=10, seed=0):
             base = np.zeros(4)
             base[label * 2] = 1.0 + rng.random()
             base[label * 2 + 1] = rng.random()
-            xs.append(dense(base, 4))
+            xs.append(base)
             ys.append(label)
-    return xs, ys
+    return dense(xs, 4), ys
 
 
 def test_fit_separates_toy_classes():
@@ -272,7 +335,7 @@ def test_fit_seed_changes_bootstrap():
 def test_fit_rejects_degenerate_input():
     xs, ys = separable_xy(n_per_class=1)
     with pytest.raises(DegenerateDataError):
-        rf_fit(xs[:1], ys[:1], RandomForestConfig(), task="classify")
+        rf_fit(take(xs, [0]), ys[:1], RandomForestConfig(), task="classify")
     with pytest.raises(ValueError):
         rf_fit(xs, ys[:1], RandomForestConfig(), task="classify")
     with pytest.raises(ValueError):
@@ -326,7 +389,7 @@ def brute_force_best_split(X, y, min_leaf=1):
 
 
 def fit_single_full_tree(X, y):
-    xs = [dense(row, X.shape[1]) for row in X]
+    xs = dense(X, X.shape[1])
     cfg = RandomForestConfig(
         n_trees=1, bootstrap=False, max_features="all", seed=0
     )
@@ -379,8 +442,7 @@ def test_full_tree_purifies_training_data():
     X = rng.random((12, 3))
     y = rng.integers(0, 2, size=12)
     f = fit_single_full_tree(X, y.astype(int))
-    xs = [dense(row, 3) for row in X]
-    assert rf_predict_many(f, xs) == y.tolist()
+    assert rf_predict_many(f, dense(X, 3)) == y.tolist()
 
 
 def test_fit_invariant_to_duplicating_a_useless_sample_order():
@@ -396,24 +458,32 @@ def test_fit_invariant_to_duplicating_a_useless_sample_order():
 # --- forest: vectorised grower and predictor vs the frozen oracle --------------
 
 
-def sparse_corpus(seed, n=36, n_features=50):
-    """Sparse rows whose values tie often, with repeated and empty rows."""
+N_FEATURES = 50
+
+
+def sparse_rows(seed, n=36):
+    """(indices, values) rows whose values tie often, with repeated and
+    empty rows; a repeated row is the same object."""
     rng = np.random.default_rng(seed)
-    vectors = []
+    rows = []
     for i in range(n):
         if i > 4 and rng.random() < 0.2:
-            vectors.append(vectors[int(rng.integers(0, i))])
+            rows.append(rows[int(rng.integers(0, i))])
             continue
         nnz = int(rng.integers(0, 10))
-        idx = np.sort(rng.choice(n_features, size=nnz, replace=False))
+        idx = np.sort(rng.choice(N_FEATURES, size=nnz, replace=False))
         if rng.random() < 0.5:
             vals = rng.choice([0.125, 0.25, 0.5, 0.75], size=nnz)
         else:
             vals = rng.random(nnz) + 0.01
-        vectors.append(
-            SparseVector(indices=idx.astype(np.int64), values=vals, dim=n_features)
-        )
-    return vectors, rng
+        rows.append((idx, vals))
+    return rows, rng
+
+
+def sparse_corpus(seed):
+    """sparse_rows as a TfidfMatrix."""
+    rows, rng = sparse_rows(seed)
+    return from_rows(rows, N_FEATURES), rng
 
 
 def sparse_labels(task, rng, n):
@@ -458,15 +528,16 @@ def test_fit_matches_frozen_oracle(task, seed, block_cells, monkeypatch):
 def signed_corpus(seed):
     """sparse_corpus's rows with about a third of the values negated and
     some stored as explicit zeros (+0.0 and -0.0); repeated rows stay equal."""
-    vectors, rng = sparse_corpus(seed)
-    changed: dict[int, SparseVector] = {}
-    for vec in vectors:
-        if id(vec) in changed:
+    rows, rng = sparse_rows(seed)
+    changed: dict[int, tuple] = {}
+    for row in rows:
+        if id(row) in changed:
             continue
-        values = np.where(rng.random(vec.nnz) < 0.35, -vec.values, vec.values)
-        values[rng.random(vec.nnz) < 0.15] = rng.choice([0.0, -0.0])
-        changed[id(vec)] = SparseVector(indices=vec.indices, values=values, dim=vec.dim)
-    return [changed[id(vec)] for vec in vectors], rng
+        idx, vals = row
+        values = np.where(rng.random(vals.size) < 0.35, -vals, vals)
+        values[rng.random(vals.size) < 0.15] = rng.choice([0.0, -0.0])
+        changed[id(row)] = (idx, values)
+    return from_rows([changed[id(row)] for row in rows], N_FEATURES), rng
 
 
 SIGNED_TARGETS = {
@@ -514,23 +585,24 @@ def test_integral_targets_too_large_to_sum_exactly_are_folded():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fit_rejects_non_finite_feature_values(bad):
-    rows = [dense([1.0, 0.0], 2), dense([0.0, 2.0], 2), dense([bad, 1.0], 2),
-            dense([0.5, 0.5], 2)]
+    rows = dense([[1.0, 0.0], [0.0, 2.0], [bad, 1.0], [0.5, 0.5]], 2)
     with pytest.raises(ValueError, match="feature vector 2 has a non-finite value"):
         rf_fit(rows, [0, 1, 0, 1], RandomForestConfig(n_trees=1), task="classify")
 
 
 @pytest.mark.parametrize("task", ["classify", "regress"])
 def test_predict_many_matches_per_row_walk(task):
-    vectors, rng = sparse_corpus(5)
-    labels = sparse_labels(task, rng, len(vectors))
-    forest = rf_fit(vectors, labels, RandomForestConfig(n_trees=7, seed=3), task=task)
-    empty = SparseVector(
-        indices=np.zeros(0, dtype=np.int64), values=np.zeros(0), dim=50
+    rows, rng = sparse_rows(5)
+    labels = sparse_labels(task, rng, len(rows))
+    forest = rf_fit(
+        from_rows(rows, N_FEATURES), labels, RandomForestConfig(n_trees=7, seed=3),
+        task=task,
     )
-    queries = vectors + [empty] + sparse_corpus(6)[0]
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
+    queries = from_rows(rows + [empty] + sparse_rows(6)[0], N_FEATURES)
     many = rf_predict_many(forest, queries)
-    assert many == [rf_predict(forest, v) for v in queries]
-    assert many == [forest_oracle.predict_one(forest, v) for v in queries]
-    assert rf_predict_many(forest, []) == []
-    assert rf_predict_many(forest, iter([empty])) == [rf_predict(forest, empty)]
+    n = len(queries)
+    assert many == [rf_predict_many(forest, take(queries, [r]))[0] for r in range(n)]
+    assert many == [forest_oracle.predict_one(forest, queries, r) for r in range(n)]
+    assert rf_predict_many(forest, from_rows([], N_FEATURES)) == []
+    assert rf_predict_many(forest, from_rows([empty], N_FEATURES)) == [many[len(rows)]]

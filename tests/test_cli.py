@@ -449,7 +449,9 @@ def test_config_file_windows_may_be_a_list(capsys, tmp_path, synth_dataset):
 
 @pytest.mark.parametrize("entry", [
     {"project": 3}, {"project": ["alpha", 3]}, {"windows": 5}, {"windows": [2, "5"]},
-    {"window": [3]}, {"mode": "lemmas"},
+    {"window": [3]}, {"mode": "lemmas"}, {"project": ["alpha", "beta", "alpha"]},
+    {"window": 2.9}, {"seed": 3.5}, {"window": True}, {"learning_rate": True},
+    {"dropout": False}, {"jobs": 1.5},
 ])
 def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, entry):
     cfg = tmp_path / "run.json"
@@ -503,6 +505,48 @@ def test_config_file_values_are_range_checked(capsys, tmp_path, synth_dataset, e
     )
     assert code == 1
     assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_project_named_twice_is_refused(capsys, tmp_path, synth_dataset, jobs):
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, "baseline", "--data", str(synth_dataset), "--out", str(out),
+        "--project", "alpha", "--project", "alpha", "--project", "beta", "--jobs", jobs,
+    )
+    assert code == 1
+    assert err == "error: StoryGraphError: project: alpha named more than once\n"
+    assert stdout == "" and not out.exists()
+
+
+EMPTY_DATA = "error: EmptyDatasetError: {data}: no *.csv project files\n"
+NO_WINDOWS = "error: StoryGraphError: windows: no window size given\n"
+
+
+@pytest.mark.parametrize("command, extra, config, expected", [
+    *((command, (), None, EMPTY_DATA)
+      for command in ("train", "baseline", "stats", "sweep", "prepare")),
+    ("sweep", ("--windows", ","), None, NO_WINDOWS),
+    ("sweep", (), {"windows": []}, NO_WINDOWS),
+], ids=["train", "baseline", "stats", "sweep", "prepare", "windows-flag", "windows-config"])
+def test_a_run_with_nothing_to_do_fails(capsys, tmp_path, synth_dataset, command,
+                                        extra, config, expected):
+    data = synth_dataset
+    if expected is EMPTY_DATA:
+        data = tmp_path / "empty"
+        data.mkdir()
+        (data / "notes.txt").write_text("no projects here\n")
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        extra = ("--config", str(cfg))
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, command, "--data", str(data), "--out", str(out), *extra,
+    )
+    assert code == 1
+    assert err == expected.format(data=data)
+    assert stdout == "" and not out.exists()
 
 
 def test_range_ends_are_legal(capsys, tmp_path, synth_dataset):

@@ -9,7 +9,7 @@ from storygraph.baseline import (
     RandomForestConfig,
     Tree,
     rf_fit,
-    rf_predict,
+    rf_predict_many,
     tfidf_fit,
     tfidf_transform,
 )
@@ -222,7 +222,7 @@ def fit_small_baseline(task="classify", seed=0):
     ]
     tokens = [t.split() for t in texts]
     tfidf = tfidf_fit(tokens)
-    xs = [tfidf_transform(tfidf, t) for t in tokens]
+    xs = tfidf_transform(tfidf, tokens)
     if task == "classify":
         ys = [0, 0, 1, 1]
     else:
@@ -246,8 +246,7 @@ def test_baseline_round_trip(tmp_path, task):
     assert loaded.forest.task == bundle.forest.task
     assert loaded.forest.n_features == bundle.forest.n_features
     assert len(loaded.forest.trees) == len(bundle.forest.trees)
-    for x in xs:
-        assert rf_predict(loaded.forest, x) == rf_predict(bundle.forest, x)
+    assert rf_predict_many(loaded.forest, xs) == rf_predict_many(bundle.forest, xs)
 
 
 def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):
@@ -336,9 +335,7 @@ def test_baseline_loads_hand_built_tree(tmp_path):
     save_baseline_model(path, bundle)
     loaded = load_baseline_model(path)
     assert np.array_equal(loaded.forest.trees[0].right, [4, 3, -1, -1, -1])
-    assert [rf_predict(loaded.forest, x) for x in xs] == [
-        rf_predict(bundle.forest, x) for x in xs
-    ]
+    assert rf_predict_many(loaded.forest, xs) == rf_predict_many(bundle.forest, xs)
 
 
 def _self_loop(t):

@@ -1,8 +1,32 @@
-"""The package's public surface."""
+"""The package's public surface and its dependencies."""
+
+import ast
+import sys
+from pathlib import Path
 
 import storygraph
+
+PACKAGE = Path(storygraph.__file__).parent
 
 
 def test_every_export_resolves():
     missing = [name for name in storygraph.__all__ if not hasattr(storygraph, name)]
     assert missing == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {name}" for name in names
+                if name.split(".")[0] not in ("numpy", "storygraph")
+                and name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert foreign == []
