@@ -19,10 +19,11 @@ alone. The search reads only the candidates' nonzeros. A candidate's values
 in a node sort into its negatives, one block of zeros, then its positives,
 so its cuts are those between distinct nonzeros plus at most two at the
 edges of the zero block. The block's class counts, or target sums and sums
-of squares, are the node's totals less the candidate's nonzero sums: exact,
-and so equal to a sequential scan of the sorted column, for class counts and
-for integral targets with n * max(|y|)**2 < 2**53 (n training rows). Other
-targets are summed one row at a time in the sorted column's order.
+of squares, are the node's totals less the candidate's nonzero sums. That
+is exact, and so equal to a sequential scan of the sorted column, because
+rf_fit takes only targets whose every sum is exact: class labels that are
+whole numbers >= 0, and regression targets that are whole numbers with
+n * max(|y|)**2 < 2**53 (n training rows).
 
 A tree is six parallel arrays over its nodes in preorder (a node, then its
 left subtree, then its right subtree); `.baseline` files store exactly
@@ -245,8 +246,8 @@ class _Step(NamedTuple):
     node i holds positions off[i]:off[i + 1]."""
 
     off: np.ndarray
-    # per position: 1, then the one-hot class (Gini) or the target and its
-    # square (variance); int64 when every sum of it is exact
+    # per position, int64: 1, then the one-hot class (Gini) or the target
+    # and its square (variance)
     stat: np.ndarray
     total: np.ndarray  # per node: stat summed over its positions
     # per key node * n_rows + training row: how many of the node's positions
@@ -296,49 +297,6 @@ def _gather(
         np.repeat(columns.values[entry], copies),
         step.by_key[_ranges(step.start[key], copies)],
     )
-
-
-def _fold(
-    stat: np.ndarray,
-    value: np.ndarray,
-    pos: np.ndarray,
-    first: np.ndarray,
-    rank: np.ndarray,
-    node_start: np.ndarray,
-    node_rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_best_splits' left sums and pair totals for stats whose sums round:
-    each pair's column is added one row at a time, in the order of its
-    stable sort (negatives, its zero rows in node order, positives), as a
-    sequential cumsum over the whole column would."""
-    count = np.diff(np.append(first, value.size))
-    n_neg = np.bincount(rank, weights=value < 0, minlength=first.size).astype(np.int64)
-    acc = np.zeros((first.size, stat.shape[1]))
-    left = np.empty((value.size, stat.shape[1]))
-
-    def scan(start: np.ndarray, length: np.ndarray, through: bool) -> None:
-        for k in range(int(length.max(initial=0))):
-            live = np.flatnonzero(length > k)
-            at = start[live] + k
-            if not through:
-                left[at] = acc[live]
-            acc[live] += stat[pos[at]]
-            if through:
-                left[at] = acc[live]
-
-    scan(first, n_neg, True)
-    # the zero rows: the node's positions in order, less the pair's nonzeros
-    zp = np.flatnonzero(node_rows > count)
-    by_pos = pos[np.lexsort((pos, rank))]
-    ptr, end = first[zp], first[zp] + count[zp]
-    start, size = node_start[zp], node_rows[zp]
-    for q in range(int(size.max(initial=0))):
-        skip = (ptr < end) & (by_pos[np.minimum(ptr, by_pos.size - 1)] == start + q)
-        add = ~skip & (size > q)
-        acc[zp[add]] += stat[start[add] + q]
-        ptr += skip
-    scan(first + n_neg, count - n_neg, False)
-    return left, acc
 
 
 def _best_splits(
@@ -397,25 +355,17 @@ def _best_splits(
         | (positive & has_prev & (prev < value))
         | (~positive & has_next & (next_ < 0) & (value < next_))
     )
-    # stats left of each cut, and the pair's column totals
-    if step.stat.dtype.kind == "i":
-        # exact in any order: the zero rows hold the node total less the
-        # pair's nonzeros. Running sums that wrap past int64 wrap alike,
-        # so their differences stay exact.
-        stat = step.stat.take(pos, axis=0)
-        csum = np.cumsum(stat, axis=0)
-        before = csum[first] - stat[first]
-        last = first + count - 1
-        zero = step.total[node] - (csum[last] - before)
-        at = rank[cut]
-        lhs = csum[cut] - before[at] + positive[cut, None] * (zero[at] - stat[cut])
-        rhs = step.total[node[at]] - lhs
-    else:
-        left, total = _fold(
-            step.stat, value, pos, first, rank, step.off[node], node_rows
-        )
-        lhs = left[cut]
-        rhs = total[rank[cut]] - lhs
+    # stats left of each cut: exact in any order, so the zero rows hold the
+    # node total less the pair's nonzeros. Running sums that wrap past int64
+    # wrap alike, so their differences stay exact.
+    stat = step.stat.take(pos, axis=0)
+    csum = np.cumsum(stat, axis=0)
+    before = csum[first] - stat[first]
+    last = first + count - 1
+    zero = step.total[node] - (csum[last] - before)
+    at = rank[cut]
+    lhs = csum[cut] - before[at] + positive[cut, None] * (zero[at] - stat[cut])
+    rhs = step.total[node[at]] - lhs
     nl = lhs[:, 0].astype(np.float64)
     nr = rhs[:, 0].astype(np.float64)
     ok = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf))
@@ -554,25 +504,38 @@ def _grow_trees(
     return grown
 
 
-def _split_stats(y: np.ndarray, task: str, n_classes: int) -> np.ndarray:
-    """Per training row: 1, then its one-hot class or its target and the
-    target's square. int64 for classes, and for integral targets whose
-    sums over n rows stay below 2**53, so that every sum is exact in any
-    order; float64 otherwise."""
+def _split_stats(
+    labels: Sequence[int] | Sequence[float], task: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The split stats, targets and class count (0 when regressing) of
+    these labels. A row's stats are 1, then its one-hot class or its target
+    and the target's square, all int64, so every sum is exact in any order.
+
+    Class labels must be finite whole numbers >= 0. Regression targets must
+    be finite whole numbers with n * max|y|**2 < 2**53 (n training rows)."""
+    y = np.asarray(labels, dtype=np.float64)
     n = y.shape[0]
+    whole = np.isfinite(y) & (y == np.trunc(y))
     if task == "classify":
+        bad = y[~whole | (y < 0)]
+        if bad.size:
+            raise ValueError(
+                f"class labels must be finite whole numbers >= 0, got {float(bad[0])!r}"
+            )
+        classes = y.astype(np.int64)
+        n_classes = int(classes.max()) + 1
         stat = np.zeros((n, 1 + n_classes), dtype=np.int64)
         stat[:, 0] = 1
-        stat[np.arange(n), 1 + y] = 1
-        return stat
-    integral = bool(np.all(y == np.trunc(y)))
-    if integral:
-        bound = float(np.max(np.abs(y)))
-        integral = n * bound * bound < 2.0**53
-    if integral:
-        yi = y.astype(np.int64)
-        return np.column_stack([np.ones(n, dtype=np.int64), yi, yi * yi])
-    return np.column_stack([np.ones(n), y, y**2])
+        stat[np.arange(n), 1 + classes] = 1
+        return stat, classes, n_classes
+    top = float(np.max(np.abs(y)))
+    if not (whole.all() and n * top * top < 2.0**53):
+        raise ValueError(
+            "regression targets must be whole numbers with n * max|y|**2 < 2**53, "
+            f"got n={n}, max|y|={top!r}"
+        )
+    yi = y.astype(np.int64)
+    return np.column_stack([np.ones(n, dtype=np.int64), yi, yi * yi]), y, 0
 
 
 def rf_fit(
@@ -582,7 +545,8 @@ def rf_fit(
     task: str = "classify",
 ) -> Forest:
     """Grow the forest: each tree on its own bootstrap sample (same size as
-    the training set) with a fresh feature subsample per split."""
+    the training set) with a fresh feature subsample per split. Labels
+    whose sums could round are refused with ValueError (see _split_stats)."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     config = config or RandomForestConfig()
@@ -596,23 +560,15 @@ def rf_fit(
         row = int(np.searchsorted(features.indptr, bad[0], "right")) - 1
         raise ValueError(f"feature vector {row} has a non-finite value")
 
-    if task == "classify":
-        y = np.asarray(labels, dtype=np.int64)
-        if y.min() < 0:
-            raise ValueError("class labels must be nonnegative")
-        n_classes = int(y.max()) + 1
-    else:
-        y = np.asarray(labels, dtype=np.float64)
-        n_classes = 0
-
+    stat, y, n_classes = _split_stats(labels, task)
     tree_seeds = np.random.SeedSequence(config.seed).generate_state(config.n_trees)
     rngs = [np.random.default_rng(seed) for seed in tree_seeds.tolist()]
     roots = [
         rng.integers(0, n, size=n) if config.bootstrap else np.arange(n) for rng in rngs
     ]
     grown = _grow_trees(
-        _column_store(features), features.n_features, y,
-        _split_stats(y, task, n_classes), roots, rngs, config, task, n_classes,
+        _column_store(features), features.n_features, y, stat, roots, rngs,
+        config, task, n_classes,
     )
     return Forest(
         trees=[

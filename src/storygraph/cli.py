@@ -220,8 +220,6 @@ def _option_value(key: str, value):
     """An option's value as the config field it sets holds it, checked
     against the option's range."""
     value = _typed_value(key, value)
-    if key == "windows" and not value:
-        raise StoryGraphError("windows: no window size given")
     if key in RANGES:
         low, high = RANGES[key]
         for number in value if key == "windows" else (value,):
@@ -239,14 +237,18 @@ def _typed_value(key: str, value):
     elif key == "windows" and isinstance(value, str):
         value = [int(w) for w in value.replace(" ", "").split(",") if w]
     if key in ("project", "windows"):
-        kind = str if key == "project" else int
+        kind, noun = (str, "project") if key == "project" else (int, "window size")
         if not (isinstance(value, list) and all(type(v) is kind for v in value)):
             raise StoryGraphError(
                 f"{key}: {value!r} is neither a string nor a list of {kind.__name__}"
             )
-        if key == "project" and len(set(value)) < len(value):
+        if not value:
+            raise StoryGraphError(f"{key}: no {noun} given")
+        if len(set(value)) < len(value):
             twice = sorted({v for v in value if value.count(v) > 1})
-            raise StoryGraphError(f"{key}: {', '.join(twice)} named more than once")
+            raise StoryGraphError(
+                f"{key}: {', '.join(map(str, twice))} named more than once"
+            )
         return tuple(value)
     if key in CHOICES:
         if value not in CHOICES[key]:

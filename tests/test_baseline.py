@@ -3,6 +3,7 @@ hand-built tree checks."""
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -308,9 +309,9 @@ def test_fit_constant_labels_yield_constant_prediction():
     f = rf_fit(xs, [2] * len(xs), RandomForestConfig(n_trees=5, seed=0),
                task="classify")
     assert set(rf_predict_many(f, xs)) == {2}
-    g = rf_fit(xs, [7.5] * len(xs), RandomForestConfig(n_trees=5, seed=0),
+    g = rf_fit(xs, [8] * len(xs), RandomForestConfig(n_trees=5, seed=0),
                task="regress")
-    assert all(p == pytest.approx(7.5) for p in rf_predict_many(g, xs))
+    assert all(p == pytest.approx(8) for p in rf_predict_many(g, xs))
 
 
 def test_fit_is_deterministic():
@@ -489,10 +490,9 @@ def sparse_corpus(seed):
 def sparse_labels(task, rng, n):
     if task == "classify":
         return rng.integers(0, 4, size=n).tolist()
-    # story points with ties, plus fractions that round differently when
-    # summed in another order
+    # story points with ties, plus whole numbers of more variety
     points = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
-    return np.where(rng.random(n) < 0.5, points, rng.random(n) * 13).tolist()
+    return np.where(rng.random(n) < 0.5, points, np.ceil(rng.random(n) * 13)).tolist()
 
 
 GRID = list(itertools.product((True, False), (1, 2), (2, None)))
@@ -540,14 +540,29 @@ def signed_corpus(seed):
     return from_rows([changed[id(row)] for row in rows], N_FEATURES), rng
 
 
+def largest_exact_target(n):
+    """The largest whole max|y| that n regression targets may reach:
+    n * max**2 is the largest such value below 2**53."""
+    return math.isqrt((2**53 - 1) // n)
+
+
+def targets_at_the_bound(rng, n):
+    """Signed whole numbers with ties whose max|y| is largest_exact_target."""
+    top = largest_exact_target(n)
+    ties = rng.choice([-top, -top // 3, -1, 0, 2, top // 2, top], size=n)
+    y = np.where(rng.random(n) < 0.5, ties, rng.integers(-top, top + 1, size=n))
+    y[rng.integers(n)] = -top
+    return y.astype(np.float64).tolist()
+
+
 SIGNED_TARGETS = {
     # whole story points, as every CLI regression passes: sums exact in
     # any order, so the zero block is the node total less the nonzeros
     "story points": ("regress", lambda rng, n: rng.choice(
-        [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 40.0, 100.0], size=n).tolist(), "i"),
-    "classes": ("classify", lambda rng, n: rng.integers(0, 4, size=n).tolist(), "i"),
-    # fractions round by summation order, so they take the sequential fold
-    "fractions": ("regress", lambda rng, n: (rng.random(n) * 13).tolist(), "f"),
+        [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 20.0, 40.0, 100.0], size=n).tolist()),
+    "classes": ("classify", lambda rng, n: rng.integers(0, 4, size=n).tolist()),
+    # the largest targets whose sums and sums of squares stay exact
+    "whole numbers at the bound": ("regress", targets_at_the_bound),
 }
 
 
@@ -557,12 +572,10 @@ SIGNED_TARGETS = {
 def test_fit_on_signed_values_matches_frozen_oracle(targets, seed, block_cells, monkeypatch):
     if block_cells is not None:
         monkeypatch.setattr(baseline, "SPLIT_BLOCK_CELLS", block_cells)
-    task, draw, stat_kind = SIGNED_TARGETS[targets]
+    task, draw = SIGNED_TARGETS[targets]
     vectors, rng = signed_corpus(seed)
     labels = draw(rng, len(vectors))
-    y = np.asarray(labels, dtype=np.int64 if task == "classify" else np.float64)
-    n_classes = int(y.max()) + 1 if task == "classify" else 0
-    assert baseline._split_stats(y, task, n_classes).dtype.kind == stat_kind
+    assert baseline._split_stats(labels, task)[0].dtype == np.int64
     for bootstrap, min_leaf, max_depth in GRID:
         config = RandomForestConfig(
             n_trees=3, seed=seed, bootstrap=bootstrap, min_leaf=min_leaf,
@@ -577,10 +590,41 @@ def test_fit_on_signed_values_matches_frozen_oracle(targets, seed, block_cells, 
                 assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
 
 
-def test_integral_targets_too_large_to_sum_exactly_are_folded():
-    y = np.array([2.0**26, 1.0, 3.0])
-    assert baseline._split_stats(y, "regress", 0).dtype.kind == "f"
-    assert baseline._split_stats(y[1:], "regress", 0).dtype.kind == "i"
+N_TARGETS = 36
+TOP = largest_exact_target(N_TARGETS)
+PAST = f"got n={N_TARGETS}, max|y|={float(TOP + 1)!r}"
+
+
+@pytest.mark.parametrize("task, bad, refusal", [
+    ("regress", 2.5, "whole numbers with n * max|y|**2 < 2**53"),
+    ("regress", np.nan, "max|y|=nan"),
+    ("regress", np.inf, "max|y|=inf"),
+    ("regress", -np.inf, "max|y|=inf"),
+    ("regress", TOP + 1, PAST),
+    ("regress", -TOP - 1, PAST),
+    ("regress", TOP, None),
+    ("regress", -TOP, None),
+    ("classify", 1.7, "got 1.7"),
+    ("classify", -1, "got -1.0"),
+    ("classify", np.nan, "got nan"),
+], ids=["fraction", "nan", "inf", "-inf", "past-bound", "past-minus-bound",
+        "at-bound", "at-minus-bound", "class-fraction", "class-negative", "class-nan"])
+def test_fit_refuses_targets_it_cannot_sum_exactly(task, bad, refusal):
+    vectors, rng = sparse_corpus(0)
+    labels = sparse_labels(task, rng, N_TARGETS)
+    labels[7] = bad
+    config = RandomForestConfig(n_trees=2, seed=0)
+    if refusal is not None:
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            rf_fit(vectors, labels, config, task=task)
+        return
+    forest = rf_fit(vectors, labels, config, task=task)
+    expected = forest_oracle.fit_trees(vectors, labels, config, task)
+    for tree, (_, arrays) in zip(forest.trees, expected, strict=True):
+        for name in TREE_FIELDS:
+            got, want = getattr(tree, name), arrays[name]
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -451,7 +451,7 @@ def test_config_file_windows_may_be_a_list(capsys, tmp_path, synth_dataset):
     {"project": 3}, {"project": ["alpha", 3]}, {"windows": 5}, {"windows": [2, "5"]},
     {"window": [3]}, {"mode": "lemmas"}, {"project": ["alpha", "beta", "alpha"]},
     {"window": 2.9}, {"seed": 3.5}, {"window": True}, {"learning_rate": True},
-    {"dropout": False}, {"jobs": 1.5},
+    {"dropout": False}, {"jobs": 1.5}, {"project": []},
 ])
 def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, entry):
     cfg = tmp_path / "run.json"
@@ -507,15 +507,31 @@ def test_config_file_values_are_range_checked(capsys, tmp_path, synth_dataset, e
     assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_project_named_twice_is_refused(capsys, tmp_path, synth_dataset, jobs):
+PROJECT_TWICE = "error: StoryGraphError: project: alpha named more than once\n"
+WINDOW_TWICE = "error: StoryGraphError: windows: 2 named more than once\n"
+ALPHA_TWICE = ("--project", "alpha", "--project", "alpha", "--project", "beta")
+ALPHA_SWEEP = ("--project", "alpha", "--model", "tfidf-rf")
+
+
+@pytest.mark.parametrize("command, extra, config, expected", [
+    ("baseline", (*ALPHA_TWICE, "--jobs", "1"), None, PROJECT_TWICE),
+    ("baseline", (*ALPHA_TWICE, "--jobs", "2"), None, PROJECT_TWICE),
+    ("sweep", (*ALPHA_SWEEP, "--windows", "2,2"), None, WINDOW_TWICE),
+    ("sweep", ALPHA_SWEEP, {"windows": [2, 2]}, WINDOW_TWICE),
+], ids=["1", "2", "windows-flag", "windows-config"])
+def test_a_project_named_twice_is_refused(capsys, tmp_path, synth_dataset, command,
+                                          extra, config, expected):
+    # a window size named twice is refused the same way
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        extra = (*extra, "--config", str(cfg))
     out = tmp_path / "o"
     code, stdout, err = run_cli(
-        capsys, "baseline", "--data", str(synth_dataset), "--out", str(out),
-        "--project", "alpha", "--project", "alpha", "--project", "beta", "--jobs", jobs,
+        capsys, command, "--data", str(synth_dataset), "--out", str(out), *extra,
     )
     assert code == 1
-    assert err == "error: StoryGraphError: project: alpha named more than once\n"
+    assert err == expected
     assert stdout == "" and not out.exists()
 
 
@@ -651,3 +667,23 @@ def test_parser_has_all_subcommands():
     assert set(sub.choices) == {
         "prepare", "train", "baseline", "eval", "stats", "sweep"
     }
+
+
+def test_forest_regression_refuses_story_points_it_cannot_sum_exactly(capsys, tmp_path):
+    rows = synth_rows("alpha", 30, seed=5)
+    rows[0]["storypoint"] = str(10**8)  # a training row at the default seed
+    data = tmp_path / "data"
+    data.mkdir()
+    write_project_csv(data / "alpha.csv", rows)
+    code, stdout, err = run_cli(
+        capsys, "baseline", "--data", str(data), "--out", str(tmp_path / "o"),
+        "--task", "regress",
+    )
+    assert code == 1
+    assert err.startswith("error: ValueError: alpha: regression targets must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    code, _, err = run_cli(
+        capsys, "train", "--data", str(data), "--out", str(tmp_path / "g"),
+        "--task", "regress", "--model", "gnn", *FAST,
+    )
+    assert code == 0, err
