@@ -288,11 +288,13 @@ def _experiment_config(opts: _Options, **fixed) -> ex.ExperimentConfig:
     return replace(config, **fixed)
 
 
-def _prepare_files(config: ex.ExperimentConfig, project: str, out_dir: Path) -> str:
+def _prepare_files(config: ex.ExperimentConfig, prepared: ex.PreparedProject,
+                   pretrained: dict, out_dir: Path) -> str:
     """Write one project's split manifest and vocabulary dump; returns the
     line that summarises them."""
-    prepared = ex.prepare_project(config, project)
+    project = prepared.project
     split = prepared.split
+    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
         f"# seed = {config.train.seed}",
         f"# split_hash = {prepared.split_hash}",
@@ -307,7 +309,7 @@ def _prepare_files(config: ex.ExperimentConfig, project: str, out_dir: Path) -> 
     (out_dir / f"{project}.split.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8"
     )
-    vocab, table, _ = ex._encode(config, prepared, use_vectors=True)
+    vocab, table, _ = ex._encode(config, prepared, pretrained)
     dump_vocabulary(vocab, table, out_dir / f"{project}.vocab.tsv")
     return (f"{project}: {len(split.train)}/{len(split.validation)}/"
             f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
@@ -315,10 +317,10 @@ def _prepare_files(config: ex.ExperimentConfig, project: str, out_dir: Path) -> 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     config = _experiment_config(_Options(args))
-    projects = config.resolved_projects()
     out_dir = Path(config.output_dir) / "prepare"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for line in ex._collect(config, projects, out_dir, _prepare_files):
+    lines = ex._collect(config, config.resolved_projects(), out_dir, _prepare_files,
+                        use_vectors=True)
+    for line in lines:
         print(line)
     print(f"manifests: {out_dir}")
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -216,31 +216,44 @@ class ProjectResult:
 Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
 
 
+def _trains_gnn(config: ExperimentConfig) -> bool:
+    return config.model in ("gnn", "both")
+
+
+def _vector_rows(
+    config: ExperimentConfig, prepared: list[PreparedProject], use_vectors: bool
+) -> list[dict[str, np.ndarray]]:
+    """Each project's rows of the vector file: those of its training
+    tokens. The file is read once, for the union of every project's
+    training tokens, so its errors name no project. Without `use_vectors`
+    or a file, every project gets no rows."""
+    if not (use_vectors and config.vectors_path):
+        return [{} for _ in prepared]
+    own = [{tok for doc in p.split.train for tok in doc.tokens} for p in prepared]
+    rows = load_pretrained_vectors(
+        config.vectors_path, set().union(*own), dim=config.embedding_dim
+    )
+    return [{tok: rows[tok] for tok in tokens if tok in rows} for tokens in own]
+
+
 def _encode(
     config: ExperimentConfig,
     prepared: PreparedProject,
+    pretrained: dict[str, np.ndarray],
     *docsets,
-    use_vectors: bool = False,
 ) -> Encoded:
     """The training vocabulary, its initial embeddings, and each docset
-    encoded against it.
-
-    With `use_vectors` and a vector file configured, embedding rows of
-    training tokens come from that file; only their rows are read."""
-    train = prepared.split.train
-    pretrained = {}
-    if use_vectors and config.vectors_path:
-        pretrained = load_pretrained_vectors(
-            config.vectors_path,
-            {tok for doc in train for tok in doc.tokens},
-            dim=config.embedding_dim,
-        )
+    encoded against it. Rows of training tokens found in `pretrained` (the
+    project's rows of the vector file, see _vector_rows) are copied; the
+    rest are random. `pretrained` is emptied once the table holds its rows,
+    so they do not stay in memory while the project trains."""
     vocab, table = build_vocab(
-        train,
+        prepared.split.train,
         pretrained,
         seed=derive_seed(config.train.seed, prepared.project, "vocab"),
         dim=config.embedding_dim,
     )
+    pretrained.clear()
     return vocab, table, [vocab.encode_all(docs) for docs in docsets]
 
 
@@ -306,6 +319,7 @@ def _run_gnn(
     result.edge_count = edges.distinct_pair_count
 
     if models_dir is not None:
+        models_dir.mkdir(parents=True, exist_ok=True)
         save_model(models_dir / f"{project}.model", bundle)
 
 
@@ -345,6 +359,7 @@ def _run_baseline(
         )
 
     if models_dir is not None:
+        models_dir.mkdir(parents=True, exist_ok=True)
         save_baseline_model(
             models_dir / f"{prepared.project}.baseline",
             BaselineBundle(tfidf=tfidf, forest=forest),
@@ -362,18 +377,19 @@ def _result_for(prepared: PreparedProject) -> ProjectResult:
     )
 
 
-def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> ProjectResult:
-    prepared = prepare_project(config, project)
+def _run_project(
+    config: ExperimentConfig,
+    prepared: PreparedProject,
+    pretrained: dict[str, np.ndarray],
+    run_dir: Path,
+) -> ProjectResult:
     split = prepared.split
     result = _result_for(prepared)
-    models_dir = None
-    if config.save_models:
-        models_dir = run_dir / "models"
-        models_dir.mkdir(parents=True, exist_ok=True)
-    if config.model in ("gnn", "both"):
+    # made by the first save, so a run that fails first leaves no directory
+    models_dir = run_dir / "models" if config.save_models else None
+    if _trains_gnn(config):
         encoded = _encode(
-            config, prepared, split.train, split.validation, split.test,
-            use_vectors=True,
+            config, prepared, pretrained, split.train, split.validation, split.test
         )
         _run_gnn(config, prepared, encoded, result, models_dir)
     if config.model in ("tfidf-rf", "both"):
@@ -381,12 +397,16 @@ def _run_project(config: ExperimentConfig, project: str, run_dir: Path) -> Proje
     return result
 
 
-def _stats_project(config: ExperimentConfig, project: str, run_dir: Path) -> ProjectResult:
+def _stats_project(
+    config: ExperimentConfig,
+    prepared: PreparedProject,
+    pretrained: dict[str, np.ndarray],
+    run_dir: Path,
+) -> ProjectResult:
     """Split sizes and graph scale of one project, without training: every
     training token is a node of some training graph and every counted pair
     an edge of one, so no graph is built."""
-    prepared = prepare_project(config, project)
-    vocab, _, (train_enc,) = _encode(config, prepared, prepared.split.train)
+    vocab, _, (train_enc,) = _encode(config, prepared, pretrained, prepared.split.train)
     result = _result_for(prepared)
     result.node_count = vocab.size - 1
     result.edge_count = _edge_table(config, train_enc).distinct_pair_count
@@ -427,15 +447,13 @@ def experiment_name(config: ExperimentConfig, kind: str) -> str:
     return f"{kind}-{config.text_mode}"
 
 
-def _run_dir(config: ExperimentConfig, kind: str) -> Path:
-    """The kind's run directory, holding a snapshot of the config."""
-    run_dir = Path(config.output_dir) / experiment_name(config, kind)
+def _write_config(config: ExperimentConfig, run_dir: Path) -> None:
+    """The config snapshot of a run whose every project has succeeded."""
     run_dir.mkdir(parents=True, exist_ok=True)
     snapshot = dict(sorted(config.echo().items()))
     (run_dir / "config.json").write_text(
         json.dumps(snapshot, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
-    return run_dir
 
 
 def _named(err: Exception, project: str) -> Exception:
@@ -452,11 +470,10 @@ def _named(err: Exception, project: str) -> Exception:
         return err
 
 
-def _run_named(run_one, config: ExperimentConfig, project: str, run_dir: Path):
-    """run_one(config, project, run_dir), naming the project in any error
-    it raises."""
+def _run_named(fn, project: str, *args):
+    """fn(*args), naming the project in any error it raises."""
     try:
-        return run_one(config, project, run_dir)
+        return fn(*args)
     except Exception as err:
         named = _named(err, project)
         if named is err:
@@ -464,37 +481,61 @@ def _run_named(run_one, config: ExperimentConfig, project: str, run_dir: Path):
         raise named from err
 
 
-def _collect(config: ExperimentConfig, projects, run_dir: Path, run_one) -> list:
-    """run_one(config, project, run_dir) per project, in project order, in
-    up to config.jobs worker processes. An error names its project."""
+def _collect(
+    config: ExperimentConfig, projects, run_dir: Path, run_one, use_vectors: bool
+) -> list:
+    """run_one(config, prepared, rows, run_dir) per project, in project
+    order, in up to config.jobs worker processes.
+
+    Two phases share one pool. Every project is prepared first; then this
+    process reads the vector file once and sends each project's run only
+    its own rows (see _vector_rows). An error from a project names it."""
     n = len(projects)
-    if config.jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(
-                pool.map(_run_named, [run_one] * n, [config] * n, projects, [run_dir] * n)
-            )
-    return [_run_named(run_one, config, p, run_dir) for p in projects]
+    parallel = config.jobs > 1 and n > 1
+    if parallel:
+        # imported only where a pool is made: it costs every CLI process
+        # about 16 ms
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
+        map_ = pool.map if parallel else map
+        prepared = list(map_(_run_named, [prepare_project] * n, projects, [config] * n,
+                             projects))
+        rows = _vector_rows(config, prepared, use_vectors)
+        return list(map_(_run_named, [run_one] * n, projects, [config] * n, prepared,
+                         rows, [run_dir] * n))
 
 
-def _report(config: ExperimentConfig, kind: str, run_one) -> EvalReport:
-    rows = _collect(config, config.resolved_projects(), _run_dir(config, kind), run_one)
+def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> list:
+    """run_one's result per project; the kind's run directory is made, with
+    its config snapshot, only once every project has succeeded (a model
+    save makes it earlier)."""
+    run_dir = Path(config.output_dir) / experiment_name(config, kind)
+    results = _collect(config, config.resolved_projects(), run_dir, run_one, use_vectors)
+    _write_config(config, run_dir)
+    return results
+
+
+def _report(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:
+    rows = _run(config, kind, run_one, use_vectors)
     return EvalReport(kind=kind, config_echo=config.echo(), rows=rows)
 
 
 def run_classification(config: ExperimentConfig) -> EvalReport:
     """Per-project effort-level accuracy for the selected model(s)."""
-    return _report(replace(config, task=TASK_CLASSIFY), "classification", _run_project)
+    return _report(replace(config, task=TASK_CLASSIFY), "classification",
+                   _run_project, _trains_gnn(config))
 
 
 def run_regression(config: ExperimentConfig) -> EvalReport:
     """Per-project story-point MAE, story points used directly as labels."""
-    return _report(replace(config, task=TASK_REGRESS), "regression", _run_project)
+    return _report(replace(config, task=TASK_REGRESS), "regression",
+                   _run_project, _trains_gnn(config))
 
 
 def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     """Graph-scale analysis without training: per project, the size of the
     training split and the distinct node/edge counts of its word graphs."""
-    return _report(config, "stats", _stats_project)
+    return _report(config, "stats", _stats_project, use_vectors=False)
 
 
 # --- window sweep -----------------------------------------------------------
@@ -514,18 +555,22 @@ class SweepReport:
     rows: list[SweepRow] = field(default_factory=list)
 
 
-def _sweep_project(config: ExperimentConfig, project: str, run_dir: Path) -> list[SweepRow]:
-    prepared = prepare_project(config, project)
+def _sweep_project(
+    config: ExperimentConfig,
+    prepared: PreparedProject,
+    pretrained: dict[str, np.ndarray],
+    run_dir: Path,
+) -> list[SweepRow]:
+    project = prepared.project
     split = prepared.split
-    if config.model not in ("gnn", "both"):
-        _, _, (train_enc,) = _encode(config, prepared, split.train)
+    if not _trains_gnn(config):
+        _, _, (train_enc,) = _encode(config, prepared, pretrained, split.train)
         return [
             SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
             for window in config.windows
         ]
     encoded = _encode(
-        config, prepared, split.train, split.validation, split.test,
-        use_vectors=True,
+        config, prepared, pretrained, split.train, split.validation, split.test
     )
     rows = []
     for window in config.windows:
@@ -543,9 +588,8 @@ def run_window_sweep(config: ExperimentConfig) -> SweepReport:
     split, the quantity that grows with the window; accuracy re-trains the
     model at each window unless the model selection excludes it.
     """
-    projects = config.resolved_projects()
     report = SweepReport(config_echo=config.echo())
-    for rows in _collect(config, projects, _run_dir(config, "sweep"), _sweep_project):
+    for rows in _run(config, "sweep", _sweep_project, _trains_gnn(config)):
         report.rows.extend(rows)
     return report
 

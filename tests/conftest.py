@@ -65,6 +65,17 @@ def make_dataset(root: Path, sizes: dict[str, int], seed: int = 11) -> Path:
     return root
 
 
+def write_vectors(path: Path, dim: int, extra: tuple[str, ...] = ()) -> int:
+    """A vector file with a row for every word the synthetic projects use,
+    and for each `extra` word; returns its line count."""
+    rng = np.random.default_rng(4)
+    words = [*FILLER, *(w for pool in LEVEL_POOLS.values() for w in pool), *extra]
+    path.write_text("".join(
+        w + " " + " ".join(f"{x:.6f}" for x in rng.normal(size=dim)) + "\n" for w in words
+    ), encoding="utf-8")
+    return len(words)
+
+
 @pytest.fixture
 def synth_dataset(tmp_path) -> Path:
     return make_dataset(tmp_path / "data", {"alpha": 60, "beta": 48})

@@ -11,7 +11,9 @@ import pytest
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
 
-from conftest import FILLER, LEVEL_POOLS, make_dataset, synth_rows, write_project_csv
+from conftest import (
+    FILLER, LEVEL_POOLS, make_dataset, synth_rows, write_project_csv, write_vectors,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -350,6 +352,63 @@ def test_train_skips_a_non_finite_vector_row(capsys, tmp_path, synth_dataset):
     assert provenance[FILLER[1]] == "pretrained"
 
 
+# commands that read the vector file, each over both synthetic projects
+VECTOR_RUNS = {
+    "train": ("train", "--model", "gnn", *FAST),
+    "prepare": ("prepare", "--dim", "8"),
+    "sweep": ("sweep", "--model", "gnn", "--windows", "2,3", *FAST),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(VECTOR_RUNS))
+def test_one_vector_pass_per_command(capsys, tmp_path, synth_dataset, monkeypatch,
+                                     command, jobs):
+    import storygraph.experiment as ex
+
+    # a file, not a list, so a load in a worker process is counted too
+    log = tmp_path / "loads.txt"
+    load = ex.load_pretrained_vectors
+
+    def logged_load(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write("load\n")
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "load_pretrained_vectors", logged_load)
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, dim=8)
+    code, stdout, err = run_cli(
+        capsys, *VECTOR_RUNS[command], "--data", str(synth_dataset),
+        "--out", str(tmp_path / "o"), "--vectors", str(vectors), "--jobs", jobs,
+    )
+    assert code == 0, err
+    assert "alpha" in stdout and "beta" in stdout
+    assert log.read_text(encoding="utf-8") == "load\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(VECTOR_RUNS))
+@pytest.mark.parametrize("problem", ["missing", "wrong-dim"])
+def test_vector_file_errors_come_before_any_output(capsys, tmp_path, synth_dataset,
+                                                   problem, command, jobs):
+    vectors = tmp_path / "vectors.txt"
+    if problem == "missing":
+        expected = f"error: FileNotFoundError: vector file not found: {vectors}\n"
+    else:
+        lines = write_vectors(vectors, dim=3)
+        expected = (f"error: DimensionMismatchError: {vectors}: {lines} lines skipped "
+                    f"vs 0 parsed; file does not look 8-dimensional\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, *VECTOR_RUNS[command], "--data", str(synth_dataset), "--out", str(out),
+        "--vectors", str(vectors), "--jobs", jobs,
+    )
+    assert code == 1
+    assert err == expected
+    assert stdout == "" and not out.exists()
+
+
 def test_stats_writes_stats_only(capsys, tmp_path, synth_dataset):
     out = tmp_path / "runs"
     code, stdout, _ = run_cli(
@@ -682,6 +741,7 @@ def test_forest_regression_refuses_story_points_it_cannot_sum_exactly(capsys, tm
     assert code == 1
     assert err.startswith("error: ValueError: alpha: regression targets must be ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert stdout == "" and not (tmp_path / "o").exists()
     code, _, err = run_cli(
         capsys, "train", "--data", str(data), "--out", str(tmp_path / "g"),
         "--task", "regress", "--model", "gnn", *FAST,

@@ -11,7 +11,7 @@ import pytest
 
 from storygraph.baseline import RandomForestConfig
 from storygraph.corpus import DatasetSplit, StoryPointLevel, TokenizedDocument
-from storygraph.embeddings import build_vocab
+from storygraph.embeddings import build_vocab, load_pretrained_vectors
 from storygraph.experiment import (
     MODE_FILTERED,
     TASK_CLASSIFY,
@@ -35,6 +35,8 @@ from storygraph.experiment import (
 from storygraph.gnn import TrainConfig
 from storygraph.graph import assign_edge_params, build_graphs, count_cooccurrences
 from storygraph.model_io import load_model
+
+from conftest import synth_rows, write_project_csv, write_vectors
 
 
 def fast_train(seed=5):
@@ -289,6 +291,49 @@ def test_run_with_pretrained_vectors(synth_dataset, tmp_path, tiny_vectors_file)
     report = run_classification(cfg)
     assert report.rows[0].gnn_accuracy is not None
     assert report.config_echo["vectors"] == tiny_vectors_file.name
+
+
+def rows_and_table(config, prepared, pretrained, run_dir):
+    """A per-project run that returns the vector rows it was sent, the
+    embedding table they give and the rows left once it is built;
+    module-level, so a worker process can take it."""
+    import storygraph.experiment as ex
+
+    sent = sorted(pretrained)
+    _, table, _ = ex._encode(config, prepared, pretrained)
+    return sent, table, len(pretrained)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_project_is_sent_the_rows_of_its_own_tokens(tmp_path, jobs):
+    import storygraph.experiment as ex
+
+    # "zebra" is an alpha word and "yak" a beta word; both have vectors
+    data = tmp_path / "data"
+    data.mkdir()
+    for project, own, seed in (("alpha", "zebra", 1), ("beta", "yak", 2)):
+        rows = synth_rows(project, 40, seed)
+        for row in rows:
+            row["description"] += " " + own
+        write_project_csv(data / f"{project}.csv", rows)
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, dim=8, extra=("zebra", "yak"))
+    cfg = make_config(data, tmp_path / "out", vectors_path=vectors, jobs=jobs)
+
+    results = ex._collect(cfg, ("alpha", "beta"), tmp_path / "out", rows_and_table,
+                          use_vectors=True)
+    for project, (sent, table, left) in zip(("alpha", "beta"), results):
+        train = prepare_project(cfg, project).split.train
+        own = load_pretrained_vectors(vectors, {t for d in train for t in d.tokens}, dim=8)
+        assert sent == sorted(own)
+        assert ("zebra" in sent, "yak" in sent) == (project == "alpha", project == "beta")
+        _, expected = build_vocab(
+            train, own, seed=derive_seed(cfg.train.seed, project, "vocab"), dim=8
+        )
+        assert np.array_equal(table.matrix, expected.matrix)
+        assert table.provenance == expected.provenance
+        assert "pretrained" in table.provenance
+        assert left == 0  # the rows are let go once the table holds them
 
 
 def test_run_filtered_mode_shrinks_graphs(synth_dataset, tmp_path):

@@ -1,6 +1,8 @@
 """The package's public surface and its dependencies."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +32,14 @@ def test_numpy_is_the_only_runtime_dependency():
                 and name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # concurrent.futures is imported only by a run that makes a worker pool
+    code = "import sys, storygraph.cli; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "False\n"
