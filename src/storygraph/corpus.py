@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -258,7 +259,9 @@ def tokenize_issues(
     """Tokenize issues into documents, optionally applying the verb-noun filter.
 
     Issues whose text tokenizes to nothing are rejected (counted and listed
-    in the report) because an empty document has no graph.
+    in the report) because an empty document has no graph. Tokens are
+    interned, so every occurrence of a word is one string object: a project
+    stays small in memory and in the pickle a `--jobs` worker sends back.
     """
     project = issues[0].project if issues else ""
     report = TokenizeReport(project=project)
@@ -275,7 +278,7 @@ def tokenize_issues(
         docs.append(
             TokenizedDocument(
                 doc_id=issue.issue_key,
-                tokens=tuple(tokens),
+                tokens=tuple(map(sys.intern, tokens)),
                 level=bucket_level(issue.story_point),
                 raw_story_point=issue.story_point,
             )

@@ -10,18 +10,23 @@ One round of message passing per document graph (configurable):
     p    = softmax(relu(W R + b))
 
 The forward pass records everything backward needs (dropout mask, per-round
-messages and argmax winners), so gradients are exact: max pooling routes
-gradient only to the winning lane, ties won by the lowest source position.
+messages and winners), so gradients are exact: max pooling routes gradient
+only to the winning lane. A lane's winner is the first row of its block
+equal to the lane's max, so ties go to the lowest source position, and its
+message is that row's own value (of +0.0 and -0.0, the first row's sign);
+a lane holding a NaN has no such row and takes `argmax`'s, its first NaN.
 `predict` computes the same probabilities without recording anything.
 Training is mini-batch gradient descent with adaptive moments and
 early stopping on validation accuracy.
 
 Working set: both passes pool each destination straight from its own
 block of weighted source rows, so no (entries x d) array is ever built;
-Adam updates each array in slices of at most ADAM_CHUNK elements; and
-`train` keeps one gradient set and one best-parameter set for the whole
-run, zeroed and overwritten in place. None of this changes an element of
-any result.
+backward gathers winners only for nodes that receive entries and
+scatter-adds through flat 1-D indices; Adam updates each array in slices
+of at most ADAM_CHUNK elements through two scratch buffers; and `train`
+keeps one gradient set and one best-parameter set for the whole run,
+zeroed and overwritten in place. None of this changes a bit of any
+result.
 """
 
 from __future__ import annotations
@@ -249,11 +254,17 @@ def forward(
     eta = sigmoid(params.gates[graph.node_ids])
 
     # Each destination pools its own block of entries, built from its
-    # sources' rows; the first argmax hit is the lowest source position,
-    # the tie-break backward relies on.
+    # sources' rows. A lane's winner is its first row equal to the lane's
+    # max (the lowest source position, the tie-break backward relies on),
+    # found as the hit with the largest `countdown`, whose narrowest dtype
+    # keeps the (rows x d) product small. A lane with a NaN has no hit and
+    # takes argmax's winner, its first NaN.
     blocks = _blocks(graph)
     src = graph.edge_src
     weights = params.edge_weights[graph.edge_param][:, None]
+    n_entries = graph.n_entries
+    countdown = np.arange(n_entries, 0, -1,
+                          dtype=np.min_scalar_type(n_entries))[:, None]
     dim = params.dim
     lanes = np.arange(dim)
     round_inputs = [r]
@@ -264,10 +275,15 @@ def forward(
         msg = np.zeros((n, dim))
         winners = np.full((n, dim), -1, dtype=np.int64)
         for node, s, e in blocks:
-            block = weights[s:e] * r_prev[src[s:e]]
-            am = np.argmax(block, axis=0)
-            msg[node] = block[am, lanes]
-            winners[node] = s + am
+            block = r_prev[src[s:e]]
+            np.multiply(weights[s:e], block, out=block)
+            first = ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0)
+            if first.all():
+                row = (n_entries - s) - first
+            else:
+                row = np.argmax(block, axis=0)
+            msg[node] = block[row, lanes]
+            winners[node] = s + row
         updated = (1.0 - eta)[:, None] * msg + eta[:, None] * r_prev
         messages.append(msg)
         winners_all.append(winners)
@@ -309,7 +325,7 @@ def backward(
     """Exact gradients of `loss` w.r.t. every parameter, accumulated into `out`.
 
     Parameters untouched by the graph keep zero gradient. Max pooling routes
-    gradient only to the argmax lanes recorded in the trace.
+    gradient only to the winning lanes recorded in the trace.
     """
     if trace.doc_id != graph.doc_id or trace.n_nodes != graph.n_nodes:
         raise TraceMismatchError(
@@ -335,6 +351,8 @@ def backward(
 
     n = trace.n_nodes
     eta = trace.gate_values
+    dim = params.dim
+    lanes = np.arange(dim)
     d_out = np.tile(d_readout, (n, 1))
     for t in reversed(range(trace.rounds)):
         r_in = trace.round_inputs[t]
@@ -347,21 +365,43 @@ def backward(
         d_msg = d_out * (1.0 - eta)[:, None]
         d_in = d_out * eta[:, None]
 
-        valid = winners >= 0
-        if valid.any():
-            entry = winners[valid]
-            _, dim_idx = np.nonzero(valid)
-            src = graph.edge_src[entry]
+        # a node's lanes are all -1 (no incoming entries) or all valid, so
+        # its first lane says whether the whole row takes part
+        receivers = np.flatnonzero(winners[:, :1] >= 0)
+        if receivers.size:
+            # 1-D operands throughout: np.add.at is several times faster
+            # on them than on 2-D index arrays or (row, lane) pairs
+            entry = winners[receivers].ravel()
             pidx = graph.edge_param[entry]
-            d_contrib = d_msg[valid]
-            np.add.at(grads.edge_weights, pidx, d_contrib * r_in[src, dim_idx])
-            np.add.at(d_in, (src, dim_idx), d_contrib * params.edge_weights[pidx])
+            # each winner's (source, lane) as a C-order position in r_in
+            flat = graph.edge_src[entry].reshape(-1, dim)
+            del entry
+            flat *= dim
+            flat += lanes
+            flat = flat.ravel()
+            d_contrib = d_msg[receivers].ravel()
+            np.add.at(grads.edge_weights, pidx, d_contrib * np.take(r_in, flat))
+            _scatter_add(d_in, flat, d_contrib * params.edge_weights[pidx])
         d_out = d_in
 
     if trace.dropout_mask is not None:
         d_out = d_out * trace.dropout_mask
-    np.add.at(grads.embeddings, graph.node_ids, d_out)
+    _scatter_add(grads.embeddings, graph.node_ids[:, None] * dim + lanes, d_out)
     return grads
+
+
+def _scatter_add(target: np.ndarray, flat_index: np.ndarray, values: np.ndarray) -> None:
+    """`np.add.at` into `target` at C-order flat positions.
+
+    Each position receives its values in the order given, as `np.add.at`
+    with (row, lane) index pairs would add them, but a 1-D target makes the
+    scatter several times faster. A target that is not C-contiguous is
+    updated through a C-order copy and written back.
+    """
+    flat = target.reshape(-1)
+    np.add.at(flat, flat_index.ravel(), values.ravel())
+    if not np.may_share_memory(flat, target):
+        target[...] = flat.reshape(target.shape)
 
 
 # --- optimizer --------------------------------------------------------------
@@ -398,27 +438,42 @@ def adam_update(
     Each array is updated in slices of at most ADAM_CHUNK elements (whole
     rows of its first axis, at least one), so the step's temporaries stay
     that small; every element sees the same operations in the same order
-    as a whole-array update.
+    as a whole-array update. The temporaries are two scratch buffers the
+    size of the largest slice, shared by every slice of the step.
     """
     state.step += 1
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
+    slice_rows = {
+        name: max(1, ADAM_CHUNK // max(1, whole[:1].size))
+        for name, whole in params.named_arrays()
+    }
+    size = max(whole[: slice_rows[name]].size for name, whole in params.named_arrays())
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, whole in params.named_arrays():
         decayed = weight_decay and name in DECAYED_ARRAYS
-        rows = max(1, ADAM_CHUNK // max(1, whole[:1].size))
+        rows = slice_rows[name]
         for lo in range(0, whole.shape[0], rows):
             part = slice(lo, lo + rows)
             arr = whole[part]
+            a = scratch_a[: arr.size].reshape(arr.shape)
+            b = scratch_b[: arr.size].reshape(arr.shape)
             g = getattr(grads, name)[part]
             if decayed:
-                g = g + weight_decay * arr
+                # g + weight_decay * arr
+                g = np.add(g, np.multiply(weight_decay, arr, out=a), out=a)
             m = state.m[name][part]
             v = state.v[name][part]
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += np.multiply(1.0 - beta1, g, out=b)
             v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            arr -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            v += np.multiply(1.0 - beta2, np.multiply(g, g, out=b), out=b)
+            # learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            denom = np.sqrt(np.divide(v, bc2, out=b), out=b)
+            denom += eps
+            step = np.multiply(learning_rate, np.divide(m, bc1, out=a), out=a)
+            step /= denom
+            arr -= step
 
 
 # --- training ---------------------------------------------------------------

@@ -210,6 +210,20 @@ def test_tokenize_issues_rejects_empty_documents():
     assert report.empty_document_keys == ["P-2"]
 
 
+@pytest.mark.parametrize("tagger", [None, LexiconTagger()])
+def test_tokenize_issues_shares_one_object_per_word(tagger):
+    issues = [
+        Issue(issue_key=f"P-{i}", title="Update the database schema",
+              description="the database server", story_point=1, project="p")
+        for i in (1, 2)
+    ]
+    docs, _ = tokenize_issues(issues, tagger=tagger)
+    first, second = docs[0].tokens, docs[1].tokens
+    assert first == second and first.count("database") == 2
+    assert all(a is b for a, b in zip(first, second))
+    assert len({id(tok) for tok in first}) == len(set(first))
+
+
 def test_tokenized_document_carries_level_and_raw_points():
     issues = [Issue(issue_key="P-1", title="big rework", description="all of it",
                     story_point=50, project="p")]

@@ -3,7 +3,10 @@
 
 Per-block pooling, chunked Adam and reused training buffers must change
 no element of any trace, probability, moment or parameter: every check
-here is exact equality, dtypes included.
+here compares dtype, shape and bytes, so -0.0 differs from 0.0 and a NaN
+must carry the same bits. The oracle shares `backward` with the program,
+so `pairwise_backward` below keeps backward's earlier scatter through
+(row, lane) pairs as the reference its gradients must equal.
 """
 
 import tracemalloc
@@ -15,6 +18,7 @@ import gnn_oracle
 from storygraph import gnn
 from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument
+from storygraph.errors import NonFiniteActivationError
 from storygraph.graph import (
     DocumentGraph,
     assign_edge_params,
@@ -26,7 +30,8 @@ from storygraph.graph import (
 def assert_same(actual, expected):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 def assert_same_params(actual, expected):
@@ -130,6 +135,131 @@ def test_dropout_ties_break_as_in_the_oracle(rounds):
         assert_same_trace(got, want)
         ties += int(np.count_nonzero(got.messages[0] == 0.0))
     assert ties > 0
+
+
+def signed_zero_ties(trace, graph, params):
+    """Pooled lanes whose max is a zero that both +0.0 and -0.0 reach."""
+    weights = params.edge_weights[graph.edge_param][:, None]
+    ties = 0
+    for r_in in trace.round_inputs[:-1]:
+        for _, s, e in gnn._blocks(graph):
+            block = weights[s:e] * r_in[graph.edge_src[s:e]]
+            top = block.max(axis=0)
+            at_top = block == top
+            negative = (at_top & np.signbit(block)).any(axis=0)
+            positive = (at_top & ~np.signbit(block)).any(axis=0)
+            ties += int(np.count_nonzero((top == 0.0) & negative & positive))
+    return ties
+
+
+def signed_zero_case():
+    """Edge weights of both signs on inputs that dropout mostly zeroes: a
+    zeroed input keeps its sign, so blocks tie +0.0 against -0.0."""
+    rng = np.random.default_rng(13)
+    graph, n_edge = text_graph(rng.integers(1, 12, size=40).tolist(), window=4)
+    params = random_params(rng, 12, 6, n_edge, 3)
+    params.edge_weights[:] = rng.choice([-1.0, 1.0], size=n_edge)
+    return params, graph
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_signed_zero_ties_go_to_the_first_row_as_in_the_oracle(rounds):
+    params, graph = signed_zero_case()
+    ties = 0
+    for seed in range(6):
+        got = gnn.forward(params, graph, dropout=0.75, training=True,
+                          rng=np.random.default_rng(seed), rounds=rounds)
+        want = gnn_oracle.forward(params, graph, dropout=0.75, training=True,
+                                  rng=np.random.default_rng(seed), rounds=rounds)
+        assert_same_trace(got, want)
+        ties += signed_zero_ties(got, graph, params)
+    assert ties > 0
+
+
+def unchecked_classify(params, readout, doc_id):
+    """`_classify` without its refusal of non-finite probabilities."""
+    logits = params.classifier_weights @ readout + params.classifier_bias
+    return logits, gnn.softmax(np.maximum(logits, 0.0))
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_nan_lanes_pool_as_in_the_oracle(monkeypatch, rounds):
+    # one lane of one source row is NaN: every block that source feeds has a
+    # lane with no max, whose winner is argmax's first NaN
+    params, graph = signed_zero_case()
+    params.embeddings[graph.node_ids[graph.edge_src[0]], 2] = np.nan
+    with pytest.raises(NonFiniteActivationError):
+        gnn.forward(params, graph, rounds=rounds)
+    monkeypatch.setattr(gnn, "_classify", unchecked_classify)
+    monkeypatch.setattr(gnn_oracle, "_classify", unchecked_classify)
+    for seed in range(3):
+        got = gnn.forward(params, graph, dropout=0.5, training=True,
+                          rng=np.random.default_rng(seed), rounds=rounds)
+        want = gnn_oracle.forward(params, graph, dropout=0.5, training=True,
+                                  rng=np.random.default_rng(seed), rounds=rounds)
+        assert_same_trace(got, want)
+        assert np.isnan(got.messages[-1]).any()
+        assert np.all(got.winners[-1][graph.edge_dst] >= 0)
+
+
+# --- backward ------------------------------------------------------------------
+
+
+def pairwise_backward(trace, graph, params, label, out):
+    """`backward` as it scattered before: through (row, lane) index pairs
+    taken from an (n x d) mask of the winners."""
+    p = trace.probabilities
+    if float(p[label]) <= gnn.LOG_CLAMP:
+        return out
+    d_act = p.copy()
+    d_act[label] -= 1.0
+    d_logits = np.where(trace.logits > 0.0, d_act, 0.0)
+    out.classifier_weights += np.outer(d_logits, trace.readout)
+    out.classifier_bias += d_logits
+    d_readout = params.classifier_weights.T @ d_logits
+    eta = trace.gate_values
+    d_out = np.tile(d_readout, (trace.n_nodes, 1))
+    for t in reversed(range(trace.rounds)):
+        r_in, msg, winners = (trace.round_inputs[t], trace.messages[t],
+                              trace.winners[t])
+        d_eta = (d_out * (r_in - msg)).sum(axis=1)
+        np.add.at(out.gates, graph.node_ids, d_eta * eta * (1.0 - eta))
+        d_msg = d_out * (1.0 - eta)[:, None]
+        d_in = d_out * eta[:, None]
+        valid = winners >= 0
+        if valid.any():
+            entry = winners[valid]
+            _, dim_idx = np.nonzero(valid)
+            src = graph.edge_src[entry]
+            pidx = graph.edge_param[entry]
+            d_contrib = d_msg[valid]
+            np.add.at(out.edge_weights, pidx, d_contrib * r_in[src, dim_idx])
+            np.add.at(d_in, (src, dim_idx), d_contrib * params.edge_weights[pidx])
+        d_out = d_in
+    if trace.dropout_mask is not None:
+        d_out = d_out * trace.dropout_mask
+    np.add.at(out.embeddings, graph.node_ids, d_out)
+    return out
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_backward_matches_the_pairwise_scatter(rounds, order):
+    # gradients land on sums that earlier graphs of the batch left behind,
+    # so the order of the adds into each element must not change either
+    rng = np.random.default_rng(17)
+    cases = [*oracle_cases(rng), signed_zero_case()]
+    for seed, (params, graph) in enumerate(cases):
+        trace = gnn.forward(params, graph, dropout=0.5, training=True,
+                            rng=np.random.default_rng(seed), rounds=rounds)
+        for label in range(params.n_classes):
+            start = random_params(rng, params.vocab_size, params.dim,
+                                  params.edge_weights.shape[0], params.n_classes)
+            got, want = start.copy(), start.copy()
+            got.embeddings = np.asarray(got.embeddings, order=order)
+            gnn.backward(trace, graph, params, label, out=got)
+            pairwise_backward(trace, graph, params, label, want)
+            assert_same_params(got, want)
 
 
 # --- optimizer -----------------------------------------------------------------
@@ -262,3 +392,17 @@ def test_adam_step_temporaries_stay_small():
                                                learning_rate=1e-3,
                                                weight_decay=1e-4))
     assert peak < 1_000_000
+
+
+def test_backward_holds_a_few_node_by_dim_arrays():
+    # the pairwise scatter peaked at 11.2 such arrays here, 2.14 MB
+    params, graph = dense_instance()
+    trace = gnn.forward(params, graph, dropout=0.5, rng=np.random.default_rng(1),
+                        training=True)
+    # label 0 sits on the LOG_CLAMP plateau, where backward returns at once
+    label = int(np.argmax(trace.probabilities))
+    assert trace.probabilities[label] > gnn.LOG_CLAMP
+    grads = gnn.ModelParameters.zeros_like(params)
+    bound = 10 * graph.n_nodes * params.dim * 8
+    assert traced_peak(lambda: gnn.backward(trace, graph, params, label,
+                                            out=grads)) <= bound
