@@ -77,9 +77,10 @@ class TfidfMatrix:
             0 <= self.indices.min() and self.indices.max() < self.n_features
         ):
             raise ValueError(f"feature indices must lie in [0, {self.n_features})")
-        # a row may only start below the index before it
+        # a row may only start below the index before it; descents lie
+        # below indptr[-1], so each has a slot in the sorted pointers
         descents = np.flatnonzero(np.diff(self.indices) <= 0) + 1
-        if not np.isin(descents, self.indptr).all():
+        if np.any(self.indptr[np.searchsorted(self.indptr, descents)] != descents):
             raise ValueError("feature indices must be strictly increasing")
 
     def __len__(self) -> int:

@@ -34,7 +34,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment as ex
-from .embeddings import dump_vocabulary
+from .embeddings import build_vocabulary, dump_vocabulary, row_provenance
 from .errors import StoryGraphError
 from .gnn import TrainConfig
 from .model_io import load_model
@@ -309,8 +309,9 @@ def _prepare_files(config: ex.ExperimentConfig, prepared: ex.PreparedProject,
     (out_dir / f"{project}.split.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8"
     )
-    vocab, table, _ = ex._encode(config, prepared, pretrained)
-    dump_vocabulary(vocab, table, out_dir / f"{project}.vocab.tsv")
+    vocab = build_vocabulary(split.train)
+    provenance = row_provenance(vocab, pretrained, config.embedding_dim)
+    dump_vocabulary(vocab, provenance, out_dir / f"{project}.vocab.tsv")
     return (f"{project}: {len(split.train)}/{len(split.validation)}/"
             f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
 

@@ -145,24 +145,14 @@ def load_pretrained_vectors(
     return vectors
 
 
-def build_vocab(
-    train_docs: Sequence[TokenizedDocument],
-    pretrained: Mapping[str, np.ndarray],
-    seed: int,
-    dim: int | None = None,
-) -> tuple[Vocabulary, EmbeddingTable]:
-    """Build the training vocabulary and its initial embedding matrix.
+def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
+    """The training vocabulary alone, for callers that read no embeddings.
 
-    Ids are assigned in first-occurrence order over the training documents.
-    Rows are copied from `pretrained` when present, otherwise sampled
-    uniformly from [-OOV_INIT_SCALE, OOV_INIT_SCALE] under `seed`; the
-    unknown-token row is zero. Fully determined by (docs, pretrained, seed).
+    Ids are assigned in first-occurrence order over the training documents,
+    after the unknown token at id 0.
     """
     if not train_docs:
         raise EmptyTrainingSetError("cannot build a vocabulary from zero documents")
-    if dim is None:
-        dim = len(next(iter(pretrained.values()))) if pretrained else DEFAULT_DIM
-
     id_to_token = [UNKNOWN_TOKEN]
     token_to_id = {UNKNOWN_TOKEN: 0}
     counts = [0]
@@ -175,28 +165,58 @@ def build_vocab(
                 counts.append(1)
             else:
                 counts[idx] += 1
-    vocab = Vocabulary(id_to_token=id_to_token, token_to_id=token_to_id, counts=counts)
+    return Vocabulary(id_to_token=id_to_token, token_to_id=token_to_id, counts=counts)
 
-    rng = np.random.default_rng(seed)
-    matrix = np.zeros((vocab.size, dim), dtype=np.float64)
+
+def row_provenance(
+    vocab: Vocabulary, pretrained: Mapping[str, np.ndarray], dim: int
+) -> list[str]:
+    """Where each row of vocab's embedding table comes from: a pretrained
+    row of dimension `dim` is copied, every other real token is random."""
     provenance = [PROVENANCE_RESERVED]
-    for idx in range(1, vocab.size):
-        vec = pretrained.get(id_to_token[idx])
-        if vec is not None and len(vec) == dim:
-            matrix[idx] = vec
-            provenance.append(PROVENANCE_PRETRAINED)
-        else:
-            matrix[idx] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=dim)
-            provenance.append(PROVENANCE_RANDOM)
+    for token in vocab.id_to_token[1:]:
+        vec = pretrained.get(token)
+        pretrained_row = vec is not None and len(vec) == dim
+        provenance.append(PROVENANCE_PRETRAINED if pretrained_row else PROVENANCE_RANDOM)
+    return provenance
+
+
+def build_vocab(
+    train_docs: Sequence[TokenizedDocument],
+    pretrained: Mapping[str, np.ndarray],
+    seed: int,
+    dim: int | None = None,
+) -> tuple[Vocabulary, EmbeddingTable]:
+    """Build the training vocabulary and its initial embedding matrix.
+
+    Ids are as in build_vocabulary. Rows are copied from `pretrained` when
+    row_provenance says so; the random rows, in id order, are one draw
+    uniform over [-OOV_INIT_SCALE, OOV_INIT_SCALE] under `seed`; the
+    unknown-token row is zero. Fully determined by (docs, pretrained, seed).
+    """
+    vocab = build_vocabulary(train_docs)
+    if dim is None:
+        dim = len(next(iter(pretrained.values()))) if pretrained else DEFAULT_DIM
+    provenance = row_provenance(vocab, pretrained, dim)
+    matrix = np.zeros((vocab.size, dim), dtype=np.float64)
+    random_ids = []
+    for idx, kind in enumerate(provenance):
+        if kind == PROVENANCE_PRETRAINED:
+            matrix[idx] = pretrained[vocab.id_to_token[idx]]
+        elif kind == PROVENANCE_RANDOM:
+            random_ids.append(idx)
+    rng = np.random.default_rng(seed)
+    matrix[random_ids] = rng.uniform(
+        -OOV_INIT_SCALE, OOV_INIT_SCALE, size=(len(random_ids), dim)
+    )
     return vocab, EmbeddingTable(matrix=matrix, provenance=provenance)
 
 
 def dump_vocabulary(
-    vocab: Vocabulary, table: EmbeddingTable, path: str | Path
+    vocab: Vocabulary, provenance: Sequence[str], path: str | Path
 ) -> None:
-    """Write one `token<TAB>id<TAB>count<TAB>provenance` line per entry."""
+    """Write one `token<TAB>id<TAB>count<TAB>provenance` line per entry;
+    `provenance` is an EmbeddingTable's, or row_provenance's."""
     with open(path, "w", encoding="utf-8") as handle:
         for idx, token in enumerate(vocab.id_to_token):
-            handle.write(
-                f"{token}\t{idx}\t{vocab.counts[idx]}\t{table.provenance[idx]}\n"
-            )
+            handle.write(f"{token}\t{idx}\t{vocab.counts[idx]}\t{provenance[idx]}\n")

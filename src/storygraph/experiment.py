@@ -39,6 +39,7 @@ from .embeddings import (
     EncodedDocument,
     Vocabulary,
     build_vocab,
+    build_vocabulary,
     load_pretrained_vectors,
 )
 from .errors import EmptyDatasetError
@@ -257,6 +258,13 @@ def _encode(
     return vocab, table, [vocab.encode_all(docs) for docs in docsets]
 
 
+def _encode_train(prepared: PreparedProject) -> tuple[Vocabulary, list[EncodedDocument]]:
+    """The training vocabulary and the training split encoded against it,
+    for runs that train nothing and so read no embedding table."""
+    vocab = build_vocabulary(prepared.split.train)
+    return vocab, vocab.encode_all(prepared.split.train)
+
+
 def _edge_table(config: ExperimentConfig, train_enc: list[EncodedDocument]) -> EdgeTable:
     window = config.train.window
     counts = count_cooccurrences(train_enc, window)
@@ -406,7 +414,7 @@ def _stats_project(
     """Split sizes and graph scale of one project, without training: every
     training token is a node of some training graph and every counted pair
     an edge of one, so no graph is built."""
-    vocab, _, (train_enc,) = _encode(config, prepared, pretrained, prepared.split.train)
+    vocab, train_enc = _encode_train(prepared)
     result = _result_for(prepared)
     result.node_count = vocab.size - 1
     result.edge_count = _edge_table(config, train_enc).distinct_pair_count
@@ -564,7 +572,7 @@ def _sweep_project(
     project = prepared.project
     split = prepared.split
     if not _trains_gnn(config):
-        _, _, (train_enc,) = _encode(config, prepared, pretrained, split.train)
+        _, train_enc = _encode_train(prepared)
         return [
             SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
             for window in config.windows

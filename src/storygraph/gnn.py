@@ -133,9 +133,14 @@ def init_parameters(
     n_classes: int,
     seed: int,
 ) -> ModelParameters:
-    """Fresh parameters: neutral edge weights (1.0), balanced gates (0.0 raw,
-    i.e. eta = 0.5), Glorot-uniform classifier."""
-    emb = np.array(embedding_matrix, dtype=np.float64, copy=True)
+    """Fresh parameters: the given embedding matrix, neutral edge weights
+    (1.0), balanced gates (0.0 raw, i.e. eta = 0.5), Glorot-uniform
+    classifier.
+
+    The embeddings are `embedding_matrix` itself, not a copy, when it is
+    already float64: train copies its initial parameters and never writes
+    them, so one table can seed several runs."""
+    emb = np.asarray(embedding_matrix, dtype=np.float64)
     dim = emb.shape[1]
     rng = np.random.default_rng(seed)
     limit = np.sqrt(6.0 / (dim + n_classes))

@@ -50,6 +50,16 @@ def _position_pairs(n: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(starts, ends.shape)[inside], ends[inside]
 
 
+def _run_heads(sorted_codes: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in a sorted
+    array: its distinct values are sorted_codes[mask]. Unlike np.unique,
+    it never imports numpy.ma."""
+    heads = np.empty(sorted_codes.shape, dtype=bool)
+    heads[:1] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=heads[1:])
+    return heads
+
+
 @dataclass
 class CooccurrenceCounts:
     """Distinct ordered token pairs as sorted pair codes, with their counts."""
@@ -79,7 +89,14 @@ def count_cooccurrences(
         a, b = ids[first], ids[second]
         chunks.append(encode_pairs(a, b))
         chunks.append(encode_pairs(b, a))
-    codes, counts = np.unique(np.concatenate(chunks), return_counts=True)
+    # one buffer of every pair code, sorted in place once the chunks are
+    # freed; each run of equal codes is one distinct pair
+    pairs = np.concatenate(chunks)
+    chunks.clear()
+    pairs.sort()
+    heads = np.flatnonzero(_run_heads(pairs))
+    codes = pairs[heads]
+    counts = np.diff(heads, append=pairs.shape[0])
     return CooccurrenceCounts(codes=codes, counts=counts)
 
 
@@ -188,8 +205,9 @@ def build_graph(
     first, second = _position_pairs(ids.shape[0], window)
     a, b = position[first], position[second]
     # entry code dst * n + src sorts entries by (dst, src)
-    entries = np.unique(np.concatenate([b * n + a, a * n + b]))
-    edge_dst, edge_src = np.divmod(entries, n)
+    entries = np.concatenate([b * n + a, a * n + b])
+    entries.sort()
+    edge_dst, edge_src = np.divmod(entries[_run_heads(entries)], n)
     if label is None:
         label = int(doc.level)
     return DocumentGraph(

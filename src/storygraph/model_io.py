@@ -95,7 +95,7 @@ def _take(buf: bytes, offset: int, dtype: str, shape: tuple[int, ...]) -> tuple[
         raise CorruptFileError(
             f"array section truncated: need {end} bytes, file has {len(buf)}"
         )
-    arr = np.frombuffer(buf[offset:end], dtype=dtype).reshape(shape).copy()
+    arr = np.frombuffer(buf, dtype=dtype, count=want, offset=offset).reshape(shape).copy()
     return arr, end
 
 

@@ -66,8 +66,12 @@ class LexiconTagger:
     """Lexicon most-frequent-tag tagger with suffix fallbacks.
 
     Unknown words default to noun, so identifiers and rare vocabulary
-    survive the verb-noun filter.
+    survive the verb-noun filter. Each tagger tags a distinct word once and
+    keeps its tag.
     """
+
+    def __init__(self) -> None:
+        self._tags: dict[str, str] = {}
 
     def tag_word(self, token: str) -> str:
         tag = _LEXICON.get(token)
@@ -86,4 +90,7 @@ class LexiconTagger:
         return NOUN
 
     def tag(self, tokens: Sequence[str]) -> list[str]:
-        return [self.tag_word(tok) for tok in tokens]
+        tags = self._tags
+        for token in set(tokens).difference(tags):
+            tags[token] = self.tag_word(token)
+        return [tags[tok] for tok in tokens]

@@ -352,6 +352,50 @@ def test_train_skips_a_non_finite_vector_row(capsys, tmp_path, synth_dataset):
     assert provenance[FILLER[1]] == "pretrained"
 
 
+def test_prepare_writes_what_the_embedding_table_holds(capsys, tmp_path, synth_dataset):
+    # prepare builds no embedding table; its files must equal those written
+    # from the table that training builds for the same split and vectors
+    import storygraph.experiment as ex
+    from storygraph.embeddings import build_vocab, load_pretrained_vectors
+
+    rng = np.random.default_rng(5)
+    words = FILLER + [w for pool in LEVEL_POOLS.values() for w in pool] + ["unseen"]
+    lines = [w + " " + " ".join(f"{x:.6f}" for x in rng.normal(size=8)) for w in words]
+    lines[0] = FILLER[0] + " 0.5" * 7  # a row of another dimension
+    lines[1] = FILLER[1] + " inf" + " 0.5" * 7
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    code, _, err = run_cli(capsys, "prepare", "--data", str(synth_dataset), "--out",
+                           str(out), "--vectors", str(vectors), "--dim", "8")
+    assert code == 0, err
+
+    config = ex.ExperimentConfig(data_dir=synth_dataset, embedding_dim=8)
+    for project in ("alpha", "beta"):
+        prepared = ex.prepare_project(config, project)
+        split = prepared.split
+        train_tokens = {tok for doc in split.train for tok in doc.tokens}
+        rows = load_pretrained_vectors(vectors, train_tokens, dim=8)
+        vocab, table = build_vocab(split.train, rows, seed=0, dim=8)
+        assert "unseen" not in vocab.token_to_id
+        assert {table.provenance[vocab.id_for(w)] for w in FILLER[:2]} == {"random"}
+        assert "pretrained" in table.provenance
+        vocab_tsv = "".join(
+            f"{token}\t{i}\t{vocab.counts[i]}\t{table.provenance[i]}\n"
+            for i, token in enumerate(vocab.id_to_token)
+        )
+        assert (out / "prepare" / f"{project}.vocab.tsv").read_bytes() == (
+            vocab_tsv.encode("utf-8")
+        )
+        manifest = [f"# seed = {config.train.seed}", f"# split_hash = {prepared.split_hash}"]
+        for section, docs in (("train", split.train), ("validation", split.validation),
+                              ("test", split.test)):
+            manifest += [f"[{section}]", *(d.doc_id for d in docs)]
+        assert (out / "prepare" / f"{project}.split.txt").read_bytes() == (
+            "\n".join(manifest) + "\n"
+        ).encode("utf-8")
+
+
 # commands that read the vector file, each over both synthetic projects
 VECTOR_RUNS = {
     "train": ("train", "--model", "gnn", *FAST),

@@ -179,6 +179,22 @@ def test_pos_filter_keeps_verbs_and_nouns():
     assert "the" not in kept
 
 
+def test_lexicon_tagger_tags_each_distinct_word_once():
+    tokens = ["the", "server", "crashed", "the", "server", "quickly", "42", "server"]
+    tagger = LexiconTagger()
+    tag_word = tagger.tag_word
+    calls = []
+
+    def counting_tag_word(token):
+        calls.append(token)
+        return tag_word(token)
+
+    tagger.tag_word = counting_tag_word
+    for sequence in (tokens, tokens[::-1], []):
+        assert tagger.tag(sequence) == [tag_word(t) for t in sequence]
+    assert sorted(calls) == sorted(set(tokens))
+
+
 def test_pos_filter_falls_back_when_everything_is_dropped():
     class DropAll:
         def tag(self, tokens):

@@ -12,8 +12,10 @@ from storygraph.embeddings import (
     PROVENANCE_RESERVED,
     UNKNOWN_TOKEN,
     build_vocab,
+    build_vocabulary,
     dump_vocabulary,
     load_pretrained_vectors,
+    row_provenance,
 )
 from storygraph.errors import DimensionMismatchError, EmptyTrainingSetError
 
@@ -59,6 +61,40 @@ def test_random_rows_bounded_and_seeded():
     assert np.array_equal(a.matrix, b.matrix)
     assert not np.array_equal(a.matrix, c.matrix)
     assert np.all(np.abs(a.matrix[1:]) <= OOV_INIT_SCALE)
+
+
+def _per_row_table(vocab, pretrained, seed, dim):
+    """build_vocab's matrix and provenance as drawn one random row at a time."""
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((vocab.size, dim), dtype=np.float64)
+    provenance = [PROVENANCE_RESERVED]
+    for idx in range(1, vocab.size):
+        vec = pretrained.get(vocab.id_to_token[idx])
+        if vec is not None and len(vec) == dim:
+            matrix[idx] = vec
+            provenance.append(PROVENANCE_PRETRAINED)
+        else:
+            matrix[idx] = rng.uniform(-OOV_INIT_SCALE, OOV_INIT_SCALE, size=dim)
+            provenance.append(PROVENANCE_RANDOM)
+    return matrix, provenance
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_one_draw_gives_the_per_row_random_rows(dim):
+    docs = _docs(["a b c d e", "f a g h"])
+    pretrained = {
+        "b": np.full(dim, 0.5),
+        "e": np.full(dim, -0.25),
+        "g": np.zeros(dim + 1),  # of another dimension: drawn at random
+        "unused": np.ones(dim),
+    }
+    vocab, table = build_vocab(docs, pretrained, seed=9, dim=dim)
+    matrix, provenance = _per_row_table(vocab, pretrained, 9, dim)
+    assert table.matrix.tobytes() == matrix.tobytes()
+    assert table.provenance == provenance
+    assert provenance.count(PROVENANCE_PRETRAINED) == 2
+    assert build_vocabulary(docs) == vocab
+    assert row_provenance(vocab, pretrained, dim) == provenance
 
 
 def test_dim_inferred_from_pretrained():
@@ -182,7 +218,7 @@ def test_non_finite_rows_count_toward_the_verdict(tmp_path):
 def test_dump_vocabulary(tmp_path):
     vocab, table = build_vocab(_docs(["red green red"]), {}, seed=0, dim=2)
     out = tmp_path / "vocab.tsv"
-    dump_vocabulary(vocab, table, out)
+    dump_vocabulary(vocab, table.provenance, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == vocab.size
     fields = lines[1].split("\t")

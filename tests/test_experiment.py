@@ -454,6 +454,55 @@ def test_run_window_sweep_with_model_reports_accuracy(synth_dataset, tmp_path):
     assert all(r.accuracy is not None for r in report.rows)
 
 
+def test_runs_that_train_nothing_build_no_embedding_table(
+    synth_dataset, tmp_path, monkeypatch
+):
+    import storygraph.embeddings as emb
+    import storygraph.experiment as ex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an embedding table was built")
+
+    expected_stats = run_graph_stats(make_config(synth_dataset, tmp_path / "a"))
+    sweep_cfg = make_config(synth_dataset, tmp_path / "b", model="tfidf-rf", windows=(2, 3))
+    expected_sweep = run_window_sweep(sweep_cfg)
+    monkeypatch.setattr(emb, "build_vocab", refuse)
+    monkeypatch.setattr(ex, "build_vocab", refuse)
+    assert run_graph_stats(make_config(synth_dataset, tmp_path / "c")).rows == (
+        expected_stats.rows
+    )
+    assert run_window_sweep(replace(sweep_cfg, output_dir=tmp_path / "d")).rows == (
+        expected_sweep.rows
+    )
+
+
+@pytest.mark.parametrize("run", ["sweep", "classification"])
+def test_training_leaves_the_embedding_table_unwritten(
+    synth_dataset, tmp_path, monkeypatch, run
+):
+    # init_parameters takes the table's matrix itself, so a write to the
+    # initial parameters would reach the table shared by every window
+    import storygraph.experiment as ex
+
+    tables = []
+
+    def recording_build_vocab(*args, **kwargs):
+        vocab, table = build_vocab(*args, **kwargs)
+        tables.append((table, table.matrix.tobytes()))
+        return vocab, table
+
+    monkeypatch.setattr(ex, "build_vocab", recording_build_vocab)
+    cfg = make_config(synth_dataset, tmp_path / "out", projects=("beta",), model="gnn",
+                      windows=(2, 3), save_models=False)
+    if run == "sweep":
+        assert len(run_window_sweep(cfg).rows) == 2
+    else:
+        assert run_classification(cfg).rows[0].gnn_accuracy is not None
+    assert len(tables) == 1
+    table, before = tables[0]
+    assert table.matrix.tobytes() == before
+
+
 # --- report files -----------------------------------------------------------------
 
 

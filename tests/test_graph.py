@@ -97,6 +97,29 @@ def test_count_matches_brute_force(ids, window):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.lists(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=20),
+             max_size=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_count_equals_np_unique_of_every_pair_code(docs_ids, window):
+    codes = [
+        (ids[i] << 32) | ids[j]
+        for ids in docs_ids
+        for i in range(len(ids))
+        for j in range(len(ids))
+        if i != j and abs(i - j) <= window
+    ]
+    expected_codes, expected_counts = np.unique(
+        np.array(codes, dtype=np.int64), return_counts=True
+    )
+    counted = count_cooccurrences([doc(ids) for ids in docs_ids], window)
+    for got, want in ((counted.codes, expected_codes), (counted.counts, expected_counts)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=25),
     st.integers(min_value=1, max_value=4),
 )

@@ -43,3 +43,40 @@ def test_importing_the_cli_loads_no_process_pool():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout == "False\n"
+
+
+# the command, as CLI arguments after --data/--out; eval reads the model
+# that train saved
+NO_MA_COMMANDS = [
+    ("prepare", "--dim", "8", "--vectors", "{vectors}"),
+    ("stats",),
+    ("sweep", "--model", "tfidf-rf", "--windows", "2,3"),
+    ("train", "--model", "gnn", "--dim", "8", "--vectors", "{vectors}", "--epochs", "1"),
+    ("baseline",),
+    ("eval", "--project", "alpha", "--model",
+     "{out}/classification-raw/models/alpha.model"),
+]
+
+
+def test_no_command_imports_numpy_ma(tmp_path, synth_dataset, tiny_vectors_file):
+    # numpy 2.x loads numpy.ma lazily, through np.unique without return
+    # options and np.isin among others; numpy 1.x loads it with numpy itself
+    code = (
+        "import sys, numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from storygraph.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, eager or 'numpy.ma' not in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    for command, *rest in NO_MA_COMMANDS:
+        args = [a.format(vectors=tiny_vectors_file, out=out) for a in rest]
+        done = subprocess.run(
+            [sys.executable, "-c", code, command, "--data", str(synth_dataset),
+             "--out", str(out), *args],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, (command, done.stderr)
+        assert done.stdout.splitlines()[-1] == "0 True", command
