@@ -23,10 +23,14 @@ Working set: both passes pool each destination straight from its own
 block of weighted source rows, so no (entries x d) array is ever built;
 backward gathers winners only for nodes that receive entries and
 scatter-adds through flat 1-D indices; Adam updates each array in slices
-of at most ADAM_CHUNK elements through two scratch buffers; and `train`
-keeps one gradient set and one best-parameter set for the whole run,
-zeroed and overwritten in place. None of this changes a bit of any
-result.
+of at most ADAM_CHUNK elements through slice-sized scratch buffers; and
+`train` keeps one gradient set and one best-parameter set for the whole
+run, zeroed and overwritten in place. The embedding gradient holds only
+the batch's rows (the sorted distinct node ids of its graphs), so the
+(V x d) arrays training holds are the parameters, the best copy and the
+two moments; Adam reads every other row's gradient as +0.0, as a dense
+gradient would give it. Graph adjacency arrays are int32 (see
+DocumentGraph). None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import (
     NonFiniteActivationError,
     TraceMismatchError,
 )
-from .graph import DocumentGraph
+from .graph import DocumentGraph, _run_heads
 
 LOG_CLAMP = 1e-12
 
@@ -263,9 +267,10 @@ def forward(
     # max (the lowest source position, the tie-break backward relies on),
     # found as the hit with the largest `countdown`, whose narrowest dtype
     # keeps the (rows x d) product small. A lane with a NaN has no hit and
-    # takes argmax's winner, its first NaN.
+    # takes argmax's winner, its first NaN. The int32 source positions are
+    # widened once here: numpy would cast them again for every block's gather.
     blocks = _blocks(graph)
-    src = graph.edge_src
+    src = graph.edge_src.astype(np.intp)
     weights = params.edge_weights[graph.edge_param][:, None]
     n_entries = graph.n_entries
     countdown = np.arange(n_entries, 0, -1,
@@ -326,11 +331,17 @@ def backward(
     params: ModelParameters,
     label: int,
     out: ModelParameters | None = None,
+    rows: np.ndarray | None = None,
 ) -> ModelParameters:
     """Exact gradients of `loss` w.r.t. every parameter, accumulated into `out`.
 
     Parameters untouched by the graph keep zero gradient. Max pooling routes
     gradient only to the winning lanes recorded in the trace.
+
+    With `rows` (sorted distinct embedding rows, every node id of the graph
+    among them), `out.embeddings` holds only those rows, in that order, and
+    each node's gradient lands at its row's position there. Each element
+    receives the same adds in the same order as in the dense (V x d) form.
     """
     if trace.doc_id != graph.doc_id or trace.n_nodes != graph.n_nodes:
         raise TraceMismatchError(
@@ -378,8 +389,9 @@ def backward(
             # on them than on 2-D index arrays or (row, lane) pairs
             entry = winners[receivers].ravel()
             pidx = graph.edge_param[entry]
-            # each winner's (source, lane) as a C-order position in r_in
-            flat = graph.edge_src[entry].reshape(-1, dim)
+            # each winner's (source, lane) as a C-order position in r_in;
+            # positions are int32, widened before they are scaled by dim
+            flat = graph.edge_src[entry].astype(np.int64).reshape(-1, dim)
             del entry
             flat *= dim
             flat += lanes
@@ -391,7 +403,8 @@ def backward(
 
     if trace.dropout_mask is not None:
         d_out = d_out * trace.dropout_mask
-    _scatter_add(grads.embeddings, graph.node_ids[:, None] * dim + lanes, d_out)
+    at = graph.node_ids if rows is None else np.searchsorted(rows, graph.node_ids)
+    _scatter_add(grads.embeddings, at[:, None] * dim + lanes, d_out)
     return grads
 
 
@@ -437,6 +450,7 @@ def adam_update(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    rows: np.ndarray | None = None,
 ) -> None:
     """One in-place adaptive-moment step; decay is classic L2 on gradients.
 
@@ -445,6 +459,11 @@ def adam_update(
     that small; every element sees the same operations in the same order
     as a whole-array update. The temporaries are two scratch buffers the
     size of the largest slice, shared by every slice of the step.
+
+    With `rows`, `grads.embeddings` holds only those sorted embedding rows
+    (as `backward` fills it) and every other row's gradient is +0.0. A
+    third scratch buffer then takes each slice's dense gradient: zeros,
+    with the slice's rows copied in.
     """
     state.step += 1
     bc1 = 1.0 - beta1**state.step
@@ -455,15 +474,30 @@ def adam_update(
     }
     size = max(whole[: slice_rows[name]].size for name, whole in params.named_arrays())
     scratch_a, scratch_b = np.empty(size), np.empty(size)
+    scratch_g = np.empty(size) if rows is not None else None
     for name, whole in params.named_arrays():
         decayed = weight_decay and name in DECAYED_ARRAYS
-        rows = slice_rows[name]
-        for lo in range(0, whole.shape[0], rows):
-            part = slice(lo, lo + rows)
+        grad = getattr(grads, name)
+        step_rows = slice_rows[name]
+        starts = range(0, whole.shape[0], step_rows)
+        bounds = None
+        if rows is not None and name == "embeddings":
+            # slice k holds rows[bounds[k]:bounds[k + 1]]; each lands on
+            # row `within` of its slice
+            bounds = np.searchsorted(rows, [*starts, whole.shape[0]]).tolist()
+            within = rows % step_rows
+        for k, lo in enumerate(starts):
+            part = slice(lo, lo + step_rows)
             arr = whole[part]
             a = scratch_a[: arr.size].reshape(arr.shape)
             b = scratch_b[: arr.size].reshape(arr.shape)
-            g = getattr(grads, name)[part]
+            if bounds is None:
+                g = grad[part]
+            else:
+                first, last = bounds[k], bounds[k + 1]
+                g = scratch_g[: arr.size].reshape(arr.shape)
+                g.fill(0.0)
+                g[within[first:last]] = grad[first:last]
             if decayed:
                 # g + weight_decay * arr
                 g = np.add(g, np.multiply(weight_decay, arr, out=a), out=a)
@@ -511,6 +545,13 @@ def evaluate_accuracy(
     return hits / len(graphs)
 
 
+def _batch_rows(graphs: Sequence[DocumentGraph]) -> np.ndarray:
+    """The sorted distinct embedding rows a batch of graphs reads."""
+    ids = np.concatenate([g.node_ids for g in graphs])
+    ids.sort()
+    return ids[_run_heads(ids)]
+
+
 def train(
     initial: ModelParameters,
     train_graphs: Sequence[DocumentGraph],
@@ -529,8 +570,13 @@ def train(
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(params)
     result = TrainResult(params=params)
-    # one gradient set and one best-parameter set serve the whole run
-    grads = ModelParameters.zeros_like(params)
+    # one gradient set and one best-parameter set serve the whole run; the
+    # embedding gradient holds only the current batch's rows
+    grads = ModelParameters(
+        embeddings=np.empty((0, params.dim)),
+        **{name: np.zeros_like(arr) for name, arr in params.named_arrays()
+           if name != "embeddings"},
+    )
     best = params.copy()
     best_acc = -1.0
     stale_epochs = 0
@@ -542,6 +588,8 @@ def train(
         epoch_loss = 0.0
         for batch_no, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo : lo + config.batch_size]
+            rows = _batch_rows([train_graphs[i] for i in batch])
+            grads.embeddings = np.empty((rows.shape[0], params.dim))
             for _, arr in grads.named_arrays():
                 arr.fill(0.0)
             batch_loss = 0.0
@@ -557,7 +605,7 @@ def train(
                         rounds=config.rounds,
                     )
                     batch_loss += loss(trace.probabilities, g.label)
-                    backward(trace, g, params, g.label, out=grads)
+                    backward(trace, g, params, g.label, out=grads, rows=rows)
             except NonFiniteActivationError as err:
                 raise NonFiniteActivationError(
                     f"epoch {epoch} batch {batch_no}: {err}"
@@ -571,6 +619,7 @@ def train(
                 adam,
                 learning_rate=config.learning_rate,
                 weight_decay=config.weight_decay,
+                rows=rows,
             )
             epoch_loss += batch_loss
 
@@ -623,7 +672,7 @@ def predict(
     """
     _check_graph(params, graph, rounds)
     blocks = _blocks(graph)
-    src = graph.edge_src
+    src = graph.edge_src.astype(np.intp)  # widened once, as in `forward`
     weights = params.edge_weights[graph.edge_param][:, None]
     r = params.embeddings[graph.node_ids]
     eta = sigmoid(params.gates[graph.node_ids])[:, None]

@@ -156,14 +156,20 @@ class DocumentGraph:
     edge_src[e] into node position edge_dst[e] carrying edge parameter
     edge_param[e]. Entries are sorted by (dst, src) and duplicates
     (same source node into same destination node) are collapsed.
+
+    The adjacency arrays are int32, half the size of int64: a node
+    position is below the document's token count, and an edge parameter
+    index is below the edge table's size plus 1, both far below 2**31.
+    Code that multiplies a position by the embedding width widens it to
+    int64 first.
     """
 
     doc_id: str
     label: int
-    node_ids: np.ndarray  # (n,) int64
-    edge_src: np.ndarray  # (m,) int64, source node positions
-    edge_dst: np.ndarray  # (m,) int64, destination node positions
-    edge_param: np.ndarray  # (m,) int64
+    node_ids: np.ndarray  # (n,) int64 token ids
+    edge_src: np.ndarray  # (m,) int32, source node positions
+    edge_dst: np.ndarray  # (m,) int32, destination node positions
+    edge_param: np.ndarray  # (m,) int32, edge parameter indices
 
     @property
     def n_nodes(self) -> int:
@@ -207,7 +213,10 @@ def build_graph(
     # entry code dst * n + src sorts entries by (dst, src)
     entries = np.concatenate([b * n + a, a * n + b])
     entries.sort()
-    edge_dst, edge_src = np.divmod(entries[_run_heads(entries)], n)
+    edge_dst, edge_src = (
+        part.astype(np.int32) for part in np.divmod(entries[_run_heads(entries)], n)
+    )
+    codes = encode_pairs(nodes[edge_src], nodes[edge_dst])
     if label is None:
         label = int(doc.level)
     return DocumentGraph(
@@ -216,7 +225,7 @@ def build_graph(
         node_ids=nodes,
         edge_src=edge_src,
         edge_dst=edge_dst,
-        edge_param=table.edge_params(encode_pairs(nodes[edge_src], nodes[edge_dst])),
+        edge_param=table.edge_params(codes).astype(np.int32),
     )
 
 

@@ -5,8 +5,13 @@ probabilities and parameters must equal array for array.
 `forward` builds every entry's weighted source row at once and pools each
 destination's slice of it; `predict` pools all destinations in one
 `np.maximum.reduceat`; `adam_update` updates each parameter array whole;
-`train` allocates a fresh gradient set per batch and a fresh copy of the
-parameters per improved epoch. `backward` is unchanged and shared.
+`train` allocates a fresh gradient set per batch, with the dense (V x d)
+embedding gradient that the program's gradient over a batch's rows must
+equal, and a fresh copy of the parameters per improved epoch.
+
+`backward` is the program's own, imported, not a frozen copy: its
+reference is `pairwise_backward` in tests/test_gnn_oracle.py. Called here
+without `rows`, it fills the dense embedding gradient.
 """
 
 from __future__ import annotations

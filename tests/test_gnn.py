@@ -1,6 +1,9 @@
 """Model math: frozen forward oracle, finite-difference gradient checks,
 pooling tie-breaks, and training-loop behavior."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -328,6 +331,123 @@ def test_backward_accumulates_into_out():
         assert np.allclose(arr, 2.0 * getattr(single, name))
 
 
+def same_bytes(actual, expected) -> bool:
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (actual.dtype == expected.dtype and actual.shape == expected.shape
+            and actual.tobytes() == expected.tobytes())
+
+
+def with_int64_indices(graph):
+    return replace(graph, edge_src=graph.edge_src.astype(np.int64),
+                   edge_dst=graph.edge_dst.astype(np.int64),
+                   edge_param=graph.edge_param.astype(np.int64))
+
+
+def shared_vocab_graphs(rng, vocab=40, dim=5, n_graphs=5, window=3):
+    """Graphs over one vocabulary, each reading a few of its rows."""
+    docs = [doc(rng.integers(1, vocab, size=int(rng.integers(1, 14))).tolist(),
+                doc_id=f"b{i}") for i in range(n_graphs)]
+    table = assign_edge_params(count_cooccurrences(docs, window), 1, window)
+    graphs = [build_graph(d, window, table, label=i % 3) for i, d in enumerate(docs)]
+    params = gnn.ModelParameters(
+        embeddings=rng.normal(size=(vocab, dim)),
+        edge_weights=rng.normal(size=table.num_edge_params),
+        gates=rng.normal(size=vocab),
+        classifier_weights=rng.normal(size=(3, dim)),
+        classifier_bias=rng.normal(size=3),
+    )
+    return params, graphs
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_int32_and_int64_indices_give_byte_equal_passes(rounds):
+    rng = np.random.default_rng(41)
+    params, graphs = shared_vocab_graphs(rng)
+    cases = [(params, g) for g in graphs] + [random_instance(rng) for _ in range(8)]
+    for seed, (params, narrow) in enumerate(cases):
+        wide = with_int64_indices(narrow)
+        assert narrow.edge_src.dtype == np.int32
+        traces = [gnn.forward(params, g, dropout=0.5, training=True, rounds=rounds,
+                              rng=np.random.default_rng(seed)) for g in (narrow, wide)]
+        for field in ("dropout_mask", "gate_values", "readout", "logits",
+                      "probabilities"):
+            assert same_bytes(getattr(traces[0], field), getattr(traces[1], field))
+        for field in ("round_inputs", "messages", "winners"):
+            for a, b in zip(getattr(traces[0], field), getattr(traces[1], field)):
+                assert same_bytes(a, b)
+        for label in range(params.n_classes):
+            got, want = (gnn.backward(t, g, params, label)
+                         for t, g in zip(traces, (narrow, wide)))
+            for name, arr in got.named_arrays():
+                assert same_bytes(arr, getattr(want, name))
+        (i, probs), (j, want_probs) = (gnn.predict(params, g, rounds=rounds)
+                                       for g in (narrow, wide))
+        assert i == j and same_bytes(probs, want_probs)
+
+
+def test_batch_rows_are_the_sorted_distinct_node_ids():
+    _, graphs = shared_vocab_graphs(np.random.default_rng(42))
+    rows = gnn._batch_rows(graphs)
+    want = sorted({int(i) for g in graphs for i in g.node_ids})
+    assert rows.dtype == np.int64 and rows.tolist() == want
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_backward_into_batch_rows_equals_the_dense_gradient(rounds):
+    # each row's adds arrive in the same order in both forms, so the
+    # batch's rows are byte-equal and every other dense row stays +0.0
+    rng = np.random.default_rng(43)
+    params, graphs = shared_vocab_graphs(rng)
+    rows = gnn._batch_rows(graphs)
+    assert 0 < rows.size < params.vocab_size
+    dense = gnn.ModelParameters.zeros_like(params)
+    narrow = gnn.ModelParameters.zeros_like(params)
+    narrow.embeddings = np.zeros((rows.size, params.dim))
+    for seed, g in enumerate(graphs):
+        trace = gnn.forward(params, g, dropout=0.5, training=True, rounds=rounds,
+                            rng=np.random.default_rng(seed))
+        gnn.backward(trace, g, params, g.label, out=dense)
+        gnn.backward(trace, g, params, g.label, out=narrow, rows=rows)
+    assert same_bytes(narrow.embeddings, dense.embeddings[rows])
+    assert np.count_nonzero(narrow.embeddings) > 0
+    others = np.delete(dense.embeddings, rows, axis=0)
+    assert same_bytes(others, np.zeros_like(others))
+    for name, arr in narrow.named_arrays():
+        if name != "embeddings":
+            assert same_bytes(arr, getattr(dense, name))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_adam_on_batch_rows_equals_the_dense_step(monkeypatch, chunk, weight_decay):
+    if chunk is not None:
+        monkeypatch.setattr(gnn, "ADAM_CHUNK", chunk)
+    rng = np.random.default_rng(44)
+    vocab, dim = 23, 3
+    params, _ = shared_vocab_graphs(rng, vocab=vocab, dim=dim, n_graphs=1)
+    expected = params.copy()
+    state = gnn.AdamState.for_params(params)
+    expected_state = gnn.AdamState.for_params(expected)
+    # the first and last rows, a run of neighbours, and a lone row
+    for rows in ([0, 1, 2, 9, vocab - 1], [5], [3, 4, 17, 18, 19, 20, 21]):
+        rows = np.array(rows, dtype=np.int64)
+        dense = gnn.ModelParameters.zeros_like(params)
+        for name, arr in dense.named_arrays():
+            if name != "embeddings":
+                arr[...] = rng.normal(size=arr.shape)
+        dense.embeddings[rows] = rng.normal(size=(rows.size, dim))
+        narrow = dense.copy()
+        narrow.embeddings = dense.embeddings[rows]
+        gnn.adam_update(params, narrow, state, learning_rate=1e-2,
+                        weight_decay=weight_decay, rows=rows)
+        gnn.adam_update(expected, dense, expected_state, learning_rate=1e-2,
+                        weight_decay=weight_decay)
+        for name, arr in params.named_arrays():
+            assert same_bytes(arr, getattr(expected, name))
+            assert same_bytes(state.m[name], expected_state.m[name])
+            assert same_bytes(state.v[name], expected_state.v[name])
+
+
 def test_backward_trace_mismatch():
     params, graph = hand_instance()
     trace = gnn.forward(params, graph)
@@ -528,3 +648,30 @@ def test_predict_shares_forward_checks():
     params.embeddings[1, 0] = np.inf
     with pytest.raises(NonFiniteActivationError):
         gnn.predict(params, graph)
+
+
+# --- working set ---------------------------------------------------------------
+
+
+def traced_peak(run) -> int:
+    """Bytes `run` allocates at its peak above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_holds_fewer_than_five_vocab_by_dim_arrays():
+    # the parameters, the best copy and Adam's two moments are four
+    # (V x d) arrays; the embedding gradient holds only a batch's rows,
+    # where a dense one made five (5.24 of them here; 4.25 now)
+    vocab, dim = 8000, 50
+    rng = np.random.default_rng(45)
+    params, graphs = shared_vocab_graphs(rng, vocab=vocab, dim=dim, n_graphs=6)
+    config = gnn.TrainConfig(max_epochs=2, patience=2, batch_size=2, seed=1)
+    table_bytes = vocab * dim * 8
+    peak = traced_peak(lambda: gnn.train(params, graphs[:4], graphs[4:], config))
+    assert 4 * table_bytes <= peak < 4.5 * table_bytes

@@ -196,6 +196,18 @@ def test_build_graph_incoming_and_params():
     ]
 
 
+def test_build_graph_index_arrays_are_int32_and_ids_int64():
+    d = doc([1, 2, 3, 1, 2, 9])
+    table = _table_for([d], 2)
+    g = build_graph(d, window=2, table=table)
+    assert g.n_entries
+    for arr in (g.edge_src, g.edge_dst, g.edge_param):
+        assert arr.dtype == np.int32
+    # token ids and the saved edge table keep their int64 format
+    assert g.node_ids.dtype == np.int64
+    assert table.codes.dtype == np.int64
+
+
 def test_build_graph_public_fallback_for_unseen_pairs():
     train = doc([1, 2])
     table = _table_for([train], 1)
