@@ -577,14 +577,18 @@ def _sweep_project(
             SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
             for window in config.windows
         ]
-    encoded = _encode(
+    vocab, table, docsets = _encode(
         config, prepared, pretrained, split.train, split.validation, split.test
     )
     rows = []
     for window in config.windows:
         window_config = replace(config, train=replace(config.train, window=window))
         result = ProjectResult(project=project)
-        _run_gnn(window_config, prepared, encoded, result, None)
+        # training writes the table it starts from, so every window trains
+        # its own copy and starts from the same bytes
+        _run_gnn(window_config, prepared,
+                 (vocab, replace(table, matrix=table.matrix.copy()), docsets),
+                 result, None)
         rows.append(SweepRow(project, window, result.edge_count, result.gnn_accuracy))
     return rows
 

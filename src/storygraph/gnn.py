@@ -24,12 +24,14 @@ block of weighted source rows, so no (entries x d) array is ever built;
 backward gathers winners only for nodes that receive entries and
 scatter-adds through flat 1-D indices; Adam updates each array in slices
 of at most ADAM_CHUNK elements through slice-sized scratch buffers; and
-`train` keeps one gradient set and one best-parameter set for the whole
-run, zeroed and overwritten in place. The embedding gradient holds only
-the batch's rows (the sorted distinct node ids of its graphs), so the
-(V x d) arrays training holds are the parameters, the best copy and the
-two moments; Adam reads every other row's gradient as +0.0, as a dense
-gradient would give it. Graph adjacency arrays are int32 (see
+`train` trains its initial parameters in place and keeps one gradient
+set and one best-parameter set for the whole run, zeroed and overwritten
+in place. The embedding gradient holds only the batch's rows (the sorted
+distinct node ids of its graphs), so training holds four (V x d) arrays:
+the parameters (the caller's embedding table itself), the best copy and
+the two moments; Adam reads every other row's gradient as +0.0, as a
+dense gradient would give it. `forward` writes each round's messages and
+winners once, after its block loop. Graph adjacency arrays are int32 (see
 DocumentGraph). None of this changes a bit of any result.
 """
 
@@ -142,8 +144,8 @@ def init_parameters(
     classifier.
 
     The embeddings are `embedding_matrix` itself, not a copy, when it is
-    already float64: train copies its initial parameters and never writes
-    them, so one table can seed several runs."""
+    already float64, and `train` writes its initial parameters: a matrix
+    that must seed several runs is passed as a copy to each."""
     emb = np.asarray(embedding_matrix, dtype=np.float64)
     dim = emb.shape[1]
     rng = np.random.default_rng(seed)
@@ -266,12 +268,17 @@ def forward(
     # sources' rows. A lane's winner is its first row equal to the lane's
     # max (the lowest source position, the tie-break backward relies on),
     # found as the hit with the largest `countdown`, whose narrowest dtype
-    # keeps the (rows x d) product small. A lane with a NaN has no hit and
-    # takes argmax's winner, its first NaN. The int32 source positions are
-    # widened once here: numpy would cast them again for every block's gather.
+    # keeps the (rows x d) product small; the block loop stores only that
+    # value, and one write per round turns every block's into entry
+    # indices and gathers the winners' own products as messages. A lane
+    # with a NaN has no hit (0) and its block takes argmax's winners, the
+    # first NaN. The int32 source positions are widened once here: numpy
+    # would cast them again for every block's gather.
     blocks = _blocks(graph)
+    dst = np.array([node for node, _, _ in blocks], dtype=np.intp)
     src = graph.edge_src.astype(np.intp)
-    weights = params.edge_weights[graph.edge_param][:, None]
+    weights = params.edge_weights[graph.edge_param]
+    column = weights[:, None]
     n_entries = graph.n_entries
     countdown = np.arange(n_entries, 0, -1,
                           dtype=np.min_scalar_type(n_entries))[:, None]
@@ -282,18 +289,22 @@ def forward(
     winners_all: list[np.ndarray] = []
     for _ in range(rounds):
         r_prev = round_inputs[-1]
-        msg = np.zeros((n, dim))
-        winners = np.full((n, dim), -1, dtype=np.int64)
-        for node, s, e in blocks:
+        first = np.empty((len(blocks), dim), dtype=countdown.dtype)
+        for k, (_, s, e) in enumerate(blocks):
             block = r_prev[src[s:e]]
-            np.multiply(weights[s:e], block, out=block)
-            first = ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0)
-            if first.all():
-                row = (n_entries - s) - first
-            else:
-                row = np.argmax(block, axis=0)
-            msg[node] = block[row, lanes]
-            winners[node] = s + row
+            np.multiply(column[s:e], block, out=block)
+            ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0, out=first[k])
+        entry = first.astype(np.int64)
+        np.subtract(n_entries, entry, out=entry)
+        if not first.all():
+            for k in np.flatnonzero(~first.all(axis=1)).tolist():
+                _, s, e = blocks[k]
+                block = column[s:e] * r_prev[src[s:e]]
+                entry[k] = s + np.argmax(block, axis=0)
+        winners = np.full((n, dim), -1, dtype=np.int64)
+        winners[dst] = entry
+        msg = np.zeros((n, dim))
+        msg[dst] = weights[entry] * r_prev[src[entry], lanes]
         updated = (1.0 - eta)[:, None] * msg + eta[:, None] * r_prev
         messages.append(msg)
         winners_all.append(winners)
@@ -563,10 +574,14 @@ def train(
     Keeps the parameters of the best-validation epoch and stops after
     `patience` epochs without improvement. Fully deterministic under
     `config.seed` (shuffling and dropout share one generator).
+
+    Consumes `initial`: its arrays are trained in place and end at the
+    last epoch's values, while the result holds the best epoch's. A caller
+    that needs `initial` afterwards passes a copy.
     """
     if not train_graphs:
         raise ValueError("no training graphs")
-    params = initial.copy()
+    params = initial
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(params)
     result = TrainResult(params=params)

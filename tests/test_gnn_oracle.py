@@ -327,7 +327,7 @@ def test_two_epoch_training_matches_the_oracle(monkeypatch, rounds, with_validat
     config = gnn.TrainConfig(max_epochs=2, patience=2, batch_size=4, dropout=0.5,
                              learning_rate=0.05, weight_decay=1e-3, rounds=rounds,
                              seed=9)
-    got = gnn.train(params, graphs[:14], val, config)
+    got = gnn.train(params.copy(), graphs[:14], val, config)
     want, curve = gnn_oracle.train(params, graphs[:14], val, config)
     assert_same_params(got.params, want.params)
     assert got.best_epoch == want.best_epoch
@@ -340,7 +340,7 @@ def test_training_keeps_the_best_epoch_not_the_last():
     params, graphs = training_set(np.random.default_rng(4))
     config = gnn.TrainConfig(max_epochs=6, patience=6, batch_size=3, dropout=0.0,
                              learning_rate=0.5, seed=2)
-    got = gnn.train(params, graphs[:14], graphs[14:], config)
+    got = gnn.train(params.copy(), graphs[:14], graphs[14:], config)
     want, _ = gnn_oracle.train(params, graphs[:14], graphs[14:], config)
     assert got.best_epoch == want.best_epoch < len(got.epochs)
     assert_same_params(got.params, want.params)
