@@ -5,10 +5,11 @@ manifests and vocabulary dumps), train (word-graph model, optionally with
 the baseline for a side-by-side table), baseline (tf-idf forest only),
 eval (score a saved model), stats (graph-scale analysis), sweep (window
 sizes). Option values resolve as: command-line flag, then config file
-(--config, JSON object keyed by flag name), then built-in default. The
-built-in defaults are the field defaults of ExperimentConfig and
-TrainConfig, which the help texts quote; one function builds the
-ExperimentConfig of every subcommand.
+(--config, JSON object keyed by option name), then built-in default. Each
+option is an ExperimentConfig or TrainConfig field declaring its default,
+type, choices and range, from which come the flags, the help's defaults and
+the config-file keys; a config checks each value when built, from a flag, a
+config file, a library caller or a saved model's header.
 
 eval takes the run from the model file: project, text mode, seed, window
 and k. It rebuilds that project's split, refuses the model if the split
@@ -27,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -35,64 +35,35 @@ from pathlib import Path
 
 from . import experiment as ex
 from .embeddings import build_vocabulary, dump_vocabulary, row_provenance
-from .errors import StoryGraphError
+from .errors import StoryGraphError, check_option, options
 from .gnn import TrainConfig
 from .model_io import load_model
 
 DATA_ENV_VAR = "STORYGRAPH_DATA"
 
-TASKS = {"classify": ex.TASK_CLASSIFY, "regress": ex.TASK_REGRESS}
-CHOICES = {
-    "mode": (ex.MODE_RAW, ex.MODE_FILTERED),
-    "model": ("gnn", "tfidf-rf", "both"),
-    "task": tuple(TASKS),
-}
 
-# option (flag destination and config-file key) -> the ExperimentConfig
-# field it sets; each TrainConfig field is an option of its own name
-RUN_OPTIONS = {
-    "data": "data_dir",
-    "out": "output_dir",
-    "project": "projects",
-    "mode": "text_mode",
-    "task": "task",
-    "model": "model",
-    "jobs": "jobs",
-    "dim": "embedding_dim",
-    "windows": "windows",
-    "vectors": "vectors_path",
-}
-TRAIN_OPTIONS = {f.name: type(f.default) for f in fields(TrainConfig)}
-
-# numeric option -> the half-open range [low, high) of its legal values
-# (high None: no upper end); a windows list is checked entry by entry
-RANGES = {
-    "dropout": (0, 1),
-    "learning_rate": (0, None),
-    "weight_decay": (0, None),
-    **dict.fromkeys(("batch_size", "max_epochs", "patience", "rounds", "window",
-                     "windows", "min_edge_frequency", "dim", "jobs"), (1, None)),
-}
+def _text(value) -> str:
+    """A config value as a flag spells it: a tuple comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _field(config: ex.ExperimentConfig, key: str):
-    """The value of the config field that option `key` sets; a tuple as
-    the comma-separated text a flag gives."""
-    if key in TRAIN_OPTIONS:
-        return getattr(config.train, key)
-    value = getattr(config, RUN_OPTIONS[key])
-    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+def _values(config: ex.ExperimentConfig) -> dict:
+    """Option key -> the value `config` holds for it."""
+    return {key: getattr(part, f.name) for part in (config, config.train)
+            for key, f in options(type(part)).items()}
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, text: str,
-            dest: str | None = None, **kwargs) -> None:
-    """Add an option whose help shows its built-in default: the default of
-    the config field it sets."""
+            dest: str | None = None) -> None:
+    """Add an option with the type or choices of the config field it sets;
+    its help shows that field's default."""
     dest = dest or flag[2:]
-    default = _field(ex.ExperimentConfig(data_dir=Path()), dest)
-    if dest == "task":
-        default = next(name for name, task in TASKS.items() if task == default)
-    parser.add_argument(flag, dest=dest, help=f"{text} (default: {default})", **kwargs)
+    f = options(ex.ExperimentConfig, TrainConfig)[dest]
+    kind, names = f.metadata["type"], f.metadata["choices"] or {}
+    default = next((name for name, value in names.items() if value == f.default), _text(f.default))
+    parser.add_argument(flag, dest=dest, help=f"{text} (default: {default})",
+                        type=kind if kind in (int, float) and not f.metadata["many"] else None,
+                        choices=tuple(names) or None)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -102,30 +73,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--project", action="append",
                         help="project name, repeatable (default: all projects)")
-    _option(parser, "--seed", "master seed", type=int)
-    _option(parser, "--mode", "text mode", choices=CHOICES["mode"])
-    _option(parser, "--jobs", "projects run in parallel", type=int)
+    _option(parser, "--seed", "master seed")
+    _option(parser, "--mode", "text mode")
+    _option(parser, "--jobs", "projects run in parallel")
 
 
 def _add_embedding(parser: argparse.ArgumentParser) -> None:
-    _option(parser, "--dim", "embedding dimension", type=int)
+    _option(parser, "--dim", "embedding dimension")
     parser.add_argument("--vectors", help="pretrained word-vector text file")
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    _option(parser, "--window", "sliding window size w", type=int)
-    _option(parser, "--batch-size", "minibatch size", "batch_size", type=int)
-    _option(parser, "--dropout", "input dropout rate", type=float)
+    _option(parser, "--window", "sliding window size w")
+    _option(parser, "--batch-size", "minibatch size", "batch_size")
+    _option(parser, "--dropout", "input dropout rate")
     _option(parser, "--k", "minimum pair count for a private edge weight; rarer "
-            "pairs share the public weight", "min_edge_frequency", type=int)
-    _option(parser, "--lr", "learning rate", "learning_rate", type=float)
-    _option(parser, "--weight-decay", "L2 weight decay", "weight_decay", type=float)
-    _option(parser, "--epochs", "epoch budget", "max_epochs", type=int)
-    _option(parser, "--patience", "early-stopping patience in epochs", type=int)
-    _option(parser, "--rounds", "message-passing rounds", type=int)
+            "pairs share the public weight", "min_edge_frequency")
+    _option(parser, "--lr", "learning rate", "learning_rate")
+    _option(parser, "--weight-decay", "L2 weight decay", "weight_decay")
+    _option(parser, "--epochs", "epoch budget", "max_epochs")
+    _option(parser, "--patience", "early-stopping patience in epochs")
+    _option(parser, "--rounds", "message-passing rounds")
     _add_embedding(parser)
-    _option(parser, "--task", "classify effort levels or regress story points",
-            choices=sorted(TASKS))
+    _option(parser, "--task", "classify effort levels or regress story points")
     parser.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock columns so reruns are byte-identical")
     parser.add_argument("--no-save-models", action="store_true",
@@ -148,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the word-graph model (and baseline)")
     _add_common(p)
     _add_training(p)
-    _option(p, "--model", "which model(s) to run", choices=CHOICES["model"])
+    _option(p, "--model", "which model(s) to run")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="train and score the tf-idf forest only")
@@ -171,120 +141,76 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_training(p)
     _option(p, "--model", "include accuracy by training at each window; "
-            "tfidf-rf emits edge counts only", choices=CHOICES["model"])
+            "tfidf-rf emits edge counts only")
     _option(p, "--windows", "comma-separated window sizes")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
-class _Options:
-    """An option's value: its flag, else its config-file entry, else None
-    (the config field's default applies)."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._file: dict = {}
-        config_path = self._args.get("config")
-        if config_path:
-            self._file = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            if not isinstance(self._file, dict):
-                raise StoryGraphError("config file must hold a JSON object")
-            unknown = sorted(set(self._file) - set(RUN_OPTIONS) - set(TRAIN_OPTIONS))
-            if unknown:
-                raise StoryGraphError(
-                    f"unknown config file key(s): {', '.join(unknown)}"
-                )
-
-    def get(self, key: str):
-        value = self._args.get(key)
-        return self._file.get(key) if value is None else value
-
-    def data_dir(self) -> Path:
-        value = self.get("data") or os.environ.get(DATA_ENV_VAR)
-        if not value:
-            raise _MissingDataDir(
-                f"dataset directory not found: give --data, a config entry, "
-                f"or ${DATA_ENV_VAR}"
-            )
-        path = Path(value)
-        if not path.is_dir():
-            raise _MissingDataDir(f"dataset directory not found: {path}")
-        return path
+def _given(args: argparse.Namespace) -> dict:
+    """Each option a flag sets, else the config file -> its value; an
+    option left out takes its config field's default."""
+    given = {}
+    if args.config:
+        given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(given, dict):
+            raise StoryGraphError("config file must hold a JSON object")
+        unknown = sorted(set(given) - set(options(ex.ExperimentConfig, TrainConfig)))
+        if unknown:
+            raise StoryGraphError(f"unknown config file key(s): {', '.join(unknown)}")
+    given.update((key, value) for key, value in vars(args).items() if value is not None)
+    return {key: value for key, value in given.items() if value is not None}
 
 
 class _MissingDataDir(Exception):
     pass
 
 
-def _option_value(key: str, value):
-    """An option's value as the config field it sets holds it, checked
-    against the option's range."""
-    value = _typed_value(key, value)
-    if key in RANGES:
-        low, high = RANGES[key]
-        for number in value if key == "windows" else (value,):
-            if not (math.isfinite(number) and low <= number
-                    and (high is None or number < high)):
-                legal = f"in [{low}, {high})" if high is not None else f">= {low}"
-                raise StoryGraphError(f"{key}: {number!r} is not {legal}")
+def _typed_value(key: str, f, value):
+    """A flag's or config file's value with the conversions only text needs:
+    a windows string "2,5", one project name, a number in a string, and an
+    integral JSON number (3.0) for an int. An empty list names nothing."""
+    kind = f.metadata["type"]
+    if f.metadata["many"]:
+        if isinstance(value, str):
+            value = ([value] if kind is str
+                     else [int(w) for w in value.replace(" ", "").split(",") if w])
+        if isinstance(value, list) and not value:
+            raise StoryGraphError(f"{key}: no {key if kind is str else 'window size'} given")
+    elif kind in (int, float) and isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            pass  # the field's check names the text
+    elif kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
     return value
 
 
-def _typed_value(key: str, value):
-    """An option's value converted to the type of the config field it sets."""
-    if key == "project" and isinstance(value, str):
-        value = [value]
-    elif key == "windows" and isinstance(value, str):
-        value = [int(w) for w in value.replace(" ", "").split(",") if w]
-    if key in ("project", "windows"):
-        kind, noun = (str, "project") if key == "project" else (int, "window size")
-        if not (isinstance(value, list) and all(type(v) is kind for v in value)):
-            raise StoryGraphError(
-                f"{key}: {value!r} is neither a string nor a list of {kind.__name__}"
-            )
-        if not value:
-            raise StoryGraphError(f"{key}: no {noun} given")
-        if len(set(value)) < len(value):
-            twice = sorted({v for v in value if value.count(v) > 1})
-            raise StoryGraphError(
-                f"{key}: {', '.join(map(str, twice))} named more than once"
-            )
-        return tuple(value)
-    if key in CHOICES:
-        if value not in CHOICES[key]:
-            raise StoryGraphError(
-                f"{key}: {value!r} is not one of {', '.join(CHOICES[key])}"
-            )
-        return TASKS[value] if key == "task" else value
-    kind = Path if key in ("out", "vectors") else TRAIN_OPTIONS.get(key, int)
-    # int() and float() would take a boolean, and int() drops a fraction
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as err:
-        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}") from err
-
-
-def _experiment_config(opts: _Options, **fixed) -> ex.ExperimentConfig:
-    """The run's configuration, for every subcommand: each option from its
-    flag, else the config file, else the config field's default. `fixed`
-    fields (the subcommand's model, a saved model's run) override all."""
+def _experiment_config(given: dict, **fixed) -> ex.ExperimentConfig:
+    """The run's configuration, for every subcommand: each option given, else
+    its field's default, checked in turn before the dataset directory is
+    looked up. `fixed` fields (a subcommand's model, a model's run) win."""
     values = {
-        key: _option_value(key, value)
-        for key in (*RUN_OPTIONS, *TRAIN_OPTIONS)
-        if key != "data" and (value := opts.get(key)) is not None
+        f.name: check_option(key, f, _typed_value(key, f, given[key]), names=True)
+        for key, f in options(ex.ExperimentConfig, TrainConfig).items()
+        if key != "data" and key in given
     }
-    train = TrainConfig(**{k: values.pop(k) for k in TRAIN_OPTIONS if k in values})
+    train = TrainConfig(**{f.name: values.pop(f.name) for f in fields(TrainConfig)
+                           if f.name in values})
+    data = given.get("data") or os.environ.get(DATA_ENV_VAR)
+    if not data:
+        raise _MissingDataDir(f"dataset directory not found: give --data, a config entry, "
+                              f"or ${DATA_ENV_VAR}")
     config = ex.ExperimentConfig(
-        data_dir=opts.data_dir(),
+        data_dir=data,  # checked here, as "data", like every other option
         train=train,
-        include_timings=not opts.get("no_timings"),
-        save_models=not opts.get("no_save_models"),
-        **{RUN_OPTIONS[key]: value for key, value in values.items()},
+        include_timings=not given.get("no_timings"),
+        save_models=not given.get("no_save_models"),
+        **values,
     )
+    if not config.data_dir.is_dir():
+        raise _MissingDataDir(f"dataset directory not found: {config.data_dir}")
     return replace(config, **fixed)
 
 
@@ -317,8 +243,8 @@ def _prepare_files(config: ex.ExperimentConfig, prepared: ex.PreparedProject,
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    config = _experiment_config(_Options(args))
-    out_dir = Path(config.output_dir) / "prepare"
+    config = _experiment_config(_given(args))
+    out_dir = config.output_dir / "prepare"
     lines = ex._collect(config, config.resolved_projects(), out_dir, _prepare_files,
                         use_vectors=True)
     for line in lines:
@@ -352,7 +278,7 @@ def _print_scores(report: ex.EvalReport) -> None:
 def _run_and_emit(config: ex.ExperimentConfig) -> int:
     run = ex.run_regression if config.task == ex.TASK_REGRESS else ex.run_classification
     report = run(config)
-    run_dir = Path(config.output_dir) / ex.experiment_name(config, report.kind)
+    run_dir = config.output_dir / ex.experiment_name(config, report.kind)
     written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
     _print_scores(report)
     print(f"report: {written[0]}")
@@ -360,17 +286,17 @@ def _run_and_emit(config: ex.ExperimentConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    return _run_and_emit(_experiment_config(_Options(args)))
+    return _run_and_emit(_experiment_config(_given(args)))
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    return _run_and_emit(_experiment_config(_Options(args), model="tfidf-rf"))
+    return _run_and_emit(_experiment_config(_given(args), model="tfidf-rf"))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _experiment_config(_Options(args), model="gnn")
+    config = _experiment_config(_given(args), model="gnn")
     report = ex.run_graph_stats(config)
-    run_dir = Path(config.output_dir) / ex.experiment_name(config, "stats")
+    run_dir = config.output_dir / ex.experiment_name(config, "stats")
     written = ex.emit_report(report, run_dir, include_timings=False)
     for row in report.rows:
         print(f"{row.project}: size {row.train_size}, nodes {row.node_count}, "
@@ -380,9 +306,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _experiment_config(_Options(args))
+    config = _experiment_config(_given(args))
     report = ex.run_window_sweep(config)
-    run_dir = Path(config.output_dir) / ex.experiment_name(config, "sweep")
+    run_dir = config.output_dir / ex.experiment_name(config, "sweep")
     written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
     for row in report.rows:
         acc = f", accuracy {row.accuracy:.2f}%" if row.accuracy is not None else ""
@@ -392,8 +318,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    asked = _experiment_config(opts)
+    given = _given(args)
+    asked = _experiment_config(given)
     bundle = load_model(args.model_file)
     config = replace(
         asked,
@@ -403,13 +329,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         embedding_dim=bundle.params.embeddings.shape[1],
         train=bundle.config,
     )
-    for key in ("project", "mode", "task", "dim", *TRAIN_OPTIONS):
-        # an option left at its default never conflicts with the model
-        given, saved = _field(asked, key), _field(config, key)
-        if opts.get(key) is not None and given != saved:
-            raise StoryGraphError(
-                f"{args.model_file} was trained with {key} {saved}, not {given}"
-            )
+    asked_values = _values(asked)
+    for key, saved in _values(config).items():
+        # the model fixes the options replaced above; one left at its
+        # default never conflicts with it
+        if key in given and asked_values[key] != saved:
+            raise StoryGraphError(f"{args.model_file} was trained with {key} "
+                                  f"{_text(saved)}, not {_text(asked_values[key])}")
     prepared = ex.prepare_project(config, bundle.project)
     if prepared.split_hash != bundle.split_hash:
         raise StoryGraphError(

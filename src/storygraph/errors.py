@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config option check.
 
 Built-in ``FileNotFoundError`` and ``OSError`` are used as-is for missing
 files and I/O failures; everything domain-specific derives from
 :class:`StoryGraphError` so callers can catch one base class.
 """
+
+import math
+import os
+import sys
+from dataclasses import MISSING, field, fields
+from pathlib import Path
 
 
 class StoryGraphError(Exception):
@@ -84,3 +90,61 @@ class EmptyCorpusError(StoryGraphError):
 
 class DegenerateDataError(StoryGraphError):
     """Forest fitting needs at least two samples."""
+
+
+# --- config options -------------------------------------------------------
+
+def option(default=MISSING, kind=None, *, key=None, choices=None, low=None, high=None,
+           many=False):
+    """A config field with its legal values beside its default: of type `kind`
+    (`many`: a tuple of them, none twice), one of `choices` (or of a map's
+    values, keyed by the names a user gives), in [low, high) (None: open).
+    `key` is the option's name where it is not the field's."""
+    if choices is not None and not isinstance(choices, dict):
+        choices = dict(zip(choices, choices))
+    return field(default=default, metadata=dict(
+        key=key, type=kind, choices=choices, range=(low, high), many=many))
+
+
+def options(*classes) -> dict:
+    """Option key -> its declared field, over the classes' fields in order."""
+    return {f.metadata["key"] or f.name: f for cls in classes for f in fields(cls) if f.metadata}
+
+
+def check_option(key: str, f, value, names: bool = False):
+    """`value` as field `f` holds it (a Path from a string, a float from an
+    int, a tuple from a list, with `names` a choice from its name), or a
+    StoryGraphError("<key>: ...") if the declaration does not allow it."""
+    meta = f.metadata
+    kind, choices, (low, high) = meta["type"], meta["choices"], meta["range"]
+    if choices is not None:
+        legal = tuple(choices if names else choices.values())
+        if value not in legal:
+            raise StoryGraphError(f"{key}: {value!r} is not one of {', '.join(legal)}")
+        return choices[value] if names else value
+    if value is None and f.default is None:
+        return value
+    if meta["many"]:
+        if not (isinstance(value, (list, tuple)) and all(type(v) is kind for v in value)):
+            raise StoryGraphError(
+                f"{key}: {value!r} is neither a string nor a list of {kind.__name__}")
+        if twice := sorted({v for v in value if value.count(v) > 1}):
+            raise StoryGraphError(f"{key}: {', '.join(map(str, twice))} named more than once")
+        value = tuple(value)
+    elif kind is Path and isinstance(value, (str, os.PathLike)):
+        value = Path(value)
+    elif kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    elif not isinstance(value, kind) or isinstance(value, bool):  # a bool is no number
+        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")
+    for number in value if meta["many"] else (value,):
+        if low is not None and not low <= number < (math.inf if high is None else high):
+            legal = f"in [{low}, {high})" if high is not None else f">= {low}"
+            raise StoryGraphError(f"{key}: {number!r} is not {legal}")
+    return value
+
+
+def check_options(config) -> None:
+    """A config's __post_init__: check each declared field, storing it as held."""
+    for key, f in options(type(config)).items():
+        setattr(config, f.name, check_option(key, f, getattr(config, f.name)))

@@ -42,7 +42,7 @@ from .embeddings import (
     build_vocabulary,
     load_pretrained_vectors,
 )
-from .errors import EmptyDatasetError
+from .errors import EmptyDatasetError, check_options, option
 from .graph import EdgeTable, assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
@@ -58,26 +58,29 @@ MODE_FILTERED = "verb-noun-filter"
 @dataclass
 class ExperimentConfig:
     """One run's settings. Its field defaults, with TrainConfig's, are the
-    built-in defaults of every run, the CLI's included."""
+    built-in defaults of every run, the CLI's included; each option's legal
+    values sit beside its default and are checked on construction."""
 
-    data_dir: Path
-    output_dir: Path = Path("runs")
-    projects: tuple[str, ...] = ()  # empty: every *.csv under data_dir
-    model: str = "both"  # "gnn" | "tfidf-rf" | "both"
-    text_mode: str = MODE_RAW
-    task: str = TASK_CLASSIFY
-    windows: tuple[int, ...] = DEFAULT_WINDOWS
+    data_dir: Path = option(kind=Path, key="data")
+    output_dir: Path = option(Path("runs"), Path, key="out")
+    projects: tuple[str, ...] = option((), str, key="project", many=True)  # (): every *.csv
+    text_mode: str = option(MODE_RAW, key="mode", choices=(MODE_RAW, MODE_FILTERED))
+    task: str = option(TASK_CLASSIFY, choices={"classify": TASK_CLASSIFY, "regress": TASK_REGRESS})
+    model: str = option("both", choices=("gnn", "tfidf-rf", "both"))
+    jobs: int = option(1, int, low=1)
+    embedding_dim: int = option(DEFAULT_DIM, int, key="dim", low=1)
+    windows: tuple[int, ...] = option(DEFAULT_WINDOWS, int, low=1, many=True)
+    vectors_path: Path | None = option(None, Path, key="vectors")
     train: gnn.TrainConfig = field(default_factory=gnn.TrainConfig)
-    vectors_path: Path | None = None
-    embedding_dim: int = DEFAULT_DIM
-    jobs: int = 1
     include_timings: bool = True
     save_models: bool = True
+
+    __post_init__ = check_options
 
     def resolved_projects(self) -> tuple[str, ...]:
         if self.projects:
             return self.projects
-        found = tuple(sorted(p.stem for p in Path(self.data_dir).glob("*.csv")))
+        found = tuple(sorted(p.stem for p in self.data_dir.glob("*.csv")))
         if not found:
             raise EmptyDatasetError(f"{self.data_dir}: no *.csv project files")
         return found
@@ -91,7 +94,7 @@ class ExperimentConfig:
             "model": self.model,
             "optimizer": "adam",
             "embedding_dim": self.embedding_dim,
-            "vectors": Path(self.vectors_path).name if self.vectors_path else "none",
+            "vectors": self.vectors_path.name if self.vectors_path else "none",
             "windows": list(self.windows),
             "idf": "ln((1+N)/(1+df))+1",
             "forest": bl.RandomForestConfig().describe(),
@@ -168,7 +171,7 @@ class PreparedProject:
 
 def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
     """Load, tokenize (with optional verb-noun filter) and split one project."""
-    path = Path(config.data_dir) / f"{project}.csv"
+    path = config.data_dir / f"{project}.csv"
     issues, _ = load_issues(path, DatasetFormat(), project=project)
     tagger = LexiconTagger() if config.text_mode == MODE_FILTERED else None
     docs, _ = tokenize_issues(issues, tagger=tagger)
@@ -517,7 +520,7 @@ def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> lis
     """run_one's result per project; the kind's run directory is made, with
     its config snapshot, only once every project has succeeded (a model
     save makes it earlier)."""
-    run_dir = Path(config.output_dir) / experiment_name(config, kind)
+    run_dir = config.output_dir / experiment_name(config, kind)
     results = _collect(config, config.resolved_projects(), run_dir, run_one, use_vectors)
     _write_config(config, run_dir)
     return results

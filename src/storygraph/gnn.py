@@ -48,6 +48,8 @@ from .errors import (
     InvalidLabelError,
     NonFiniteActivationError,
     TraceMismatchError,
+    check_options,
+    option,
 )
 from .graph import DocumentGraph, _run_heads
 
@@ -65,18 +67,21 @@ ADAM_CHUNK = 16384
 @dataclass
 class TrainConfig:
     """Training hyperparameters. Defaults are the reference configuration,
-    and the CLI's built-in defaults."""
+    and the CLI's built-in defaults; each field's legal values sit beside
+    its default and are checked on construction."""
 
-    window: int = 20
-    batch_size: int = 32
-    dropout: float = 0.5
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    max_epochs: int = 300
-    patience: int = 10
-    seed: int = 42
-    min_edge_frequency: int = 2
-    rounds: int = 1
+    window: int = option(20, int, low=1)
+    batch_size: int = option(32, int, low=1)
+    dropout: float = option(0.5, float, low=0, high=1)
+    learning_rate: float = option(1e-3, float, low=0)
+    weight_decay: float = option(1e-4, float, low=0)
+    max_epochs: int = option(300, int, low=1)
+    patience: int = option(10, int, low=1)
+    seed: int = option(42, int)
+    min_edge_frequency: int = option(2, int, low=1)
+    rounds: int = option(1, int, low=1)
+
+    __post_init__ = check_options
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 
 from .baseline import Forest, RandomForestConfig, TfidfModel, Tree
 from .embeddings import Vocabulary
-from .errors import CorruptFileError, VersionMismatchError
+from .errors import CorruptFileError, StoryGraphError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
 from .graph import EdgeTable, decode_pairs, encode_pairs
 
@@ -149,7 +149,7 @@ def load_model(path: str | Path) -> ModelBundle:
         class_values = tuple(int(x) for x in header["class_values"])
         edge_window = int(header["edge_window"])
         edge_min_frequency = int(header["edge_min_frequency"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, StoryGraphError) as err:
         raise CorruptFileError(f"{path}: malformed header field: {err}") from err
     if len(tokens) != v or len(token_counts) != v:
         raise CorruptFileError(

@@ -1,15 +1,23 @@
 """Command-line behavior: flag layering, exit codes, and the files each
 subcommand leaves behind."""
 
+import argparse
+import contextlib
 import csv
+import io
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
+from storygraph.errors import options
+from storygraph.experiment import ExperimentConfig
+from storygraph.gnn import TrainConfig
 
 from conftest import (
     FILLER, LEVEL_POOLS, make_dataset, synth_rows, write_project_csv, write_vectors,
@@ -53,6 +61,84 @@ def test_help_shows_defaults(capsys):
     assert "(default: 32)" in out  # batch size
     assert "(default: 0.5)" in out  # dropout
     assert "(default: 2)" in out  # min edge frequency
+
+
+COMMON_DEFAULTS = {"--data": "$STORYGRAPH_DATA", "--out": "runs", "--project": "all projects",
+                   "--seed": "42", "--mode": "raw", "--jobs": "1"}
+TRAINING_DEFAULTS = {
+    **COMMON_DEFAULTS, "--window": "20", "--batch-size": "32", "--dropout": "0.5", "--k": "2",
+    "--lr": "0.001", "--weight-decay": "0.0001", "--epochs": "300", "--patience": "10",
+    "--rounds": "1", "--dim": "300", "--task": "classify",
+}
+HELP_DEFAULTS = {
+    "prepare": {**COMMON_DEFAULTS, "--dim": "300"},
+    "train": {**TRAINING_DEFAULTS, "--model": "both"},
+    "baseline": TRAINING_DEFAULTS,
+    "eval": COMMON_DEFAULTS,
+    "stats": TRAINING_DEFAULTS,
+    "sweep": {**TRAINING_DEFAULTS, "--model": "both", "--windows": "2,5,10,20,50,100"},
+}
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_help_of_every_subcommand_shows_each_default():
+    for command, parser in subcommand_parsers().items():
+        shown = {action.option_strings[-1]: found.group(1)
+                 for action in parser._actions
+                 if (found := re.search(r"\(default: (.*)\)$", action.help or ""))}
+        assert shown == HELP_DEFAULTS[command], command
+
+
+def test_config_file_keys_are_the_options_the_parsers_expose(capsys, tmp_path):
+    dests = {action.dest for parser in subcommand_parsers().values()
+             for action in parser._actions if not isinstance(action, argparse._HelpAction)}
+    dests -= {"config", "no_timings", "no_save_models", "model_file"}
+    assert set(options(ExperimentConfig, TrainConfig)) == dests
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**dict.fromkeys(dests), "windoww": None}))
+    code, _, err = run_cli(capsys, "stats", "--config", str(cfg))
+    assert (code, err) == (1, "error: StoryGraphError: unknown config file key(s): windoww\n")
+
+
+@pytest.mark.parametrize("entry", [{"data": 5}, {"data": ["x"]}])
+def test_config_file_data_is_typed_like_out_and_vectors(capsys, tmp_path, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    code, _, err = run_cli(capsys, "stats", "--out", str(tmp_path / "o"), "--config", str(cfg))
+    assert code == 1
+    assert err == f"error: StoryGraphError: data: {entry['data']!r} is not a Path\n"
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3)
+
+
+# text without a line break: a message may quote a value verbatim
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(
+        exclude_characters="\n")),
+    json_containers, max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(options(ExperimentConfig, TrainConfig))) | st.text(
+    st.characters(exclude_characters="\n")), value=JSON_VALUES)
+def test_no_config_file_ends_in_a_traceback(tmp_path, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--model", str(tmp_path / "missing.model"),
+                     "--config", str(cfg)])
+    assert code in (1, 2)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_missing_data_dir_exits_2(capsys, tmp_path):
@@ -281,6 +367,21 @@ def test_eval_refuses_story_point_values_that_do_not_match_the_classes(
     )
     assert code == 1
     assert err.startswith("error: CorruptFileError: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_eval_refuses_a_model_whose_config_is_malformed(capsys, tmp_path, synth_dataset):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    raw = model.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    config = json.loads(raw[16:16 + length])["config"]
+    rewrite_header(model, config={**config, "window": 3.0})
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1
+    assert err == (f"error: CorruptFileError: {model}: malformed header field: "
+                   f"window: 3.0 is not a int\n")
     assert out == ""
 
 
@@ -666,6 +767,21 @@ def test_a_run_with_nothing_to_do_fails(capsys, tmp_path, synth_dataset, command
     assert code == 1
     assert err == expected.format(data=data)
     assert stdout == "" and not out.exists()
+
+
+def test_readme_lists_the_declared_ranges():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = " ".join(readme.split())
+    listed = {}
+    for clause in readme.split("a saved model's header: ")[1].split(". ")[0].split("; "):
+        bound = re.search(r"lies in \[(\d+), (\d+)\)|are at least (\d+)", clause)
+        low, high = (bound[1], bound[2]) if bound[1] else (bound[3], None)
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", clause),
+                                    (int(low), high and int(high))))
+    declared = {key: f.metadata["range"]
+                for key, f in options(ExperimentConfig, TrainConfig).items()
+                if f.metadata["range"][0] is not None}
+    assert listed == declared
 
 
 def test_range_ends_are_legal(capsys, tmp_path, synth_dataset):

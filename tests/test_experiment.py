@@ -12,6 +12,7 @@ import pytest
 from storygraph.baseline import RandomForestConfig
 from storygraph.corpus import DatasetSplit, StoryPointLevel, TokenizedDocument
 from storygraph.embeddings import build_vocab, load_pretrained_vectors
+from storygraph.errors import StoryGraphError
 from storygraph.experiment import (
     MODE_FILTERED,
     TASK_CLASSIFY,
@@ -69,6 +70,24 @@ def tok(doc_id, words, level=StoryPointLevel.SMALL, sp=2):
 
 
 # --- small helpers -------------------------------------------------------------
+
+
+# each message is the one the CLI prints after "error: StoryGraphError: "
+@pytest.mark.parametrize("build, message", [
+    (lambda p: TrainConfig(batch_size=0), "batch_size: 0 is not >= 1"),
+    (lambda p: TrainConfig(window="3"), "window: '3' is not a int"),
+    (lambda p: TrainConfig(dropout=True), "dropout: True is not a float"),
+    (lambda p: ExperimentConfig(data_dir=p, jobs=0), "jobs: 0 is not >= 1"),
+    (lambda p: ExperimentConfig(data_dir=p, text_mode="lemmas"),
+     "mode: 'lemmas' is not one of raw, verb-noun-filter"),
+    (lambda p: ExperimentConfig(data_dir=p, windows=(2, 2)),
+     "windows: 2 named more than once"),
+    (lambda p: replace(TrainConfig(), window=0), "window: 0 is not >= 1"),
+], ids=["batch_size", "window-text", "dropout-bool", "jobs", "mode", "windows", "replace"])
+def test_configs_check_their_own_values(tmp_path, build, message):
+    with pytest.raises(StoryGraphError) as err:
+        build(tmp_path)
+    assert str(err.value) == message
 
 
 def test_echo_describes_the_forest_the_baseline_fits(tmp_path):

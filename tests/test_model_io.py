@@ -1,6 +1,8 @@
 """Round-trip fidelity and corruption handling for the binary model files."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -164,6 +166,33 @@ def test_rejects_corrupt_header_json(tmp_path):
     raw[16] ^= 0xFF  # inside the JSON header
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFileError):
+        load_model(path)
+
+
+def rewrite_config(path, **edits):
+    """Edit the training config in a model file's header, and the header
+    length before it; the arrays stay as they are."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)  # after magic and version byte
+    header = json.loads(raw[16:16 + length])
+    header["config"].update(edits)
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + length:])
+
+
+@pytest.mark.parametrize("edit", [
+    {"window": "3"}, {"window": 3.0}, {"rounds": 1.5}, {"batch_size": 0},
+    {"dropout": 7.5}, {"seed": "42"}, {"learning_rate": -1}, {"min_edge_frequency": 0},
+], ids=repr)
+def test_rejects_a_header_config_outside_its_declared_values(tmp_path, edit):
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    rewrite_config(path)
+    assert load_model(path).config == bundle.config  # the rewrite alone is harmless
+    rewrite_config(path, **edit)
+    key = next(iter(edit))
+    with pytest.raises(CorruptFileError, match=f"malformed header field: {key}: "):
         load_model(path)
 
 
