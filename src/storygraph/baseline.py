@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, EmptyCorpusError
+from .errors import DegenerateDataError, EmptyCorpusError, check_options, option
 
 MAX_NGRAM = 4
 
@@ -173,12 +173,15 @@ SPLIT_BLOCK_CELLS = 1 << 11
 
 @dataclass
 class RandomForestConfig:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    max_features: int | str = "auto"  # "auto": sqrt(F) classify, F/3 regress
-    bootstrap: bool = True
-    seed: int = 0
+    n_trees: int = option(100, int, low=1)
+    max_depth: int | None = option(None, int, low=0)
+    min_leaf: int = option(1, int, low=1)
+    # "auto": sqrt(F) classify, F/3 regress
+    max_features: str = option("auto", str, choices=("auto", "all"))
+    bootstrap: bool = option(True, bool)
+    seed: int = option(0, int)
+
+    __post_init__ = check_options
 
     def describe(self) -> str:
         """One line for report headers; the seed is derived per project."""
@@ -188,7 +191,7 @@ class RandomForestConfig:
         features = {
             "auto": "sqrt(F) features (classify) / F/3 (regress)",
             "all": "all F features",
-        }.get(self.max_features, f"{self.max_features} features")
+        }[self.max_features]
         text = f"{self.n_trees} trees, {depth}, min leaf {self.min_leaf}, {features}"
         return text if self.bootstrap else text + ", no bootstrap"
 
@@ -408,9 +411,7 @@ def _batches(
         yield batch
 
 
-def _resolve_max_features(spec: int | str, n_features: int, task: str) -> int:
-    if isinstance(spec, int):
-        return max(1, min(spec, n_features))
+def _resolve_max_features(spec: str, n_features: int, task: str) -> int:
     if spec == "auto":
         k = int(math.sqrt(n_features)) if task == "classify" else n_features // 3
         return max(1, k)

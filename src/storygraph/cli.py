@@ -20,7 +20,8 @@ flag or the config file sets to another value.
 The dataset root comes from --data, the config file, or the
 STORYGRAPH_DATA environment variable, in that order. Exit codes: 0 on a
 complete report, 2 for a missing dataset directory, 1 for any other error
-(reported on stderr as "error: <ErrorClass>: <message>").
+(reported on stderr as one line, "error: <ErrorClass>: <message>", any CR
+or LF in the message written as \\r or \\n).
 """
 
 from __future__ import annotations
@@ -357,11 +358,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _MissingDataDir as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        line, code = f"error: {err}", 2
     except (StoryGraphError, OSError, ValueError, csv.Error) as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
+        line, code = f"error: {type(err).__name__}: {err}", 1
+    print(line.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -135,8 +135,8 @@ def check_option(key: str, f, value, names: bool = False):
         value = Path(value)
     elif kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    elif not isinstance(value, kind) or isinstance(value, bool):  # a bool is no number
-        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")
+    elif not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")  # a bool is no number
     for number in value if meta["many"] else (value,):
         if low is not None and not low <= number < (math.inf if high is None else high):
             legal = f"in [{low}, {high})" if high is not None else f">= {low}"

@@ -1,18 +1,20 @@
-"""Versioned binary container for trained models.
+"""Versioned binary container for trained models; one codec writes and
+reads both kinds of file.
 
 Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
-UTF-8 JSON header, then raw little-endian arrays in a fixed order
-(five float64 parameter arrays, then the indexed edge pairs as int64).
-A `.model` header also records the run the model was trained in: its
-project, text mode, training config (with the master seed) and split hash.
-Arrays round-trip bit-exactly. The edge pairs are the (src, dst) token
-ids of the edge table's pair codes (see graph.py) in code order, so index
-i+1 in the edge-weight vector belongs to pairs[i]; pre-threshold
-co-occurrence counts are not persisted.
+UTF-8 JSON header (`format_version` first), then raw little-endian arrays
+in a fixed order. A `.model` holds the five float64 parameter arrays, then
+the indexed edge pairs as int64; its header also records the run the model
+was trained in: its project, text mode, training config (with the master
+seed) and split hash. Arrays round-trip bit-exactly. The edge pairs are the
+(src, dst) token ids of the edge table's pair codes (see graph.py) in code
+order, so index i+1 in the edge-weight vector belongs to pairs[i];
+pre-threshold co-occurrence counts are not persisted.
 
 A `.baseline` file holds the idf vector, then each tree's flat preorder
 arrays in the layout the baseline.py docstring states; loading refuses a
-tree that breaks it.
+tree that breaks it. Either header's config must meet its dataclass's
+declared legal values.
 """
 
 from __future__ import annotations
@@ -50,58 +52,45 @@ class ModelBundle:
     class_values: tuple[int, ...] = ()  # story-point mode: value per class index
 
 
-def _write_header(fh, magic: bytes, header: dict) -> None:
-    """Magic, version byte, header length and JSON header of a container."""
-    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    fh.write(magic)
-    fh.write(bytes([FORMAT_VERSION]))
-    fh.write(struct.pack("<Q", len(blob)))
-    fh.write(blob)
-
-
-def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    params = bundle.params
-    vocab = bundle.vocabulary
-    pairs = decode_pairs(bundle.edge_table.codes)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "vocab_size": params.vocab_size,
-        "dim": params.dim,
-        "n_classes": params.n_classes,
-        "n_edge_params": int(params.edge_weights.shape[0]),
-        "n_pairs": int(pairs.shape[0]),
-        "config": asdict(bundle.config),
-        "project": bundle.project,
-        "text_mode": bundle.text_mode,
-        "split_hash": bundle.split_hash,
-        "class_values": list(bundle.class_values),
-        "tokens": list(vocab.id_to_token),
-        "token_counts": [int(c) for c in vocab.counts],
-        "edge_window": bundle.edge_table.window,
-        "edge_min_frequency": bundle.edge_table.min_frequency,
-    }
+def _save(path: str | Path, magic: bytes, header: dict, arrays) -> None:
+    """Write a container: the header after its format version, then each
+    (array, dtype) of `arrays` in order."""
+    blob = json.dumps({"format_version": FORMAT_VERSION, **header},
+                      ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        _write_header(fh, MAGIC_PREFIX, header)
-        for _, arr in params.named_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(pairs, dtype="<i8").tobytes())
+        fh.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<Q", len(blob)) + blob)
+        for arr, dtype in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _take(buf: bytes, offset: int, dtype: str, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    want = int(np.prod(shape)) if shape else 1
-    itemsize = np.dtype(dtype).itemsize
-    end = offset + want * itemsize
-    if end > len(buf):
-        raise CorruptFileError(
-            f"array section truncated: need {end} bytes, file has {len(buf)}"
-        )
-    arr = np.frombuffer(buf, dtype=dtype, count=want, offset=offset).reshape(shape).copy()
-    return arr, end
+class _Arrays:
+    """The array section of a container, taken in file order."""
+
+    def __init__(self, path: str | Path, data: bytes, pos: int):
+        self.path, self.data, self.pos = path, data, pos
+
+    def take(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        if min(shape) < 0:
+            raise CorruptFileError(f"{self.path}: array of negative shape {shape}")
+        want = int(np.prod(shape))
+        end = self.pos + want * np.dtype(dtype).itemsize
+        if end > len(self.data):
+            raise CorruptFileError(f"{self.path}: array section truncated: "
+                                   f"need {end} bytes, file has {len(self.data)}")
+        arr = np.frombuffer(self.data, dtype=dtype, count=want, offset=self.pos)
+        self.pos = end
+        return arr.reshape(shape).copy()
+
+    def end(self) -> None:
+        if self.pos != len(self.data):
+            raise CorruptFileError(
+                f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
 
 
-def _read_container(path: str | Path, magic: bytes, kind: str) -> tuple[dict, bytes, int]:
-    """Check a container's magic, versions and header; returns the header,
-    the file's bytes and the offset of its first array."""
+def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict, _Arrays]:
+    """Check a container's magic, versions and header, and convert each
+    header field by its entry in `fields`; returns the converted fields and
+    the file's arrays."""
     data = Path(path).read_bytes()
     if len(data) < len(magic) + 9:
         raise CorruptFileError(f"{path}: too short to be a {kind} file")
@@ -128,30 +117,50 @@ def _read_container(path: str | Path, magic: bytes, kind: str) -> tuple[dict, by
         raise VersionMismatchError(
             f"{path}: header declares version {header.get('format_version')}"
         )
-    return header, data, pos + header_len
+    try:
+        values = {key: convert(header[key]) for key, convert in fields.items()}
+    except (KeyError, TypeError, ValueError, StoryGraphError) as err:
+        raise CorruptFileError(f"{path}: malformed header field: {err}") from err
+    return values, _Arrays(path, data, pos + header_len)
+
+
+def save_model(path: str | Path, bundle: ModelBundle) -> None:
+    params = bundle.params
+    vocab = bundle.vocabulary
+    pairs = decode_pairs(bundle.edge_table.codes)
+    header = {
+        "vocab_size": params.vocab_size,
+        "dim": params.dim,
+        "n_classes": params.n_classes,
+        "n_edge_params": int(params.edge_weights.shape[0]),
+        "n_pairs": int(pairs.shape[0]),
+        "config": asdict(bundle.config),
+        "project": bundle.project,
+        "text_mode": bundle.text_mode,
+        "split_hash": bundle.split_hash,
+        "class_values": list(bundle.class_values),
+        "tokens": list(vocab.id_to_token),
+        "token_counts": [int(c) for c in vocab.counts],
+        "edge_window": bundle.edge_table.window,
+        "edge_min_frequency": bundle.edge_table.min_frequency,
+    }
+    arrays = [(arr, "<f8") for _, arr in params.named_arrays()]
+    _save(path, MAGIC_PREFIX, header, [*arrays, (pairs, "<i8")])
 
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model container back; inverse of save_model, bit for bit."""
-    header, data, pos = _read_container(path, MAGIC_PREFIX, "model")
-    try:
-        v = int(header["vocab_size"])
-        d = int(header["dim"])
-        c = int(header["n_classes"])
-        n_edge = int(header["n_edge_params"])
-        n_pairs = int(header["n_pairs"])
-        tokens = list(header["tokens"])
-        token_counts = list(header["token_counts"])
-        config = TrainConfig(**header["config"])
-        project = str(header["project"])
-        text_mode = str(header["text_mode"])
-        split_hash = str(header["split_hash"])
-        class_values = tuple(int(x) for x in header["class_values"])
-        edge_window = int(header["edge_window"])
-        edge_min_frequency = int(header["edge_min_frequency"])
-    except (KeyError, TypeError, ValueError, StoryGraphError) as err:
-        raise CorruptFileError(f"{path}: malformed header field: {err}") from err
-    if len(tokens) != v or len(token_counts) != v:
+    h, arrays = _load(path, MAGIC_PREFIX, "model", {
+        "vocab_size": int, "dim": int, "n_classes": int, "n_edge_params": int,
+        "n_pairs": int, "tokens": list, "token_counts": list,
+        "config": lambda config: TrainConfig(**config),
+        "project": str, "text_mode": str, "split_hash": str,
+        "class_values": lambda values: tuple(int(x) for x in values),
+        "edge_window": int, "edge_min_frequency": int,
+    })
+    v, d, c, n_pairs = h["vocab_size"], h["dim"], h["n_classes"], h["n_pairs"]
+    tokens, class_values = h["tokens"], h["class_values"]
+    if len(tokens) != v or len(h["token_counts"]) != v:
         raise CorruptFileError(
             f"{path}: header lists {len(tokens)} tokens for vocabulary of {v}"
         )
@@ -159,31 +168,25 @@ def load_model(path: str | Path) -> ModelBundle:
         raise CorruptFileError(
             f"{path}: {len(class_values)} story-point values for {c} classes"
         )
-    if n_edge != n_pairs + 1:
+    if h["n_edge_params"] != n_pairs + 1:
         raise CorruptFileError(
-            f"{path}: {n_edge} edge parameters cannot index {n_pairs} pairs"
+            f"{path}: {h['n_edge_params']} edge parameters cannot index {n_pairs} pairs"
         )
 
-    embeddings, pos = _take(data, pos, "<f8", (v, d))
-    edge_weights, pos = _take(data, pos, "<f8", (n_edge,))
-    gates, pos = _take(data, pos, "<f8", (v,))
-    classifier_weights, pos = _take(data, pos, "<f8", (c, d))
-    classifier_bias, pos = _take(data, pos, "<f8", (c,))
-    pairs, pos = _take(data, pos, "<i8", (n_pairs, 2))
-    if pos != len(data):
-        raise CorruptFileError(f"{path}: {len(data) - pos} unexpected trailing bytes")
-
     params = ModelParameters(
-        embeddings=embeddings,
-        edge_weights=edge_weights,
-        gates=gates,
-        classifier_weights=classifier_weights,
-        classifier_bias=classifier_bias,
+        embeddings=arrays.take("<f8", (v, d)),
+        edge_weights=arrays.take("<f8", (n_pairs + 1,)),
+        gates=arrays.take("<f8", (v,)),
+        classifier_weights=arrays.take("<f8", (c, d)),
+        classifier_bias=arrays.take("<f8", (c,)),
     )
+    pairs = arrays.take("<i8", (n_pairs, 2))
+    arrays.end()
+
     vocabulary = Vocabulary(
-        id_to_token=list(tokens),
+        id_to_token=tokens,
         token_to_id={t: i for i, t in enumerate(tokens)},
-        counts=[int(n) for n in token_counts],
+        counts=[int(n) for n in h["token_counts"]],
     )
     if pairs.size and (pairs.min() < 0 or pairs.max() >= v):
         raise CorruptFileError(f"{path}: edge pair token id outside [0, {v})")
@@ -193,17 +196,17 @@ def load_model(path: str | Path) -> ModelBundle:
     table = EdgeTable(
         codes=codes,
         distinct_pair_count=0,
-        min_frequency=edge_min_frequency,
-        window=edge_window,
+        min_frequency=h["edge_min_frequency"],
+        window=h["edge_window"],
     )
     return ModelBundle(
         params=params,
-        config=config,
+        config=h["config"],
         vocabulary=vocabulary,
         edge_table=table,
-        project=project,
-        text_mode=text_mode,
-        split_hash=split_hash,
+        project=h["project"],
+        text_mode=h["text_mode"],
+        split_hash=h["split_hash"],
         class_values=class_values,
     )
 
@@ -265,7 +268,6 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
     for gram, col in tfidf.vocabulary.items():
         terms_by_column[col] = gram
     header = {
-        "format_version": FORMAT_VERSION,
         "task": forest.task,
         "n_features": forest.n_features,
         "n_classes": forest.n_classes,
@@ -276,63 +278,55 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
         "document_count": tfidf.document_count,
         "max_ngram": tfidf.max_ngram,
     }
-    with open(path, "wb") as fh:
-        _write_header(fh, BASELINE_MAGIC_PREFIX, header)
-        fh.write(np.ascontiguousarray(tfidf.idf, dtype="<f8").tobytes())
-        for tree in forest.trees:
-            for name, dtype in _TREE_ARRAYS:
-                fh.write(np.ascontiguousarray(getattr(tree, name), dtype=dtype).tobytes())
-            fh.write(np.ascontiguousarray(tree.histogram, dtype="<f8").tobytes())
+    arrays = [(tfidf.idf, "<f8")]
+    for tree in forest.trees:
+        arrays += [(getattr(tree, name), dtype) for name, dtype in _TREE_ARRAYS]
+        arrays.append((tree.histogram, "<f8"))
+    _save(path, BASELINE_MAGIC_PREFIX, header, arrays)
 
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
-    header, data, pos = _read_container(path, BASELINE_MAGIC_PREFIX, "baseline model")
-
-    try:
-        task = str(header["task"])
-        n_features = int(header["n_features"])
-        n_classes = int(header["n_classes"])
-        config = RandomForestConfig(**header["forest_config"])
-        seeds = [int(s) for s in header["bootstrap_seeds"]]
-        node_counts = [int(c) for c in header["tree_node_counts"]]
-        terms = list(header["terms"])
-        document_count = int(header["document_count"])
-        max_ngram = int(header["max_ngram"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise CorruptFileError(f"{path}: malformed header field: {err}") from err
+    h, arrays = _load(path, BASELINE_MAGIC_PREFIX, "baseline model", {
+        "task": str, "n_features": int, "n_classes": int,
+        "forest_config": lambda config: RandomForestConfig(**config),
+        "bootstrap_seeds": lambda seeds: [int(s) for s in seeds],
+        "tree_node_counts": lambda counts: [int(c) for c in counts],
+        "terms": list, "document_count": int, "max_ngram": int,
+    })
+    task, n_features, n_classes = h["task"], h["n_features"], h["n_classes"]
+    terms, node_counts = h["terms"], h["tree_node_counts"]
     if len(terms) != n_features:
         raise CorruptFileError(
             f"{path}: header lists {len(terms)} terms for {n_features} features"
         )
-    if len(seeds) != len(node_counts):
+    if len(h["bootstrap_seeds"]) != len(node_counts):
         raise CorruptFileError(f"{path}: per-tree metadata lengths disagree")
     if min(node_counts, default=1) < 1:
         raise CorruptFileError(f"{path}: a tree without nodes")
     if not (task == "classify" and n_classes > 0 or task == "regress" and n_classes == 0):
         raise CorruptFileError(f"{path}: task {task!r} with {n_classes} classes")
 
-    idf, pos = _take(data, pos, "<f8", (n_features,))
+    idf = arrays.take("<f8", (n_features,))
     trees = []
-    for seed, count in zip(seeds, node_counts):
-        arrays = {}
-        for name, dtype in _TREE_ARRAYS:
-            arrays[name], pos = _take(data, pos, dtype, (count,))
-        histogram, pos = _take(data, pos, "<f8", (count, n_classes))
-        tree = Tree(**arrays, histogram=histogram, bootstrap_seed=seed)
+    for seed, count in zip(h["bootstrap_seeds"], node_counts):
+        tree = Tree(
+            **{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS},
+            histogram=arrays.take("<f8", (count, n_classes)),
+            bootstrap_seed=seed,
+        )
         _check_tree(path, tree, n_features)
         trees.append(tree)
-    if pos != len(data):
-        raise CorruptFileError(f"{path}: {len(data) - pos} unexpected trailing bytes")
+    arrays.end()
 
     tfidf = TfidfModel(
         vocabulary={gram: col for col, gram in enumerate(terms)},
         idf=idf,
-        document_count=document_count,
-        max_ngram=max_ngram,
+        document_count=h["document_count"],
+        max_ngram=h["max_ngram"],
     )
     forest = Forest(
         trees=trees,
-        config=config,
+        config=h["forest_config"],
         task=task,
         n_features=n_features,
         n_classes=n_classes,

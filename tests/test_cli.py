@@ -118,18 +118,20 @@ def json_containers(inner):
     return st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3)
 
 
-# text without a line break: a message may quote a value verbatim
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(
-        exclude_characters="\n")),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     json_containers, max_leaves=4,
 )
 
 
+def is_one_error_line(err: str) -> bool:
+    return re.fullmatch(r"error: [^\r\n]*\n", err) is not None
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(key=st.sampled_from(sorted(options(ExperimentConfig, TrainConfig))) | st.text(
-    st.characters(exclude_characters="\n")), value=JSON_VALUES)
+@given(key=st.sampled_from(sorted(options(ExperimentConfig, TrainConfig))) | st.text(),
+       value=JSON_VALUES)
 def test_no_config_file_ends_in_a_traceback(tmp_path, key, value):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: value}))
@@ -138,7 +140,21 @@ def test_no_config_file_ends_in_a_traceback(tmp_path, key, value):
         code = main(["eval", "--model", str(tmp_path / "missing.model"),
                      "--config", str(cfg)])
     assert code in (1, 2)
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert is_one_error_line(err.getvalue())
+
+
+def test_a_line_break_in_a_quoted_value_stays_on_the_error_line(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"project": ["a\nb", "a\r\nb"] * 2}))
+    code, _, err = run_cli(capsys, "stats", "--data", str(tmp_path), "--out",
+                           str(tmp_path / "o"), "--config", str(cfg))
+    assert code == 1
+    assert err == "error: StoryGraphError: project: a\\nb, a\\r\\nb named more than once\n"
+
+    data = tmp_path / "x\ny"
+    code, _, err = run_cli(capsys, "stats", "--data", str(data), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert is_one_error_line(err) and str(tmp_path / "x\\ny") in err
 
 
 def test_missing_data_dir_exits_2(capsys, tmp_path):

@@ -83,7 +83,11 @@ def tok(doc_id, words, level=StoryPointLevel.SMALL, sp=2):
     (lambda p: ExperimentConfig(data_dir=p, windows=(2, 2)),
      "windows: 2 named more than once"),
     (lambda p: replace(TrainConfig(), window=0), "window: 0 is not >= 1"),
-], ids=["batch_size", "window-text", "dropout-bool", "jobs", "mode", "windows", "replace"])
+    (lambda p: RandomForestConfig(n_trees=0), "n_trees: 0 is not >= 1"),
+    (lambda p: RandomForestConfig(bootstrap=1), "bootstrap: 1 is not a bool"),
+    (lambda p: RandomForestConfig(max_features=7), "max_features: 7 is not one of auto, all"),
+], ids=["batch_size", "window-text", "dropout-bool", "jobs", "mode", "windows", "replace",
+        "forest-trees", "forest-bootstrap-int", "forest-max-features"])
 def test_configs_check_their_own_values(tmp_path, build, message):
     with pytest.raises(StoryGraphError) as err:
         build(tmp_path)

@@ -169,30 +169,62 @@ def test_rejects_corrupt_header_json(tmp_path):
         load_model(path)
 
 
-def rewrite_config(path, **edits):
-    """Edit the training config in a model file's header, and the header
-    length before it; the arrays stay as they are."""
+def rewrite_header(path, section=None, **edits):
+    """Edit a container's header fields, or those of the config it holds
+    under `section`, and the header length before them; the arrays stay as
+    they are."""
     raw = path.read_bytes()
     (length,) = struct.unpack_from("<Q", raw, 8)  # after magic and version byte
     header = json.loads(raw[16:16 + length])
-    header["config"].update(edits)
+    (header if section is None else header[section]).update(edits)
     text = json.dumps(header).encode()
     path.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + length:])
 
 
-@pytest.mark.parametrize("edit", [
-    {"window": "3"}, {"window": 3.0}, {"rounds": 1.5}, {"batch_size": 0},
-    {"dropout": 7.5}, {"seed": "42"}, {"learning_rate": -1}, {"min_edge_frequency": 0},
-], ids=repr)
-def test_rejects_a_header_config_outside_its_declared_values(tmp_path, edit):
+def saved_model(path):
+    """A small `.model` at path: its loader, header config key and config."""
+    bundle, _ = make_bundle()
+    save_model(path, bundle)
+    return lambda: load_model(path).config, "config", bundle.config
+
+
+def saved_baseline(path):
+    """A small `.baseline` at path: its loader, header config key and config."""
+    bundle, _ = fit_small_baseline()
+    save_baseline_model(path, bundle)
+    return lambda: load_baseline_model(path).forest.config, "forest_config", bundle.forest.config
+
+
+@pytest.mark.parametrize("container, edit", [
+    *(pytest.param(saved_model, edit, id=repr(edit)) for edit in (
+        {"window": "3"}, {"window": 3.0}, {"rounds": 1.5}, {"batch_size": 0},
+        {"dropout": 7.5}, {"seed": "42"}, {"learning_rate": -1},
+        {"min_edge_frequency": 0}, {"momentum": 0.9},
+    )),
+    *(pytest.param(saved_baseline, edit, id=f"baseline-{edit!r}") for edit in (
+        {"n_trees": 0}, {"min_leaf": "1"}, {"max_depth": -1}, {"max_features": 7},
+        {"bootstrap": "yes"}, {"n_estimators": 10},
+    )),
+])
+def test_rejects_a_header_config_outside_its_declared_values(tmp_path, container, edit):
+    load, section, config = container(tmp_path / "m")
+    rewrite_header(tmp_path / "m", section)
+    assert load() == config  # the rewrite alone is harmless
+    rewrite_header(tmp_path / "m", section, **edit)
+    key = next(iter(edit))
+    with pytest.raises(CorruptFileError, match=f"malformed header field: ({key}: |.*'{key}')"):
+        load()
+
+
+@pytest.mark.parametrize("edit", [{"dim": -1}, {"n_pairs": -1, "n_edge_params": 0}], ids=repr)
+def test_rejects_a_negative_array_shape(tmp_path, edit):
+    # each passes the header's own cross-checks; numpy would read a negative
+    # count as "the rest of the buffer"
     bundle, _ = make_bundle()
     path = tmp_path / "m.model"
     save_model(path, bundle)
-    rewrite_config(path)
-    assert load_model(path).config == bundle.config  # the rewrite alone is harmless
-    rewrite_config(path, **edit)
-    key = next(iter(edit))
-    with pytest.raises(CorruptFileError, match=f"malformed header field: {key}: "):
+    rewrite_header(path, **edit)
+    with pytest.raises(CorruptFileError, match="negative shape"):
         load_model(path)
 
 
@@ -276,6 +308,15 @@ def test_baseline_round_trip(tmp_path, task):
     assert loaded.forest.n_features == bundle.forest.n_features
     assert len(loaded.forest.trees) == len(bundle.forest.trees)
     assert rf_predict_many(loaded.forest, xs) == rf_predict_many(bundle.forest, xs)
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_baseline_round_trip_is_byte_exact(tmp_path, task):
+    bundle, _ = fit_small_baseline(task)
+    first, second = tmp_path / "a.baseline", tmp_path / "b.baseline"
+    save_baseline_model(first, bundle)
+    save_baseline_model(second, load_baseline_model(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):

@@ -45,6 +45,21 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout == "False\n"
 
 
+def test_the_benchmark_tracer_finds_every_function_it_wraps():
+    # perfbench's traced runs wrap what `import storygraph.cli` has loaded
+    # and skip what they cannot find; graph.graph_stats no longer exists
+    code = ("import storygraph.cli\nfrom tracer import Tracer, install\n"
+            "print(install(Tracer()))")
+    path = os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), str(Path(__file__).parents[1] / "perfbench"),
+        os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout == "['graph.graph_stats']\n"
+
+
 # the command, as CLI arguments after --data/--out; eval reads the model
 # that train saved
 NO_MA_COMMANDS = [
