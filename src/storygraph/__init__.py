@@ -18,7 +18,6 @@ from .baseline import (
     tfidf_transform,
 )
 from .corpus import (
-    DatasetFormat,
     DatasetSplit,
     Issue,
     StoryPointLevel,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineBundle",
-    "DatasetFormat",
     "DatasetSplit",
     "DocumentGraph",
     "EdgeTable",

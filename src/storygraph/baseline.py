@@ -412,12 +412,10 @@ def _batches(
 
 
 def _resolve_max_features(spec: str, n_features: int, task: str) -> int:
-    if spec == "auto":
-        k = int(math.sqrt(n_features)) if task == "classify" else n_features // 3
-        return max(1, k)
     if spec == "all":
         return n_features
-    raise ValueError(f"unknown max_features {spec!r}")
+    k = int(math.sqrt(n_features)) if task == "classify" else n_features // 3
+    return max(1, k)
 
 
 def _grow_trees(

@@ -88,18 +88,6 @@ class Issue:
         return f"{self.title} {self.description}"
 
 
-@dataclass(frozen=True)
-class DatasetFormat:
-    """Column layout of a delimiter-separated issue file."""
-
-    delimiter: str = ","
-    key_column: str = "issuekey"
-    title_column: str = "title"
-    description_column: str = "description"
-    story_point_column: str = "storypoint"
-    encoding: str = "utf-8"
-
-
 @dataclass
 class LoadReport:
     """Counts collected while loading one project file."""
@@ -126,21 +114,20 @@ def _parse_story_point(raw: str) -> int | None:
     return int(value)
 
 
-def load_issues(
-    path: str | Path,
-    fmt: DatasetFormat = DatasetFormat(),
-    project: str | None = None,
-) -> tuple[list[Issue], LoadReport]:
-    """Load one project's issues from a delimiter-separated file.
+def load_issues(path: str | Path) -> tuple[list[Issue], LoadReport]:
+    """Load one project's issues from its CSV file; the project is named
+    after the file's stem.
 
-    Rows with a missing or non-numeric story point, and rows reusing an
-    already-seen issue key, are skipped and counted in the returned report.
+    The file is UTF-8, with or without a byte-order mark, and comma
+    separated; its header names the columns issuekey, title, description
+    and storypoint, in any order and case. Rows with a missing or
+    non-numeric story point, and rows reusing an already-seen issue key,
+    are skipped and counted in the returned report.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    if project is None:
-        project = path.stem
+    project = path.stem
 
     report = LoadReport(path=str(path), project=project)
     issues: list[Issue] = []
@@ -149,15 +136,10 @@ def load_issues(
     # shorter than some tracker descriptions with pasted logs
     csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
 
-    with open(path, encoding=fmt.encoding, newline="") as handle:
-        reader = csv.DictReader(handle, delimiter=fmt.delimiter)
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.DictReader(handle)
         header = [h.strip().lower() for h in (reader.fieldnames or [])]
-        required = (
-            fmt.key_column,
-            fmt.title_column,
-            fmt.description_column,
-            fmt.story_point_column,
-        )
+        required = ("issuekey", "title", "description", "storypoint")
         missing = [col for col in required if col not in header]
         if missing:
             raise MalformedHeaderError(
@@ -169,11 +151,11 @@ def load_issues(
         for row in reader:
             report.rows_total += 1
             values = {canon[k]: (v if v is not None else "") for k, v in row.items() if k is not None}
-            sp = _parse_story_point(values.get(fmt.story_point_column) or "")
+            sp = _parse_story_point(values.get("storypoint") or "")
             if sp is None:
                 report.skipped_story_point += 1
                 continue
-            key = (values.get(fmt.key_column) or "").strip()
+            key = (values.get("issuekey") or "").strip()
             if not key or key in seen_keys:
                 report.skipped_duplicate_key += 1
                 continue
@@ -182,8 +164,8 @@ def load_issues(
                 Issue(
                     project=project,
                     issue_key=key,
-                    title=(values.get(fmt.title_column) or "").strip(),
-                    description=(values.get(fmt.description_column) or "").strip(),
+                    title=(values.get("title") or "").strip(),
+                    description=(values.get("description") or "").strip(),
                     story_point=sp,
                 )
             )

@@ -19,7 +19,6 @@ from .corpus import StoryPointLevel, TokenizedDocument
 from .errors import DimensionMismatchError, EmptyTrainingSetError
 
 UNKNOWN_TOKEN = "<unk>"
-DEFAULT_DIM = 300
 
 PROVENANCE_RESERVED = "reserved"
 PROVENANCE_PRETRAINED = "pretrained"
@@ -81,10 +80,6 @@ class EmbeddingTable:
     matrix: np.ndarray  # (V, d) float64
     provenance: list[str]
 
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
-
     def oov_fraction(self) -> float:
         """Fraction of real vocabulary rows (id >= 1) randomly initialized."""
         real = self.provenance[1:]
@@ -94,7 +89,7 @@ class EmbeddingTable:
 
 
 def load_pretrained_vectors(
-    path: str | Path, tokens: Iterable[str], dim: int = DEFAULT_DIM
+    path: str | Path, tokens: Iterable[str], dim: int
 ) -> dict[str, np.ndarray]:
     """The rows of `tokens` in a plain-text vector file, which holds one
     token followed by `dim` space-separated floats per line.
@@ -185,18 +180,16 @@ def build_vocab(
     train_docs: Sequence[TokenizedDocument],
     pretrained: Mapping[str, np.ndarray],
     seed: int,
-    dim: int | None = None,
+    dim: int,
 ) -> tuple[Vocabulary, EmbeddingTable]:
     """Build the training vocabulary and its initial embedding matrix.
 
     Ids are as in build_vocabulary. Rows are copied from `pretrained` when
     row_provenance says so; the random rows, in id order, are one draw
     uniform over [-OOV_INIT_SCALE, OOV_INIT_SCALE] under `seed`; the
-    unknown-token row is zero. Fully determined by (docs, pretrained, seed).
+    unknown-token row is zero. Fully determined by the four arguments.
     """
     vocab = build_vocabulary(train_docs)
-    if dim is None:
-        dim = len(next(iter(pretrained.values()))) if pretrained else DEFAULT_DIM
     provenance = row_provenance(vocab, pretrained, dim)
     matrix = np.zeros((vocab.size, dim), dtype=np.float64)
     random_ids = []

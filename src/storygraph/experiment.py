@@ -25,7 +25,6 @@ import numpy as np
 from . import baseline as bl
 from . import gnn
 from .corpus import (
-    DatasetFormat,
     StoryPointLevel,
     TokenizedDocument,
     DatasetSplit,
@@ -34,7 +33,6 @@ from .corpus import (
     tokenize_issues,
 )
 from .embeddings import (
-    DEFAULT_DIM,
     EmbeddingTable,
     EncodedDocument,
     Vocabulary,
@@ -43,7 +41,7 @@ from .embeddings import (
     load_pretrained_vectors,
 )
 from .errors import EmptyDatasetError, check_options, option
-from .graph import EdgeTable, assign_edge_params, build_graphs, count_cooccurrences
+from .graph import assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
 
@@ -68,7 +66,7 @@ class ExperimentConfig:
     task: str = option(TASK_CLASSIFY, choices={"classify": TASK_CLASSIFY, "regress": TASK_REGRESS})
     model: str = option("both", choices=("gnn", "tfidf-rf", "both"))
     jobs: int = option(1, int, low=1)
-    embedding_dim: int = option(DEFAULT_DIM, int, key="dim", low=1)
+    embedding_dim: int = option(300, int, key="dim", low=1)
     windows: tuple[int, ...] = option(DEFAULT_WINDOWS, int, low=1, many=True)
     vectors_path: Path | None = option(None, Path, key="vectors")
     train: gnn.TrainConfig = field(default_factory=gnn.TrainConfig)
@@ -172,7 +170,7 @@ class PreparedProject:
 def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
     """Load, tokenize (with optional verb-noun filter) and split one project."""
     path = config.data_dir / f"{project}.csv"
-    issues, _ = load_issues(path, DatasetFormat(), project=project)
+    issues, _ = load_issues(path)
     tagger = LexiconTagger() if config.text_mode == MODE_FILTERED else None
     docs, _ = tokenize_issues(issues, tagger=tagger)
     split = split_dataset(docs, seed=derive_seed(config.train.seed, project, "split"))
@@ -268,12 +266,6 @@ def _encode_train(prepared: PreparedProject) -> tuple[Vocabulary, list[EncodedDo
     return vocab, vocab.encode_all(prepared.split.train)
 
 
-def _edge_table(config: ExperimentConfig, train_enc: list[EncodedDocument]) -> EdgeTable:
-    window = config.train.window
-    counts = count_cooccurrences(train_enc, window)
-    return assign_edge_params(counts, config.train.min_edge_frequency, window)
-
-
 def _run_gnn(
     config: ExperimentConfig,
     prepared: PreparedProject,
@@ -285,15 +277,22 @@ def _run_gnn(
     project = prepared.project
     split = prepared.split
     vocab, table, (train_enc, val_enc, test_enc) = encoded
-    edges = _edge_table(config, train_enc)
+    window = config.train.window
+    counts = count_cooccurrences(train_enc, window)
+    # every training token is a node of some training graph, and every
+    # counted pair an edge of one
+    result.node_count = vocab.size - 1
+    result.edge_count = len(counts)
+    edges = assign_edge_params(counts, config.train.min_edge_frequency, window)
+    del counts  # not held while training
     task = config.task
     cv = prepared.class_values
     train_graphs = build_graphs(
-        train_enc, config.train.window, edges,
+        train_enc, window, edges,
         labels=labels_for(split.train, task, cv),
     )
     val_graphs = build_graphs(
-        val_enc, config.train.window, edges,
+        val_enc, window, edges,
         labels=labels_for(split.validation, task, cv),
     )
 
@@ -305,9 +304,8 @@ def _run_gnn(
         seed=derive_seed(master, project, "init"),
     )
     train_cfg = replace(config.train, seed=derive_seed(master, project, "train"))
-    started = time.perf_counter()
     trained = gnn.train(init_params, train_graphs, val_graphs, train_cfg)
-    result.train_seconds = time.perf_counter() - started
+    result.train_seconds = trained.total_seconds
 
     # the master-seed config goes into the bundle: the per-project train
     # seed is re-derivable from it, and split recovery at eval time needs
@@ -323,11 +321,6 @@ def _run_gnn(
         class_values=cv,
     )
     result.gnn_accuracy, result.gnn_mae = score_gnn(bundle, test_enc, split.test)
-
-    # every training token is a node of some training graph, and every
-    # counted pair an edge of one
-    result.node_count = vocab.size - 1
-    result.edge_count = edges.distinct_pair_count
 
     if models_dir is not None:
         models_dir.mkdir(parents=True, exist_ok=True)
@@ -420,7 +413,7 @@ def _stats_project(
     vocab, train_enc = _encode_train(prepared)
     result = _result_for(prepared)
     result.node_count = vocab.size - 1
-    result.edge_count = _edge_table(config, train_enc).distinct_pair_count
+    result.edge_count = len(count_cooccurrences(train_enc, config.train.window))
     return result
 
 

@@ -62,6 +62,8 @@ DECAYED_ARRAYS = ("embeddings", "edge_weights", "classifier_weights")
 # Elements per slice of an Adam step: its few temporaries then stay within
 # a few hundred kB instead of several copies of the embedding table.
 ADAM_CHUNK = 16384
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -463,9 +465,6 @@ def adam_update(
     state: AdamState,
     learning_rate: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     rows: np.ndarray | None = None,
 ) -> None:
     """One in-place adaptive-moment step; decay is classic L2 on gradients.
@@ -482,8 +481,8 @@ def adam_update(
     with the slice's rows copied in.
     """
     state.step += 1
-    bc1 = 1.0 - beta1**state.step
-    bc2 = 1.0 - beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     slice_rows = {
         name: max(1, ADAM_CHUNK // max(1, whole[:1].size))
         for name, whole in params.named_arrays()
@@ -519,13 +518,13 @@ def adam_update(
                 g = np.add(g, np.multiply(weight_decay, arr, out=a), out=a)
             m = state.m[name][part]
             v = state.v[name][part]
-            m *= beta1
-            m += np.multiply(1.0 - beta1, g, out=b)
-            v *= beta2
-            v += np.multiply(1.0 - beta2, np.multiply(g, g, out=b), out=b)
-            # learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
+            v *= ADAM_BETA2
+            v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=b), out=b)
+            # learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             denom = np.sqrt(np.divide(v, bc2, out=b), out=b)
-            denom += eps
+            denom += ADAM_EPS
             step = np.multiply(learning_rate, np.divide(m, bc1, out=a), out=a)
             step /= denom
             arr -= step

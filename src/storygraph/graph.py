@@ -106,13 +106,11 @@ class EdgeTable:
 
     `codes` holds the sorted pair codes of the pairs counted at least
     `min_frequency` times; the pair at rank r owns index r + 1 and every
-    other pair shares PUBLIC_EDGE_INDEX. `distinct_pair_count` reports
-    pairs before thresholding, which is the graph-scale statistic; a table
-    read back from a model file does not know it and holds 0.
+    other pair shares PUBLIC_EDGE_INDEX. A model file stores exactly these
+    three fields.
     """
 
     codes: np.ndarray  # (n,) int64, strictly increasing
-    distinct_pair_count: int
     min_frequency: int
     window: int
 
@@ -141,7 +139,6 @@ def assign_edge_params(
         raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
     return EdgeTable(
         codes=counts.codes[counts.counts >= min_frequency],
-        distinct_pair_count=len(counts),
         min_frequency=min_frequency,
         window=window,
     )

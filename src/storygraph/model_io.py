@@ -14,14 +14,16 @@ pre-threshold co-occurrence counts are not persisted.
 A `.baseline` file holds the idf vector, then each tree's flat preorder
 arrays in the layout the baseline.py docstring states; loading refuses a
 tree that breaks it. Either header's config must meet its dataclass's
-declared legal values.
+declared legal values, and every other header field must have exactly its
+JSON type.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +89,28 @@ class _Arrays:
                 f"{self.path}: {len(self.data) - self.pos} unexpected trailing bytes")
 
 
+def _field(key: str, value, kind):
+    """Header field `key` as `kind`. A config dataclass is built from its
+    JSON object and checks its own values; `[t]` takes a list of values of
+    type t; any other value must be of exactly type `kind`, so neither true
+    nor 2.9 passes for an int, nor 5 for a str."""
+    if is_dataclass(kind):
+        return kind(**_field(key, value, dict))
+    if isinstance(kind, list):
+        (kind,) = kind
+        items = _field(key, value, list)
+    else:
+        items = (value,)
+    for item in items:
+        if type(item) is not kind:
+            raise TypeError(f"{key}: {reprlib.repr(item)} is not {kind.__name__}")
+    return value
+
+
 def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict, _Arrays]:
     """Check a container's magic, versions and header, and convert each
-    header field by its entry in `fields`; returns the converted fields and
-    the file's arrays."""
+    header field by its kind in `fields` (see _field); returns the converted
+    fields and the file's arrays."""
     data = Path(path).read_bytes()
     if len(data) < len(magic) + 9:
         raise CorruptFileError(f"{path}: too short to be a {kind} file")
@@ -118,7 +138,7 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
             f"{path}: header declares version {header.get('format_version')}"
         )
     try:
-        values = {key: convert(header[key]) for key, convert in fields.items()}
+        values = {key: _field(key, header[key], kind) for key, kind in fields.items()}
     except (KeyError, TypeError, ValueError, StoryGraphError) as err:
         raise CorruptFileError(f"{path}: malformed header field: {err}") from err
     return values, _Arrays(path, data, pos + header_len)
@@ -152,14 +172,12 @@ def load_model(path: str | Path) -> ModelBundle:
     """Read a model container back; inverse of save_model, bit for bit."""
     h, arrays = _load(path, MAGIC_PREFIX, "model", {
         "vocab_size": int, "dim": int, "n_classes": int, "n_edge_params": int,
-        "n_pairs": int, "tokens": list, "token_counts": list,
-        "config": lambda config: TrainConfig(**config),
-        "project": str, "text_mode": str, "split_hash": str,
-        "class_values": lambda values: tuple(int(x) for x in values),
-        "edge_window": int, "edge_min_frequency": int,
+        "n_pairs": int, "tokens": [str], "token_counts": [int],
+        "config": TrainConfig, "project": str, "text_mode": str, "split_hash": str,
+        "class_values": [int], "edge_window": int, "edge_min_frequency": int,
     })
     v, d, c, n_pairs = h["vocab_size"], h["dim"], h["n_classes"], h["n_pairs"]
-    tokens, class_values = h["tokens"], h["class_values"]
+    tokens, class_values = h["tokens"], tuple(h["class_values"])
     if len(tokens) != v or len(h["token_counts"]) != v:
         raise CorruptFileError(
             f"{path}: header lists {len(tokens)} tokens for vocabulary of {v}"
@@ -186,7 +204,7 @@ def load_model(path: str | Path) -> ModelBundle:
     vocabulary = Vocabulary(
         id_to_token=tokens,
         token_to_id={t: i for i, t in enumerate(tokens)},
-        counts=[int(n) for n in h["token_counts"]],
+        counts=h["token_counts"],
     )
     if pairs.size and (pairs.min() < 0 or pairs.max() >= v):
         raise CorruptFileError(f"{path}: edge pair token id outside [0, {v})")
@@ -195,7 +213,6 @@ def load_model(path: str | Path) -> ModelBundle:
         raise CorruptFileError(f"{path}: edge pairs not strictly increasing")
     table = EdgeTable(
         codes=codes,
-        distinct_pair_count=0,
         min_frequency=h["edge_min_frequency"],
         window=h["edge_window"],
     )
@@ -288,10 +305,9 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
 def load_baseline_model(path: str | Path) -> BaselineBundle:
     h, arrays = _load(path, BASELINE_MAGIC_PREFIX, "baseline model", {
         "task": str, "n_features": int, "n_classes": int,
-        "forest_config": lambda config: RandomForestConfig(**config),
-        "bootstrap_seeds": lambda seeds: [int(s) for s in seeds],
-        "tree_node_counts": lambda counts: [int(c) for c in counts],
-        "terms": list, "document_count": int, "max_ngram": int,
+        "forest_config": RandomForestConfig, "bootstrap_seeds": [int],
+        "tree_node_counts": [int], "terms": [str], "document_count": int,
+        "max_ngram": int,
     })
     task, n_features, n_classes = h["task"], h["n_features"], h["n_classes"]
     terms, node_counts = h["terms"], h["tree_node_counts"]

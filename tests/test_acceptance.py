@@ -18,7 +18,6 @@ import pytest
 
 from storygraph.baseline import rf_predict_many, tfidf_transform
 from storygraph.corpus import (
-    DatasetFormat,
     StoryPointLevel,
     bucket_level,
     load_issues,
@@ -253,7 +252,7 @@ def test_criterion_03_level_histogram():
     data = dataset_dir()
     histogram = Counter()
     for csv_path in sorted(data.glob("*.csv")):
-        issues, _ = load_issues(csv_path, DatasetFormat(), project=csv_path.stem)
+        issues, _ = load_issues(csv_path)
         for issue in issues:
             histogram[bucket_level(issue.story_point).name.title()] += 1
     assert sum(histogram.values()) == 23313
@@ -269,7 +268,7 @@ def test_criterion_04_edge_scale():
     if not csv_path.is_file():
         pytest.skip("jirasoftware.csv not present under STORYGRAPH_DATA")
     started = time.perf_counter()
-    issues, _ = load_issues(csv_path, DatasetFormat(), project="jirasoftware")
+    issues, _ = load_issues(csv_path)
     docs, _ = tokenize_issues(issues)
     vocab, _ = build_vocab(docs, {}, seed=0, dim=2)
     encoded = vocab.encode_all(docs)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from storygraph.corpus import (
-    DatasetFormat,
     Issue,
     StoryPointLevel,
     bucket_level,
@@ -83,8 +82,9 @@ def test_load_issues_basic(tmp_path):
              "storypoint": "50"},
         ],
     )
-    issues, report = load_issues(path, DatasetFormat(), project="proj")
+    issues, report = load_issues(path)
     assert [i.issue_key for i in issues] == ["P-1", "P-2"]
+    assert {i.project for i in issues} == {"proj"}  # the file's stem
     assert issues[0].story_point == 3
     assert issues[1].story_point == 50
     assert report.issues_loaded == 2
@@ -96,8 +96,21 @@ def test_load_issues_header_case_and_whitespace(tmp_path):
     path.write_text(
         "IssueKey , Title ,Description, StoryPoint\nP-1,t,d,2\n", encoding="utf-8"
     )
-    issues, _ = load_issues(path, DatasetFormat(), project="proj")
+    issues, _ = load_issues(path)
     assert len(issues) == 1
+
+
+def test_load_issues_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    path = write_project_csv(tmp_path / "alpha.csv", synth_rows("alpha", 30, seed=4))
+    marked = tmp_path / "marked" / "alpha.csv"
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    issues, report = load_issues(path)
+    marked_issues, marked_report = load_issues(marked)
+    assert marked_issues == issues
+    assert marked_report.rows_total == report.rows_total == 30
+    assert marked_report.issues_loaded == report.issues_loaded
 
 
 def test_load_issues_missing_column(tmp_path):
@@ -107,7 +120,7 @@ def test_load_issues_missing_column(tmp_path):
         fieldnames=("issuekey", "title", "description"),
     )
     with pytest.raises(MalformedHeaderError):
-        load_issues(path, DatasetFormat(), project="p")
+        load_issues(path)
 
 
 def test_load_issues_skips_bad_story_points(tmp_path):
@@ -119,7 +132,7 @@ def test_load_issues_skips_bad_story_points(tmp_path):
         {"issuekey": "P-5", "title": "e", "description": "x", "storypoint": "4.0"},
         {"issuekey": "P-6", "title": "f", "description": "x", "storypoint": ""},
     ]
-    issues, report = load_issues(_write_csv(tmp_path / "p.csv", rows), DatasetFormat())
+    issues, report = load_issues(_write_csv(tmp_path / "p.csv", rows))
     assert [i.issue_key for i in issues] == ["P-1", "P-5"]
     assert issues[1].story_point == 4  # float-integral accepted
     assert report.skipped_story_point == 4
@@ -130,7 +143,7 @@ def test_load_issues_skips_duplicate_keys(tmp_path):
         {"issuekey": "P-1", "title": "a", "description": "x", "storypoint": "3"},
         {"issuekey": "P-1", "title": "b", "description": "y", "storypoint": "5"},
     ]
-    issues, report = load_issues(_write_csv(tmp_path / "p.csv", rows), DatasetFormat())
+    issues, report = load_issues(_write_csv(tmp_path / "p.csv", rows))
     assert len(issues) == 1
     assert issues[0].title == "a"
     assert report.skipped_duplicate_key == 1
@@ -138,12 +151,12 @@ def test_load_issues_skips_duplicate_keys(tmp_path):
 
 def test_load_issues_empty_dataset(tmp_path):
     with pytest.raises(EmptyDatasetError):
-        load_issues(_write_csv(tmp_path / "p.csv", []), DatasetFormat())
+        load_issues(_write_csv(tmp_path / "p.csv", []))
 
 
 def test_load_issues_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_issues(tmp_path / "absent.csv", DatasetFormat())
+        load_issues(tmp_path / "absent.csv")
 
 
 def test_issue_text_places_title_first():
@@ -310,7 +323,7 @@ def test_split_fractions_property(n, seed):
 
 def test_synthetic_dataset_loads_end_to_end(tmp_path):
     path = write_project_csv(tmp_path / "alpha.csv", synth_rows("alpha", 40, seed=2))
-    issues, load_report = load_issues(path, DatasetFormat(), project="alpha")
+    issues, load_report = load_issues(path)
     assert load_report.issues_loaded == 40
     docs, tok_report = tokenize_issues(issues)
     assert tok_report.documents == 40

@@ -5,7 +5,6 @@ import pytest
 
 from storygraph.corpus import Issue, tokenize_issues
 from storygraph.embeddings import (
-    DEFAULT_DIM,
     OOV_INIT_SCALE,
     PROVENANCE_PRETRAINED,
     PROVENANCE_RANDOM,
@@ -95,17 +94,6 @@ def test_one_draw_gives_the_per_row_random_rows(dim):
     assert provenance.count(PROVENANCE_PRETRAINED) == 2
     assert build_vocabulary(docs) == vocab
     assert row_provenance(vocab, pretrained, dim) == provenance
-
-
-def test_dim_inferred_from_pretrained():
-    vec = np.zeros(6)
-    _, table = build_vocab(_docs(["word"]), {"word": vec}, seed=0)
-    assert table.dim == 6
-
-
-def test_default_dim_without_pretrained():
-    _, table = build_vocab(_docs(["word"]), {}, seed=0)
-    assert table.dim == DEFAULT_DIM
 
 
 def test_oov_fraction():

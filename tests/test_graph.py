@@ -142,7 +142,6 @@ def test_assign_edge_params_threshold_and_order():
     table = assign_edge_params(counts, min_frequency=2, window=2)
     assert pair_index(table) == {(1, 3): 1, (2, 2): 2, (3, 1): 3}
     assert table.num_edge_params == 4
-    assert table.distinct_pair_count == 4
     looked_up = table.edge_params(encode_pairs([1, 9, 3, 1, 0], [2, 9, 1, 3, 0]))
     assert looked_up.tolist() == [PUBLIC_EDGE_INDEX, PUBLIC_EDGE_INDEX, 3, 1,
                                   PUBLIC_EDGE_INDEX]

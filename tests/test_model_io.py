@@ -195,6 +195,18 @@ def saved_baseline(path):
     return lambda: load_baseline_model(path).forest.config, "forest_config", bundle.forest.config
 
 
+def saved_model_header(path):
+    """saved_model, with edits going to the header's own fields."""
+    load, _, config = saved_model(path)
+    return load, None, config
+
+
+def saved_baseline_header(path):
+    """saved_baseline, with edits going to the header's own fields."""
+    load, _, config = saved_baseline(path)
+    return load, None, config
+
+
 @pytest.mark.parametrize("container, edit", [
     *(pytest.param(saved_model, edit, id=repr(edit)) for edit in (
         {"window": "3"}, {"window": 3.0}, {"rounds": 1.5}, {"batch_size": 0},
@@ -204,6 +216,18 @@ def saved_baseline(path):
     *(pytest.param(saved_baseline, edit, id=f"baseline-{edit!r}") for edit in (
         {"n_trees": 0}, {"min_leaf": "1"}, {"max_depth": -1}, {"max_features": 7},
         {"bootstrap": "yes"}, {"n_estimators": 10},
+    )),
+    # each of a wrong JSON type, which a plain int(), str() or list() converted
+    *(pytest.param(saved_model_header, edit, id=f"header-{edit!r}") for edit in (
+        {"edge_window": 2.9}, {"edge_window": True}, {"project": 5},
+        {"split_hash": 7}, {"tokens": "<abc"}, {"tokens": ["<unk>", "alpha", "beta", 3]},
+        {"token_counts": [0, 5, 3, 2.0]}, {"class_values": [2, 8, 20.5]},
+        {"vocab_size": 4.0},
+    )),
+    *(pytest.param(saved_baseline_header, edit, id=f"baseline-header-{edit!r}")
+      for edit in (
+        {"max_ngram": 2.5}, {"document_count": 3.7}, {"n_features": False},
+        {"bootstrap_seeds": [1.9, 2, 3, 4, 5]}, {"task": 1},
     )),
 ])
 def test_rejects_a_header_config_outside_its_declared_values(tmp_path, container, edit):
