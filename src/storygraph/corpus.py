@@ -277,7 +277,6 @@ class DatasetSplit:
     train: tuple[TokenizedDocument, ...]
     validation: tuple[TokenizedDocument, ...]
     test: tuple[TokenizedDocument, ...]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.train) + len(self.validation) + len(self.test)
@@ -304,5 +303,4 @@ def split_dataset(docs: list[TokenizedDocument], seed: int) -> DatasetSplit:
         train=tuple(train),
         validation=tuple(validation),
         test=tuple(test),
-        seed=seed,
     )

@@ -283,7 +283,7 @@ def _run_gnn(
     # counted pair an edge of one
     result.node_count = vocab.size - 1
     result.edge_count = len(counts)
-    edges = assign_edge_params(counts, config.train.min_edge_frequency, window)
+    edges = assign_edge_params(counts, config.train.min_edge_frequency)
     del counts  # not held while training
     task = config.task
     cv = prepared.class_values

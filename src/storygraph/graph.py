@@ -104,15 +104,13 @@ def count_cooccurrences(
 class EdgeTable:
     """Global map from ordered token-id pairs to edge parameter indices.
 
-    `codes` holds the sorted pair codes of the pairs counted at least
-    `min_frequency` times; the pair at rank r owns index r + 1 and every
-    other pair shares PUBLIC_EDGE_INDEX. A model file stores exactly these
-    three fields.
+    `codes` holds the sorted pair codes of the pairs that own a parameter;
+    the pair at rank r owns index r + 1 and every other pair shares
+    PUBLIC_EDGE_INDEX. A model file stores this array as it is; the window
+    and frequency threshold it was counted with are the training config's.
     """
 
     codes: np.ndarray  # (n,) int64, strictly increasing
-    min_frequency: int
-    window: int
 
     @property
     def num_edge_params(self) -> int:
@@ -127,9 +125,7 @@ class EdgeTable:
         return np.where(owned, rank + 1, PUBLIC_EDGE_INDEX)
 
 
-def assign_edge_params(
-    counts: CooccurrenceCounts, min_frequency: int, window: int
-) -> EdgeTable:
+def assign_edge_params(counts: CooccurrenceCounts, min_frequency: int) -> EdgeTable:
     """Give every sufficiently frequent ordered pair its own parameter index.
 
     Indices follow sorted pair order, so the table is independent of
@@ -137,11 +133,7 @@ def assign_edge_params(
     """
     if min_frequency < 1:
         raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
-    return EdgeTable(
-        codes=counts.codes[counts.counts >= min_frequency],
-        min_frequency=min_frequency,
-        window=window,
-    )
+    return EdgeTable(codes=counts.codes[counts.counts >= min_frequency])
 
 
 @dataclass

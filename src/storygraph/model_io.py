@@ -3,19 +3,22 @@ reads both kinds of file.
 
 Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
 UTF-8 JSON header (`format_version` first), then raw little-endian arrays
-in a fixed order. A `.model` holds the five float64 parameter arrays, then
-the indexed edge pairs as int64; its header also records the run the model
-was trained in: its project, text mode, training config (with the master
-seed) and split hash. Arrays round-trip bit-exactly. The edge pairs are the
-(src, dst) token ids of the edge table's pair codes (see graph.py) in code
-order, so index i+1 in the edge-weight vector belongs to pairs[i];
-pre-threshold co-occurrence counts are not persisted.
+in a fixed order. A header states each fact once: a size that follows
+from a list it holds (vocabulary size, feature count) or from an array
+count (edge parameters = pairs + 1) is not stored, nor is anything the
+config holds. A `.model` holds the five float64 parameter arrays, then the
+edge table's pair codes (see graph.py) as int64, as they are in memory, so
+index i+1 in the edge-weight vector belongs to codes[i]; its header also
+records the run the model was trained in: its project, text mode, training
+config (with the master seed, window and edge frequency threshold) and
+split hash. Arrays round-trip bit-exactly; pre-threshold co-occurrence
+counts are not persisted.
 
 A `.baseline` file holds the idf vector, then each tree's flat preorder
 arrays in the layout the baseline.py docstring states; loading refuses a
 tree that breaks it. Either header's config must meet its dataclass's
-declared legal values, and every other header field must have exactly its
-JSON type.
+declared legal values, every other header field must have exactly its
+JSON type, and a token or term may be listed once.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from .baseline import Forest, RandomForestConfig, TfidfModel, Tree
 from .embeddings import Vocabulary
 from .errors import CorruptFileError, StoryGraphError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
-from .graph import EdgeTable, decode_pairs, encode_pairs
+from .graph import EdgeTable, decode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -107,6 +110,16 @@ def _field(key: str, value, kind):
     return value
 
 
+def _positions(path: str | Path, what: str, names: list[str]) -> dict[str, int]:
+    """Each of a header's names mapped to its position; a name listed
+    twice is refused."""
+    positions = {name: i for i, name in enumerate(names)}
+    if len(positions) != len(names):
+        repeated = next(name for i, name in enumerate(names) if positions[name] != i)
+        raise CorruptFileError(f"{path}: header lists {what} {reprlib.repr(repeated)} twice")
+    return positions
+
+
 def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict, _Arrays]:
     """Check a container's magic, versions and header, and convert each
     header field by its kind in `fields` (see _field); returns the converted
@@ -147,13 +160,10 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
     params = bundle.params
     vocab = bundle.vocabulary
-    pairs = decode_pairs(bundle.edge_table.codes)
     header = {
-        "vocab_size": params.vocab_size,
         "dim": params.dim,
         "n_classes": params.n_classes,
-        "n_edge_params": int(params.edge_weights.shape[0]),
-        "n_pairs": int(pairs.shape[0]),
+        "n_pairs": int(bundle.edge_table.codes.shape[0]),
         "config": asdict(bundle.config),
         "project": bundle.project,
         "text_mode": bundle.text_mode,
@@ -161,34 +171,29 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "class_values": list(bundle.class_values),
         "tokens": list(vocab.id_to_token),
         "token_counts": [int(c) for c in vocab.counts],
-        "edge_window": bundle.edge_table.window,
-        "edge_min_frequency": bundle.edge_table.min_frequency,
     }
     arrays = [(arr, "<f8") for _, arr in params.named_arrays()]
-    _save(path, MAGIC_PREFIX, header, [*arrays, (pairs, "<i8")])
+    _save(path, MAGIC_PREFIX, header, [*arrays, (bundle.edge_table.codes, "<i8")])
 
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model container back; inverse of save_model, bit for bit."""
     h, arrays = _load(path, MAGIC_PREFIX, "model", {
-        "vocab_size": int, "dim": int, "n_classes": int, "n_edge_params": int,
-        "n_pairs": int, "tokens": [str], "token_counts": [int],
-        "config": TrainConfig, "project": str, "text_mode": str, "split_hash": str,
-        "class_values": [int], "edge_window": int, "edge_min_frequency": int,
+        "dim": int, "n_classes": int, "n_pairs": int, "tokens": [str],
+        "token_counts": [int], "config": TrainConfig, "project": str,
+        "text_mode": str, "split_hash": str, "class_values": [int],
     })
-    v, d, c, n_pairs = h["vocab_size"], h["dim"], h["n_classes"], h["n_pairs"]
+    d, c, n_pairs = h["dim"], h["n_classes"], h["n_pairs"]
     tokens, class_values = h["tokens"], tuple(h["class_values"])
-    if len(tokens) != v or len(h["token_counts"]) != v:
+    v = len(tokens)
+    if len(h["token_counts"]) != v:
         raise CorruptFileError(
-            f"{path}: header lists {len(tokens)} tokens for vocabulary of {v}"
+            f"{path}: header lists {len(h['token_counts'])} token counts for {v} tokens"
         )
+    token_to_id = _positions(path, "token", tokens)
     if class_values and len(class_values) != c:
         raise CorruptFileError(
             f"{path}: {len(class_values)} story-point values for {c} classes"
-        )
-    if h["n_edge_params"] != n_pairs + 1:
-        raise CorruptFileError(
-            f"{path}: {h['n_edge_params']} edge parameters cannot index {n_pairs} pairs"
         )
 
     params = ModelParameters(
@@ -198,29 +203,21 @@ def load_model(path: str | Path) -> ModelBundle:
         classifier_weights=arrays.take("<f8", (c, d)),
         classifier_bias=arrays.take("<f8", (c,)),
     )
-    pairs = arrays.take("<i8", (n_pairs, 2))
+    codes = arrays.take("<i8", (n_pairs,))
     arrays.end()
 
-    vocabulary = Vocabulary(
-        id_to_token=tokens,
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        counts=h["token_counts"],
-    )
+    pairs = decode_pairs(codes)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= v):
         raise CorruptFileError(f"{path}: edge pair token id outside [0, {v})")
-    codes = encode_pairs(pairs[:, 0], pairs[:, 1])
     if np.any(codes[1:] <= codes[:-1]):
         raise CorruptFileError(f"{path}: edge pairs not strictly increasing")
-    table = EdgeTable(
-        codes=codes,
-        min_frequency=h["edge_min_frequency"],
-        window=h["edge_window"],
-    )
     return ModelBundle(
         params=params,
         config=h["config"],
-        vocabulary=vocabulary,
-        edge_table=table,
+        vocabulary=Vocabulary(
+            id_to_token=tokens, token_to_id=token_to_id, counts=h["token_counts"]
+        ),
+        edge_table=EdgeTable(codes=codes),
         project=h["project"],
         text_mode=h["text_mode"],
         split_hash=h["split_hash"],
@@ -286,7 +283,6 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
         terms_by_column[col] = gram
     header = {
         "task": forest.task,
-        "n_features": forest.n_features,
         "n_classes": forest.n_classes,
         "forest_config": asdict(forest.config),
         "bootstrap_seeds": [t.bootstrap_seed for t in forest.trees],
@@ -304,17 +300,14 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
     h, arrays = _load(path, BASELINE_MAGIC_PREFIX, "baseline model", {
-        "task": str, "n_features": int, "n_classes": int,
-        "forest_config": RandomForestConfig, "bootstrap_seeds": [int],
-        "tree_node_counts": [int], "terms": [str], "document_count": int,
-        "max_ngram": int,
+        "task": str, "n_classes": int, "forest_config": RandomForestConfig,
+        "bootstrap_seeds": [int], "tree_node_counts": [int], "terms": [str],
+        "document_count": int, "max_ngram": int,
     })
-    task, n_features, n_classes = h["task"], h["n_features"], h["n_classes"]
+    task, n_classes = h["task"], h["n_classes"]
     terms, node_counts = h["terms"], h["tree_node_counts"]
-    if len(terms) != n_features:
-        raise CorruptFileError(
-            f"{path}: header lists {len(terms)} terms for {n_features} features"
-        )
+    n_features = len(terms)
+    vocabulary = _positions(path, "term", terms)
     if len(h["bootstrap_seeds"]) != len(node_counts):
         raise CorruptFileError(f"{path}: per-tree metadata lengths disagree")
     if min(node_counts, default=1) < 1:
@@ -335,7 +328,7 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
     arrays.end()
 
     tfidf = TfidfModel(
-        vocabulary={gram: col for col, gram in enumerate(terms)},
+        vocabulary=vocabulary,
         idf=idf,
         document_count=h["document_count"],
         max_ngram=h["max_ngram"],

@@ -144,9 +144,7 @@ def random_gradient_instance(rng):
         doc_id="g", token_ids=tuple(ids), level=StoryPointLevel.SMALL,
         raw_story_point=1,
     )
-    table = assign_edge_params(
-        count_cooccurrences([doc], window), int(rng.integers(1, 3)), window
-    )
+    table = assign_edge_params(count_cooccurrences([doc], window), int(rng.integers(1, 3)))
     graph = build_graph(doc, window, table, label=int(rng.integers(0, n_classes)))
     params = gnn.ModelParameters(
         embeddings=rng.normal(size=(vocab, dim)),
@@ -222,7 +220,7 @@ def test_criterion_02_graph_construction_oracle():
         counted_pairs = [tuple(p) for p in decode_pairs(counted.codes).tolist()]
         assert dict(zip(counted_pairs, counted.counts.tolist())) == dict(expected)
 
-        table = assign_edge_params(counted, int(rng.integers(1, 3)), window)
+        table = assign_edge_params(counted, int(rng.integers(1, 3)))
         table_pairs = [tuple(p) for p in decode_pairs(table.codes).tolist()]
         pair_index = {pair: i + 1 for i, pair in enumerate(table_pairs)}
         graph = build_graph(doc, window, table, label=0)

@@ -127,10 +127,10 @@ def test_derive_seed_varies_by_part_and_master():
 
 def test_split_hash_matches_definition_and_moves_with_membership():
     a, b, c = tok("A-1", ["x"]), tok("A-2", ["y"]), tok("A-3", ["z"])
-    split = DatasetSplit(train=(a, b), validation=(), test=(c,), seed=0)
+    split = DatasetSplit(train=(a, b), validation=(), test=(c,))
     payload = "train:A-1,A-2\nval:\ntest:A-3"
     assert split_hash(split) == hashlib.sha256(payload.encode()).hexdigest()[:12]
-    moved = DatasetSplit(train=(a,), validation=(b,), test=(c,), seed=0)
+    moved = DatasetSplit(train=(a,), validation=(b,), test=(c,))
     assert split_hash(moved) != split_hash(split)
 
 
@@ -408,7 +408,7 @@ def test_run_graph_stats_matches_training_graphs(synth_dataset, tmp_path, mode):
         vocab, _ = build_vocab(train, {}, seed=0, dim=8)
         encoded = vocab.encode_all(train)
         window = cfg.train.window
-        table = assign_edge_params(count_cooccurrences(encoded, window), 1, window)
+        table = assign_edge_params(count_cooccurrences(encoded, window), 1)
         nodes, pairs = set(), set()
         for g in build_graphs(encoded, window, table):
             ids = g.node_ids.tolist()

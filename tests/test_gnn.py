@@ -38,7 +38,7 @@ def doc(ids, doc_id="d", sp=2):
 
 def graph_for(ids, window=2, k=1, label=0):
     d = doc(ids)
-    table = assign_edge_params(count_cooccurrences([d], window), k, window)
+    table = assign_edge_params(count_cooccurrences([d], window), k)
     return build_graph(d, window, table, label=label), table
 
 
@@ -231,7 +231,7 @@ def random_instance(rng):
     k = int(rng.integers(1, 3))
     ids = rng.integers(1, vocab, size=length).tolist()
     d = doc(ids)
-    table = assign_edge_params(count_cooccurrences([d], window), k, window)
+    table = assign_edge_params(count_cooccurrences([d], window), k)
     graph = build_graph(d, window, table, label=int(rng.integers(0, n_classes)))
     params = gnn.ModelParameters(
         embeddings=rng.normal(size=(vocab, dim)),
@@ -347,7 +347,7 @@ def shared_vocab_graphs(rng, vocab=40, dim=5, n_graphs=5, window=3):
     """Graphs over one vocabulary, each reading a few of its rows."""
     docs = [doc(rng.integers(1, vocab, size=int(rng.integers(1, 14))).tolist(),
                 doc_id=f"b{i}") for i in range(n_graphs)]
-    table = assign_edge_params(count_cooccurrences(docs, window), 1, window)
+    table = assign_edge_params(count_cooccurrences(docs, window), 1)
     graphs = [build_graph(d, window, table, label=i % 3) for i, d in enumerate(docs)]
     params = gnn.ModelParameters(
         embeddings=rng.normal(size=(vocab, dim)),
@@ -494,7 +494,7 @@ def small_training_set(n=24, seed=0):
         ids = (base + rng.integers(0, 4, size=6)).tolist()
         docs_and_labels.append((doc(ids, doc_id=f"t{i}"), label))
     all_docs = [d for d, _ in docs_and_labels]
-    table = assign_edge_params(count_cooccurrences(all_docs, 2), 1, 2)
+    table = assign_edge_params(count_cooccurrences(all_docs, 2), 1)
     graphs = [
         build_graph(d, 2, table, label=lab) for d, lab in docs_and_labels
     ]

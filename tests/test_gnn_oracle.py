@@ -68,7 +68,7 @@ def random_params(rng, vocab, dim, n_edge_params, n_classes):
 def text_graph(ids, window, k=1):
     doc = EncodedDocument(doc_id="d", token_ids=tuple(ids),
                           level=StoryPointLevel.SMALL, raw_story_point=2)
-    table = assign_edge_params(count_cooccurrences([doc], window), k, window)
+    table = assign_edge_params(count_cooccurrences([doc], window), k)
     return build_graph(doc, window, table, label=0), table.num_edge_params
 
 
@@ -311,7 +311,7 @@ def training_set(rng, n=20, vocab=14, dim=5):
         docs.append(EncodedDocument(doc_id=f"t{i}", token_ids=tuple(ids.tolist()),
                                     level=StoryPointLevel.SMALL, raw_story_point=2))
         labels.append(label)
-    table = assign_edge_params(count_cooccurrences(docs, 3), 1, 3)
+    table = assign_edge_params(count_cooccurrences(docs, 3), 1)
     graphs = [build_graph(d, 3, table, label=y) for d, y in zip(docs, labels)]
     params = gnn.init_parameters(rng.normal(scale=0.3, size=(vocab, dim)),
                                  table.num_edge_params, 3, seed=1)

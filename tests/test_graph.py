@@ -139,7 +139,7 @@ def test_assign_edge_params_threshold_and_order():
         codes=encode_pairs([1, 1, 2, 3], [2, 3, 2, 1]),
         counts=np.array([1, 5, 2, 5]),
     )
-    table = assign_edge_params(counts, min_frequency=2, window=2)
+    table = assign_edge_params(counts, min_frequency=2)
     assert pair_index(table) == {(1, 3): 1, (2, 2): 2, (3, 1): 3}
     assert table.num_edge_params == 4
     looked_up = table.edge_params(encode_pairs([1, 9, 3, 1, 0], [2, 9, 1, 3, 0]))
@@ -148,7 +148,7 @@ def test_assign_edge_params_threshold_and_order():
 
 
 def test_edge_params_on_empty_table():
-    table = assign_edge_params(count_cooccurrences([doc([1])], 1), 1, 1)
+    table = assign_edge_params(count_cooccurrences([doc([1])], 1), 1)
     assert table.num_edge_params == 1
     assert table.edge_params(encode_pairs([1, 2], [2, 1])).tolist() == [
         PUBLIC_EDGE_INDEX, PUBLIC_EDGE_INDEX]
@@ -156,14 +156,14 @@ def test_edge_params_on_empty_table():
 
 def test_assign_edge_params_validation():
     with pytest.raises(ValueError):
-        assign_edge_params(count_cooccurrences([], 1), min_frequency=0, window=1)
+        assign_edge_params(count_cooccurrences([], 1), min_frequency=0)
 
 
 # --- graph building ------------------------------------------------------------
 
 
 def _table_for(docs, window, k=1):
-    return assign_edge_params(count_cooccurrences(docs, window), k, window)
+    return assign_edge_params(count_cooccurrences(docs, window), k)
 
 
 def test_build_graph_nodes_first_occurrence():
@@ -245,7 +245,7 @@ def test_build_graphs_with_labels():
 def test_build_graph_matches_brute_force(ids, window, k):
     d = doc(ids)
     counts = count_cooccurrences([d], window)
-    table = assign_edge_params(counts, k, window)
+    table = assign_edge_params(counts, k)
     g = build_graph(d, window, table)
 
     # oracle: distinct tokens, first-occurrence positions

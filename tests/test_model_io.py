@@ -19,8 +19,9 @@ from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument, Vocabulary
 from storygraph.errors import CorruptFileError, VersionMismatchError
 from storygraph.gnn import TrainConfig, forward, init_parameters, predict
-from storygraph.graph import assign_edge_params, build_graph, count_cooccurrences
+from storygraph.graph import EdgeTable, assign_edge_params, build_graph, count_cooccurrences
 from storygraph.model_io import (
+    FORMAT_VERSION,
     BaselineBundle,
     ModelBundle,
     load_baseline_model,
@@ -41,7 +42,7 @@ def make_bundle(seed=0):
         EncodedDocument("a", (1, 2, 3, 2), StoryPointLevel.SMALL, 2),
         EncodedDocument("b", (2, 3, 1), StoryPointLevel.MEDIUM, 8),
     ]
-    table = assign_edge_params(count_cooccurrences(docs, 2), 1, 2)
+    table = assign_edge_params(count_cooccurrences(docs, 2), 1)
     params = init_parameters(
         rng.normal(size=(4, 5)), table.num_edge_params, 3, seed=seed
     )
@@ -78,8 +79,6 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert loaded.edge_table.codes.dtype == bundle.edge_table.codes.dtype
     assert np.array_equal(loaded.edge_table.codes, bundle.edge_table.codes)
     assert loaded.edge_table.num_edge_params == bundle.edge_table.num_edge_params
-    assert loaded.edge_table.window == bundle.edge_table.window
-    assert loaded.edge_table.min_frequency == bundle.edge_table.min_frequency
     assert loaded.class_values == bundle.class_values
     assert (loaded.project, loaded.text_mode, loaded.split_hash) == (
         bundle.project, bundle.text_mode, bundle.split_hash)
@@ -109,6 +108,26 @@ def test_save_is_deterministic(tmp_path):
     save_model(p1, bundle)
     save_model(p2, bundle)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def empty_edge_table(bundle):
+    """bundle with no pair owning a parameter: only the public edge."""
+    params = dataclasses.replace(bundle.params, edge_weights=bundle.params.edge_weights[:1])
+    table = EdgeTable(codes=np.empty(0, dtype=np.int64))
+    return dataclasses.replace(bundle, params=params, edge_table=table)
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param(lambda b: b, id="story-points"),
+    pytest.param(lambda b: dataclasses.replace(b, class_values=()), id="no-class-values"),
+    pytest.param(empty_edge_table, id="no-edge-pairs"),
+])
+def test_model_round_trip_is_byte_exact(tmp_path, variant):
+    bundle = variant(make_bundle()[0])
+    first, second = tmp_path / "a.model", tmp_path / "b.model"
+    save_model(first, bundle)
+    save_model(second, load_model(first))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_empty_class_values(tmp_path):
@@ -219,14 +238,14 @@ def saved_baseline_header(path):
     )),
     # each of a wrong JSON type, which a plain int(), str() or list() converted
     *(pytest.param(saved_model_header, edit, id=f"header-{edit!r}") for edit in (
-        {"edge_window": 2.9}, {"edge_window": True}, {"project": 5},
+        {"n_pairs": 2.9}, {"dim": True}, {"project": 5},
         {"split_hash": 7}, {"tokens": "<abc"}, {"tokens": ["<unk>", "alpha", "beta", 3]},
         {"token_counts": [0, 5, 3, 2.0]}, {"class_values": [2, 8, 20.5]},
-        {"vocab_size": 4.0},
+        {"n_classes": 4.0},
     )),
     *(pytest.param(saved_baseline_header, edit, id=f"baseline-header-{edit!r}")
       for edit in (
-        {"max_ngram": 2.5}, {"document_count": 3.7}, {"n_features": False},
+        {"max_ngram": 2.5}, {"document_count": 3.7}, {"n_classes": False},
         {"bootstrap_seeds": [1.9, 2, 3, 4, 5]}, {"task": 1},
     )),
 ])
@@ -240,7 +259,7 @@ def test_rejects_a_header_config_outside_its_declared_values(tmp_path, container
         load()
 
 
-@pytest.mark.parametrize("edit", [{"dim": -1}, {"n_pairs": -1, "n_edge_params": 0}], ids=repr)
+@pytest.mark.parametrize("edit", [{"dim": -1}, {"n_pairs": -1}], ids=repr)
 def test_rejects_a_negative_array_shape(tmp_path, edit):
     # each passes the header's own cross-checks; numpy would read a negative
     # count as "the rest of the buffer"
@@ -252,10 +271,56 @@ def test_rejects_a_negative_array_shape(tmp_path, edit):
         load_model(path)
 
 
+def read_header(path):
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16:16 + length])
+
+
+@pytest.mark.parametrize("container, keys", [
+    (saved_model, ["format_version", "dim", "n_classes", "n_pairs", "config", "project",
+                   "text_mode", "split_hash", "class_values", "tokens", "token_counts"]),
+    (saved_baseline, ["format_version", "task", "n_classes", "forest_config",
+                      "bootstrap_seeds", "tree_node_counts", "terms", "document_count",
+                      "max_ngram"]),
+])
+def test_each_header_states_each_fact_once(tmp_path, container, keys):
+    # sizes that follow from another field (vocabulary size, edge parameter
+    # count, feature count) or the config (edge window, frequency threshold)
+    # are not stored
+    container(tmp_path / "m")
+    assert list(read_header(tmp_path / "m")) == keys
+
+
+def test_rejects_a_token_listed_twice(tmp_path):
+    path = tmp_path / "m"
+    load, _, _ = saved_model_header(path)
+    rewrite_header(path, tokens=["<unk>", "alpha", "alpha", "gamma"])
+    with pytest.raises(CorruptFileError, match="token 'alpha' twice"):
+        load()
+
+
+def test_baseline_rejects_a_term_listed_twice(tmp_path):
+    path = tmp_path / "m"
+    load, _, _ = saved_baseline_header(path)
+    terms = read_header(path)["terms"]
+    rewrite_header(path, terms=[terms[0], terms[0], *terms[2:]])
+    with pytest.raises(CorruptFileError, match=f"term '{terms[0]}' twice"):
+        load()
+
+
+def test_rejects_token_counts_of_another_length(tmp_path):
+    path = tmp_path / "m"
+    load, _, _ = saved_model_header(path)
+    rewrite_header(path, token_counts=[0, 5, 3])
+    with pytest.raises(CorruptFileError, match="3 token counts for 4 tokens"):
+        load()
+
+
 def _pairs_offset(path):
-    """Byte offset of the edge pairs section: it ends the file."""
+    """Byte offset of the edge pair codes: 8 bytes each, they end the file."""
     n_pairs = load_model(path).edge_table.num_edge_params - 1
-    return len(path.read_bytes()) - 16 * n_pairs
+    return len(path.read_bytes()) - 8 * n_pairs
 
 
 def test_rejects_unsorted_edge_pairs(tmp_path):
@@ -264,8 +329,8 @@ def test_rejects_unsorted_edge_pairs(tmp_path):
     save_model(path, bundle)
     start = _pairs_offset(path)
     raw = bytearray(path.read_bytes())
-    first, second = raw[start : start + 16], raw[start + 16 : start + 32]
-    raw[start : start + 32] = second + first  # swap the first two pairs
+    first, second = raw[start : start + 8], raw[start + 8 : start + 16]
+    raw[start : start + 16] = second + first  # swap the first two pairs
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFileError, match="strictly increasing"):
         load_model(path)
@@ -277,7 +342,7 @@ def test_rejects_duplicate_edge_pairs(tmp_path):
     save_model(path, bundle)
     start = _pairs_offset(path)
     raw = bytearray(path.read_bytes())
-    raw[start + 16 : start + 32] = raw[start : start + 16]
+    raw[start + 8 : start + 16] = raw[start : start + 8]
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptFileError, match="strictly increasing"):
         load_model(path)
@@ -358,9 +423,23 @@ def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):
 
 
 def _header_version_bumped(raw: bytes) -> bytes:
-    field = b'"format_version": 2'
+    field = f'"format_version": {FORMAT_VERSION}'.encode()
     assert field in raw
-    return raw.replace(field, b'"format_version": 3', 1)
+    return raw.replace(field, f'"format_version": {FORMAT_VERSION + 1}'.encode(), 1)
+
+
+@pytest.mark.parametrize("container", [saved_model, saved_baseline])
+def test_refuses_a_file_of_the_previous_format_with_retrain(tmp_path, container):
+    # a file written before this format: its version byte and header say so
+    path = tmp_path / "m"
+    load, _, _ = container(path)
+    rewrite_header(path, format_version=FORMAT_VERSION - 1)
+    raw = bytearray(path.read_bytes())
+    raw[7] = FORMAT_VERSION - 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(VersionMismatchError,
+                       match=f"format version {FORMAT_VERSION - 1}, .*retrain"):
+        load()
 
 
 def test_rejects_header_version_mismatch(tmp_path):
