@@ -254,68 +254,35 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-# metric (a REPORT_COLUMNS suffix) -> how one model's score is printed
-SCORE_FORMATS = {"accuracy": "{} {:.2f}%", "mae": "{} mae {:.2f}"}
-
-
-def _print_scores(report: ex.EvalReport) -> None:
-    """One line of scores per project, then their averages."""
-    columns = ex.score_columns(report.kind)
-    _, metric = ex.REPORT_COLUMNS[report.kind]
-    shown = SCORE_FORMATS[metric]
-
-    def scores(values) -> str:
-        return ", ".join(
-            shown.format(column.lower(), value)
-            for (column, _), value in zip(columns, values)
-            if value is not None
-        )
-
-    for row in report.rows:
-        print(f"{row.project}: " + scores(getattr(row, attr) for _, attr in columns))
-    print("average: " + scores(report.average(attr) for _, attr in columns))
-
-
-def _run_and_emit(config: ex.ExperimentConfig) -> int:
-    run = ex.run_regression if config.task == ex.TASK_REGRESS else ex.run_classification
+def _run_and_print(run, config: ex.ExperimentConfig) -> int:
+    """Run the experiment, which writes its report; print the report's
+    summary lines and the first file it wrote."""
     report = run(config)
-    run_dir = config.output_dir / ex.experiment_name(config, report.kind)
-    written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
-    _print_scores(report)
-    print(f"report: {written[0]}")
+    for line in report.summary():
+        print(line)
+    print(f"report: {report.files[0]}")
     return 0
+
+
+def _scored(config: ex.ExperimentConfig) -> int:
+    run = ex.run_regression if config.task == ex.TASK_REGRESS else ex.run_classification
+    return _run_and_print(run, config)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    return _run_and_emit(_experiment_config(_given(args)))
+    return _scored(_experiment_config(_given(args)))
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    return _run_and_emit(_experiment_config(_given(args), model="tfidf-rf"))
+    return _scored(_experiment_config(_given(args), model="tfidf-rf"))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    config = _experiment_config(_given(args), model="gnn")
-    report = ex.run_graph_stats(config)
-    run_dir = config.output_dir / ex.experiment_name(config, "stats")
-    written = ex.emit_report(report, run_dir, include_timings=False)
-    for row in report.rows:
-        print(f"{row.project}: size {row.train_size}, nodes {row.node_count}, "
-              f"edges {row.edge_count}")
-    print(f"report: {written[0]}")
-    return 0
+    return _run_and_print(ex.run_graph_stats, _experiment_config(_given(args), model="gnn"))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _experiment_config(_given(args))
-    report = ex.run_window_sweep(config)
-    run_dir = config.output_dir / ex.experiment_name(config, "sweep")
-    written = ex.emit_report(report, run_dir, include_timings=config.include_timings)
-    for row in report.rows:
-        acc = f", accuracy {row.accuracy:.2f}%" if row.accuracy is not None else ""
-        print(f"{row.project} w={row.window}: {row.edge_count} edges{acc}")
-    print(f"report: {written[0]}")
-    return 0
+    return _run_and_print(ex.run_window_sweep, _experiment_config(_given(args)))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -200,19 +200,22 @@ def labels_for(
 
 @dataclass
 class ProjectResult:
+    """One row of a report. A value the run did not compute, or was told
+    not to time, is None."""
+
     project: str
+    window: int | None = None  # a sweep row's window size
     train_size: int = 0
-    val_size: int = 0
     test_size: int = 0
     split_hash: str = ""
     gnn_accuracy: float | None = None
     baseline_accuracy: float | None = None
     gnn_mae: float | None = None
     baseline_mae: float | None = None
-    node_count: int = 0
-    edge_count: int = 0
-    train_seconds: float = 0.0
-    baseline_seconds: float = 0.0
+    node_count: int | None = None
+    edge_count: int | None = None
+    train_seconds: float | None = None
+    baseline_seconds: float | None = None
 
 
 Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
@@ -305,7 +308,8 @@ def _run_gnn(
     )
     train_cfg = replace(config.train, seed=derive_seed(master, project, "train"))
     trained = gnn.train(init_params, train_graphs, val_graphs, train_cfg)
-    result.train_seconds = trained.total_seconds
+    if config.include_timings:
+        result.train_seconds = trained.total_seconds
 
     # the master-seed config goes into the bundle: the per-project train
     # seed is re-derivable from it, and split recovery at eval time needs
@@ -348,7 +352,8 @@ def _run_baseline(
         bl.tfidf_transform(tfidf, [d.tokens for d in split.train]),
         targets, rf_config, task=task,
     )
-    result.baseline_seconds = time.perf_counter() - started
+    if config.include_timings:
+        result.baseline_seconds = time.perf_counter() - started
 
     predictions = bl.rf_predict_many(
         forest, bl.tfidf_transform(tfidf, [d.tokens for d in split.test])
@@ -375,7 +380,6 @@ def _result_for(prepared: PreparedProject) -> ProjectResult:
     return ProjectResult(
         project=prepared.project,
         train_size=len(split.train),
-        val_size=len(split.validation),
         test_size=len(split.test),
         split_hash=prepared.split_hash,
     )
@@ -386,7 +390,7 @@ def _run_project(
     prepared: PreparedProject,
     pretrained: dict[str, np.ndarray],
     run_dir: Path,
-) -> ProjectResult:
+) -> list[ProjectResult]:
     split = prepared.split
     result = _result_for(prepared)
     # made by the first save, so a run that fails first leaves no directory
@@ -398,7 +402,7 @@ def _run_project(
         _run_gnn(config, prepared, encoded, result, models_dir)
     if config.model in ("tfidf-rf", "both"):
         _run_baseline(config, prepared, result, models_dir)
-    return result
+    return [result]
 
 
 def _stats_project(
@@ -406,7 +410,7 @@ def _stats_project(
     prepared: PreparedProject,
     pretrained: dict[str, np.ndarray],
     run_dir: Path,
-) -> ProjectResult:
+) -> list[ProjectResult]:
     """Split sizes and graph scale of one project, without training: every
     training token is a node of some training graph and every counted pair
     an edge of one, so no graph is built."""
@@ -414,29 +418,31 @@ def _stats_project(
     result = _result_for(prepared)
     result.node_count = vocab.size - 1
     result.edge_count = len(count_cooccurrences(train_enc, config.train.window))
-    return result
+    return [result]
 
 
 # report kind -> (the baseline's column, the metric both models report in
-# ProjectResult's baseline_<metric> and gnn_<metric>)
+# ProjectResult's baseline_<metric> and gnn_<metric>, how the summary shows
+# one model's score)
 REPORT_COLUMNS = {
-    "classification": ("TFIDF-RF", "accuracy"),
-    "regression": ("TFIDF-RFR", "mae"),
+    "classification": ("TFIDF-RF", "accuracy", "{} {:.2f}%"),
+    "regression": ("TFIDF-RFR", "mae", "{} mae {:.2f}"),
 }
 
 
 def score_columns(kind: str) -> tuple[tuple[str, str], ...]:
     """(column, ProjectResult attribute) of each model's score in a report
     of this kind, baseline first."""
-    column, metric = REPORT_COLUMNS[kind]
+    column, metric, _ = REPORT_COLUMNS[kind]
     return (column, f"baseline_{metric}"), ("GNN", f"gnn_{metric}")
 
 
 @dataclass
 class EvalReport:
-    kind: str  # a REPORT_COLUMNS key, or "stats" for runs that train nothing
+    kind: str  # a REPORT_COLUMNS key, "stats" (a run that trains nothing) or "sweep"
     config_echo: dict
     rows: list[ProjectResult] = field(default_factory=list)
+    files: list[Path] = field(default_factory=list)  # as emit_report returns them
 
     def average(self, attr: str) -> float | None:
         """Mean of a ProjectResult attribute over the rows that have it."""
@@ -446,9 +452,31 @@ class EvalReport:
             return None
         return float(np.mean(values))
 
+    def summary(self) -> list[str]:
+        """The run's lines for a reader: one per row, then, for a kind with
+        scores, the averages."""
+        if self.kind == "stats":
+            return [f"{r.project}: size {r.train_size}, nodes {r.node_count}, "
+                    f"edges {r.edge_count}" for r in self.rows]
+        if self.kind == "sweep":
+            return [f"{r.project} w={r.window}: {r.edge_count} edges"
+                    + ("" if r.gnn_accuracy is None else f", accuracy {r.gnn_accuracy:.2f}%")
+                    for r in self.rows]
+        columns = score_columns(self.kind)
+        shown = REPORT_COLUMNS[self.kind][2]
 
-def experiment_name(config: ExperimentConfig, kind: str) -> str:
-    return f"{kind}-{config.text_mode}"
+        def scores(values) -> str:
+            return ", ".join(
+                shown.format(column.lower(), value)
+                for (column, _), value in zip(columns, values)
+                if value is not None
+            )
+
+        return [
+            *(f"{r.project}: " + scores(getattr(r, attr) for _, attr in columns)
+              for r in self.rows),
+            "average: " + scores(self.average(attr) for _, attr in columns),
+        ]
 
 
 def _write_config(config: ExperimentConfig, run_dir: Path) -> None:
@@ -509,54 +537,38 @@ def _collect(
                          rows, [run_dir] * n))
 
 
-def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> list:
-    """run_one's result per project; the kind's run directory is made, with
-    its config snapshot, only once every project has succeeded (a model
-    save makes it earlier)."""
-    run_dir = config.output_dir / experiment_name(config, kind)
+def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:
+    """The report of the rows run_one returns for each project, in project
+    order. The run directory, <kind>-<mode>, gets the report files and the
+    config snapshot only once every project has succeeded (a model save
+    makes it earlier)."""
+    run_dir = config.output_dir / f"{kind}-{config.text_mode}"
     results = _collect(config, config.resolved_projects(), run_dir, run_one, use_vectors)
+    report = EvalReport(kind, config.echo(), [row for rows in results for row in rows])
     _write_config(config, run_dir)
-    return results
-
-
-def _report(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:
-    rows = _run(config, kind, run_one, use_vectors)
-    return EvalReport(kind=kind, config_echo=config.echo(), rows=rows)
+    report.files = emit_report(report, run_dir)
+    return report
 
 
 def run_classification(config: ExperimentConfig) -> EvalReport:
     """Per-project effort-level accuracy for the selected model(s)."""
-    return _report(replace(config, task=TASK_CLASSIFY), "classification",
-                   _run_project, _trains_gnn(config))
+    return _run(replace(config, task=TASK_CLASSIFY), "classification",
+                _run_project, _trains_gnn(config))
 
 
 def run_regression(config: ExperimentConfig) -> EvalReport:
     """Per-project story-point MAE, story points used directly as labels."""
-    return _report(replace(config, task=TASK_REGRESS), "regression",
-                   _run_project, _trains_gnn(config))
+    return _run(replace(config, task=TASK_REGRESS), "regression",
+                _run_project, _trains_gnn(config))
 
 
 def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     """Graph-scale analysis without training: per project, the size of the
     training split and the distinct node/edge counts of its word graphs."""
-    return _report(config, "stats", _stats_project, use_vectors=False)
+    return _run(config, "stats", _stats_project, use_vectors=False)
 
 
 # --- window sweep -----------------------------------------------------------
-
-
-@dataclass
-class SweepRow:
-    project: str
-    window: int
-    edge_count: int
-    accuracy: float | None = None
-
-
-@dataclass
-class SweepReport:
-    config_echo: dict
-    rows: list[SweepRow] = field(default_factory=list)
 
 
 def _sweep_project(
@@ -564,13 +576,13 @@ def _sweep_project(
     prepared: PreparedProject,
     pretrained: dict[str, np.ndarray],
     run_dir: Path,
-) -> list[SweepRow]:
-    project = prepared.project
+) -> list[ProjectResult]:
     split = prepared.split
     if not _trains_gnn(config):
         _, train_enc = _encode_train(prepared)
         return [
-            SweepRow(project, window, len(count_cooccurrences(train_enc, window)))
+            replace(_result_for(prepared), window=window,
+                    edge_count=len(count_cooccurrences(train_enc, window)))
             for window in config.windows
         ]
     vocab, table, docsets = _encode(
@@ -579,34 +591,31 @@ def _sweep_project(
     rows = []
     for window in config.windows:
         window_config = replace(config, train=replace(config.train, window=window))
-        result = ProjectResult(project=project)
+        result = replace(_result_for(prepared), window=window)
         # training writes the table it starts from, so every window trains
         # its own copy and starts from the same bytes
         _run_gnn(window_config, prepared,
                  (vocab, replace(table, matrix=table.matrix.copy()), docsets),
                  result, None)
-        rows.append(SweepRow(project, window, result.edge_count, result.gnn_accuracy))
+        rows.append(result)
     return rows
 
 
-def run_window_sweep(config: ExperimentConfig) -> SweepReport:
+def run_window_sweep(config: ExperimentConfig) -> EvalReport:
     """Distinct-edge count (and optionally accuracy) per window size.
 
     Edge counts are pre-threshold distinct ordered pairs on the training
     split, the quantity that grows with the window; accuracy re-trains the
     model at each window unless the model selection excludes it.
     """
-    report = SweepReport(config_echo=config.echo())
-    for rows in _run(config, "sweep", _sweep_project, _trains_gnn(config)):
-        report.rows.extend(rows)
-    return report
+    return _run(config, "sweep", _sweep_project, _trains_gnn(config))
 
 
 # --- report files -----------------------------------------------------------
 
 
-def _fmt(value: float | None, decimals: int = 2) -> str:
-    return "-" if value is None else f"{value:.{decimals}f}"
+def _fmt(value: float | int | None, spec: str = ".2f") -> str:
+    return "-" if value is None else format(value, spec)
 
 
 def _comment_lines(echo: dict) -> list[str]:
@@ -640,25 +649,22 @@ def _write_tables(
     return paths
 
 
-def emit_report(
-    report: EvalReport | SweepReport,
-    out_dir: str | Path,
-    include_timings: bool = True,
-) -> list[Path]:
-    """Write the report as plain text and as delimiter-separated values.
+def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write the report's tables as plain text and as comma-separated values;
+    returns the files written, the kind's own table first.
 
-    The config echo rides along as '#' comment lines. Timings can be left
-    out to make the stats files reproducible byte for byte. A report of a
-    kind without scores (a stats run trains nothing) gets only the stats
-    table.
+    The config echo rides along as '#' comment lines, and '-' stands for a
+    value the run did not compute or time. A sweep gets the sweep table;
+    every other kind gets the stats table, after the report table if the
+    kind has scores.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     comments = _comment_lines(report.config_echo)
 
-    if isinstance(report, SweepReport):
+    if report.kind == "sweep":
         body = [
-            [r.project, str(r.window), str(r.edge_count), _fmt(r.accuracy)]
+            [r.project, str(r.window), _fmt(r.edge_count, "d"), _fmt(r.gnn_accuracy)]
             for r in report.rows
         ]
         return _write_tables(
@@ -688,9 +694,9 @@ def emit_report(
         [
             r.project,
             str(r.train_size),
-            str(r.node_count),
-            str(r.edge_count),
-            _fmt(r.train_seconds) if include_timings else "-",
+            _fmt(r.node_count, "d"),
+            _fmt(r.edge_count, "d"),
+            _fmt(r.train_seconds),
         ]
         for r in report.rows
     ]

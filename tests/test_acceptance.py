@@ -28,7 +28,6 @@ from storygraph.experiment import (
     MODE_FILTERED,
     TASK_REGRESS,
     ExperimentConfig,
-    emit_report,
     run_classification,
     run_graph_stats,
     run_regression,
@@ -383,17 +382,17 @@ def test_criterion_09_determinism(tmp_path):
             output_dir=out,
             train=small_train_config(),
             embedding_dim=8,
+            include_timings=False,
         )
-        report = run_classification(config)
+        run_classification(config)
         run_dir = out / "classification-raw"
-        emit_report(report, run_dir, include_timings=False)
-        sweep = run_window_sweep(
+        run_window_sweep(
             ExperimentConfig(
                 data_dir=data, output_dir=out, train=small_train_config(),
                 embedding_dim=8, model="tfidf-rf", windows=(2, 4),
+                include_timings=False,
             )
         )
-        emit_report(sweep, out / "sweep-raw", include_timings=False)
         files = [
             run_dir / "report.csv", run_dir / "report.txt",
             run_dir / "stats.csv", run_dir / "stats.txt",

@@ -245,10 +245,16 @@ def test_baseline_subcommand_trains_forest_only(capsys, tmp_path, synth_dataset)
     assert not (out / "classification-raw" / "models" / "alpha.model").exists()
 
 
+def table_rows(table_csv):
+    """The cells of each row of a report, stats or sweep table, header
+    and config comments left out."""
+    lines = [l for l in table_csv.read_text().splitlines() if not l.startswith("#")]
+    return [l.split(",") for l in lines[1:]]
+
+
 def report_scores(report_csv):
     """(project, baseline cell, GNN cell) of each row of a report.csv."""
-    lines = [l for l in report_csv.read_text().splitlines() if not l.startswith("#")]
-    return [(r[1], r[2], r[3]) for r in (l.split(",") for l in lines[1:])]
+    return [(r[1], r[2], r[3]) for r in table_rows(report_csv)]
 
 
 @pytest.mark.parametrize("argv, kind, line", [
@@ -271,6 +277,29 @@ def test_score_lines_are_the_report_rows(capsys, tmp_path, synth_dataset,
         *(line.format(*row) for row in rows[:2]),
         line.format("average", *rows[2][1:]),
         f"report: {report}",
+    ]
+
+
+@pytest.mark.parametrize("argv, table, projects, line", [
+    (("stats",), "stats-raw/stats.csv", ["alpha", "beta"],
+     "{0}: size {1}, nodes {2}, edges {3}"),
+    (("sweep", "--model", "tfidf-rf", "--windows", "1,3"), "sweep-raw/sweep.csv",
+     ["alpha", "alpha", "beta", "beta"], "{0} w={1}: {2} edges"),
+    (("sweep", "--model", "gnn", "--windows", "1,3"), "sweep-raw/sweep.csv",
+     ["alpha", "alpha", "beta", "beta"], "{0} w={1}: {2} edges, accuracy {3}%"),
+])
+def test_row_lines_are_the_table_rows(capsys, tmp_path, synth_dataset,
+                                      argv, table, projects, line):
+    out = tmp_path / "runs"
+    code, stdout, err = run_cli(
+        capsys, *argv, "--data", str(synth_dataset), "--out", str(out), *FAST
+    )
+    assert code == 0, err
+    rows = table_rows(out / table)
+    assert [r[0] for r in rows] == projects
+    assert stdout.splitlines() == [
+        *(line.format(*row) for row in rows),
+        f"report: {out / table}",
     ]
 
 

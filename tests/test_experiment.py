@@ -23,7 +23,6 @@ from storygraph.experiment import (
     accuracy_percent,
     derive_seed,
     emit_report,
-    experiment_name,
     labels_for,
     mean_absolute_error,
     prepare_project,
@@ -163,11 +162,14 @@ def test_labels_for_regression_maps_unseen_to_sentinel():
     assert labels_for(docs, TASK_REGRESS, (3, 8)) == [0, 1, -1]
 
 
-def test_experiment_name_combines_kind_and_mode(tmp_path):
-    cfg = make_config(tmp_path, tmp_path)
-    assert experiment_name(cfg, "classification") == "classification-raw"
-    cfg = make_config(tmp_path, tmp_path, text_mode=MODE_FILTERED)
-    assert experiment_name(cfg, "sweep") == "sweep-verb-noun-filter"
+def test_experiment_name_combines_kind_and_mode(synth_dataset, tmp_path):
+    cfg = make_config(synth_dataset, tmp_path, projects=("alpha",))
+    report = run_graph_stats(cfg)
+    assert report.files[0] == tmp_path / "stats-raw" / "stats.csv"
+    cfg = make_config(synth_dataset, tmp_path, projects=("alpha",), text_mode=MODE_FILTERED,
+                      model="tfidf-rf", windows=(2,))
+    report = run_window_sweep(cfg)
+    assert report.files[0] == tmp_path / "sweep-verb-noun-filter" / "sweep.csv"
 
 
 def test_eval_report_averages_skip_missing():
@@ -275,10 +277,9 @@ def test_run_classification_gnn_only_skips_baseline(synth_dataset, tmp_path):
 def test_run_classification_rerun_is_byte_identical(synth_dataset, tmp_path):
     outputs = []
     for name in ("one", "two"):
-        cfg = make_config(synth_dataset, tmp_path / name)
-        report = run_classification(cfg)
+        cfg = make_config(synth_dataset, tmp_path / name, include_timings=False)
+        run_classification(cfg)
         emit_dir = tmp_path / name / "classification-raw"
-        emit_report(report, emit_dir, include_timings=False)
         blob = b"".join(
             (emit_dir / f).read_bytes()
             for f in ("report.csv", "report.txt", "stats.csv", "stats.txt",
@@ -381,6 +382,36 @@ def test_project_errors_carry_project_name(synth_dataset, tmp_path, monkeypatch)
         run_classification(cfg)
 
 
+@pytest.mark.parametrize("fails_in", ["prepare", "run"])
+def test_a_failed_run_writes_no_report(synth_dataset, tmp_path, monkeypatch, fails_in):
+    # a project that fails after alpha has run keeps alpha's models but
+    # leaves no report files or config snapshot beside them
+    import storygraph.experiment as ex
+
+    if fails_in == "prepare":  # too few documents to split
+        write_project_csv(synth_dataset / "gamma.csv", synth_rows("gamma", 5, 3))
+        match = "gamma: need at least 10"
+    else:
+        real_train, calls = ex.gnn.train, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("boom")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ex.gnn, "train", second_fails)
+        match = "beta: boom"
+    with pytest.raises((StoryGraphError, ValueError), match=match):
+        run_classification(make_config(synth_dataset, tmp_path))
+    run_dir = tmp_path / "classification-raw"
+    if fails_in == "prepare":  # every project is prepared before any runs
+        assert not run_dir.exists()
+    else:
+        left = sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*"))
+        assert left == ["models", "models/alpha.baseline", "models/alpha.model"]
+
+
 # --- graph stats and sweep -------------------------------------------------------
 
 
@@ -392,7 +423,7 @@ def test_run_graph_stats_counts_without_training(synth_dataset, tmp_path):
     for row in report.rows:
         assert row.node_count > 0
         assert row.edge_count > 0
-        assert row.train_seconds == 0.0
+        assert row.train_seconds is None
         assert row.gnn_accuracy is None
 
 
@@ -462,7 +493,7 @@ def test_run_window_sweep_edges_grow_with_window(synth_dataset, tmp_path):
     assert [r.window for r in report.rows] == [1, 2, 4, 8]
     edges = [r.edge_count for r in report.rows]
     assert edges == sorted(edges)
-    assert all(r.accuracy is None for r in report.rows)
+    assert all(r.gnn_accuracy is None for r in report.rows)
 
 
 def test_run_window_sweep_with_model_reports_accuracy(synth_dataset, tmp_path):
@@ -474,7 +505,7 @@ def test_run_window_sweep_with_model_reports_accuracy(synth_dataset, tmp_path):
         windows=(2, 3),
     )
     report = run_window_sweep(cfg)
-    assert all(r.accuracy is not None for r in report.rows)
+    assert all(r.gnn_accuracy is not None for r in report.rows)
 
 
 def test_runs_that_train_nothing_build_no_embedding_table(
@@ -583,11 +614,21 @@ def test_emit_report_writes_tables_with_config_comments(tmp_path):
     assert stats[3] == "alpha,40,120,456,3.25"
 
 
-def test_emit_report_without_timings_masks_train_time(tmp_path):
-    emit_report(sample_report(), tmp_path, include_timings=False)
-    stats = (tmp_path / "stats.csv").read_text().splitlines()
-    assert stats[3] == "alpha,40,120,456,-"
-    assert stats[4] == "beta,30,90,300,-"
+def test_emit_report_without_timings_masks_train_time(synth_dataset, tmp_path):
+    cfg = make_config(synth_dataset, tmp_path, projects=("alpha",), include_timings=False)
+    row, = run_classification(cfg).rows
+    assert (row.train_seconds, row.baseline_seconds) == (None, None)
+    stats = (tmp_path / "classification-raw" / "stats.csv").read_text().splitlines()
+    assert stats[-1] == f"alpha,43,{row.node_count},{row.edge_count},-"
+
+
+def test_a_forest_only_run_writes_no_graph_figures(synth_dataset, tmp_path):
+    # it builds no graph and trains no GNN: "-", not 0 nodes in 0.00 s
+    cfg = make_config(synth_dataset, tmp_path, projects=("alpha",), model="tfidf-rf")
+    row, = run_classification(cfg).rows
+    assert row.baseline_seconds is not None
+    stats = (tmp_path / "classification-raw" / "stats.csv").read_text().splitlines()
+    assert stats[-1] == "alpha,43,-,-,-"
 
 
 def test_emit_report_stats_only_skips_accuracy_table(tmp_path):
@@ -620,9 +661,8 @@ def test_emit_sweep_report(tmp_path, synth_dataset):
         model="tfidf-rf", windows=(1, 2),
     )
     report = run_window_sweep(cfg)
-    paths = emit_report(report, tmp_path / "emitted")
-    assert {p.name for p in paths} == {"sweep.csv", "sweep.txt"}
-    lines = (tmp_path / "emitted" / "sweep.csv").read_text().splitlines()
+    assert [p.name for p in report.files] == ["sweep.csv", "sweep.txt"]
+    lines = report.files[0].read_text().splitlines()
     header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_at] == "Project,Window,Edges,Accuracy"
     assert lines[header_at + 1].startswith("alpha,1,")

@@ -66,7 +66,8 @@ NO_MA_COMMANDS = [
     ("prepare", "--dim", "8", "--vectors", "{vectors}"),
     ("stats",),
     ("sweep", "--model", "tfidf-rf", "--windows", "2,3"),
-    ("train", "--model", "gnn", "--dim", "8", "--vectors", "{vectors}", "--epochs", "1"),
+    ("train", "--model", "gnn", "--dim", "8", "--vectors", "{vectors}", "--epochs", "1",
+     "--jobs", "2"),
     ("baseline",),
     ("eval", "--project", "alpha", "--model",
      "{out}/classification-raw/models/alpha.model"),
@@ -75,7 +76,11 @@ NO_MA_COMMANDS = [
 
 def test_no_command_imports_numpy_ma(tmp_path, synth_dataset, tiny_vectors_file):
     # numpy 2.x loads numpy.ma lazily, through np.unique without return
-    # options and np.isin among others; numpy 1.x loads it with numpy itself
+    # options and np.isin among others; numpy 1.x loads it with numpy itself.
+    # Each command runs in development mode with warnings as errors, which
+    # pytest's own warning filter cannot reach in a subprocess: a warning in
+    # the command, or in a pool worker it starts, fails it, and one raised
+    # where it cannot propagate (a ResourceWarning at collection) is printed
     code = (
         "import sys, numpy\n"
         "eager = 'numpy.ma' in sys.modules\n"
@@ -88,10 +93,11 @@ def test_no_command_imports_numpy_ma(tmp_path, synth_dataset, tiny_vectors_file)
     for command, *rest in NO_MA_COMMANDS:
         args = [a.format(vectors=tiny_vectors_file, out=out) for a in rest]
         done = subprocess.run(
-            [sys.executable, "-c", code, command, "--data", str(synth_dataset),
+            [sys.executable, "-X", "dev", "-W", "error", "-c", code, command,
+             "--data", str(synth_dataset),
              "--out", str(out), *args],
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
             timeout=300,
         )
-        assert done.returncode == 0, (command, done.stderr)
+        assert (done.returncode, done.stderr) == (0, ""), command
         assert done.stdout.splitlines()[-1] == "0 True", command
