@@ -30,9 +30,16 @@ in place. The embedding gradient holds only the batch's rows (the sorted
 distinct node ids of its graphs), so training holds four (V x d) arrays:
 the parameters (the caller's embedding table itself), the best copy and
 the two moments; Adam reads every other row's gradient as +0.0, as a
-dense gradient would give it. `forward` writes each round's messages and
-winners once, after its block loop. Graph adjacency arrays are int32 (see
-DocumentGraph). None of this changes a bit of any result.
+dense gradient would give it. Per graph, `forward` allocates only its
+trace's (n x d) arrays (the dropout mask, 1 + rounds round inputs, and
+per round the messages and winners) and `backward` at most two more (the
+gradients into and out of a round); everything else of theirs, from the
+winners' messages and the gated update to backward's scatters, runs
+ROW_CHUNK rows at a time, and `train` frees each trace before the next
+forward. Chunks take rows in ascending order, so every element gets the
+adds it got from one whole-array scatter, in the same order. Graph
+adjacency arrays are int32 (see DocumentGraph). None of this changes a
+bit of any result.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ DECAYED_ARRAYS = ("embeddings", "edge_weights", "classifier_weights")
 # Elements per slice of an Adam step: its few temporaries then stay within
 # a few hundred kB instead of several copies of the embedding table.
 ADAM_CHUNK = 16384
+# Rows per slice of the (n x d) work of `forward` and `backward` beyond the
+# trace itself, so those temporaries stay chunk-sized whatever the graph.
+ROW_CHUNK = 16
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -265,19 +275,23 @@ def forward(
     if training and dropout > 0.0:
         if rng is None:
             raise ValueError("training dropout needs a random generator")
-        keep = rng.random(r.shape) >= dropout
-        mask = keep / (1.0 - dropout)
-        r = r * mask
+        # the uniform draw's own buffer becomes keep / (1 - p), and r, a
+        # fresh gather, is scaled in place
+        mask = rng.random(r.shape)
+        np.greater_equal(mask, dropout, out=mask)
+        mask /= 1.0 - dropout
+        np.multiply(r, mask, out=r)
 
     eta = sigmoid(params.gates[graph.node_ids])
+    gate_msg, gate_in = (1.0 - eta)[:, None], eta[:, None]
 
     # Each destination pools its own block of entries, built from its
     # sources' rows. A lane's winner is its first row equal to the lane's
     # max (the lowest source position, the tie-break backward relies on),
     # found as the hit with the largest `countdown`, whose narrowest dtype
     # keeps the (rows x d) product small; the block loop stores only that
-    # value, and one write per round turns every block's into entry
-    # indices and gathers the winners' own products as messages. A lane
+    # value, and then ROW_CHUNK blocks at a time turn theirs into entry
+    # indices and gather the winners' own products as messages. A lane
     # with a NaN has no hit (0) and its block takes argmax's winners, the
     # first NaN. The int32 source positions are widened once here: numpy
     # would cast them again for every block's gather.
@@ -301,18 +315,24 @@ def forward(
             block = r_prev[src[s:e]]
             np.multiply(column[s:e], block, out=block)
             ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0, out=first[k])
-        entry = first.astype(np.int64)
-        np.subtract(n_entries, entry, out=entry)
-        if not first.all():
-            for k in np.flatnonzero(~first.all(axis=1)).tolist():
-                _, s, e = blocks[k]
+        block = None  # the last block is not held through the writes below
+        winners = np.full((n, dim), -1, dtype=np.int64)
+        msg = np.zeros((n, dim))
+        for lo in range(0, len(blocks), ROW_CHUNK):
+            part = slice(lo, lo + ROW_CHUNK)
+            entry = np.subtract(n_entries, first[part], dtype=np.int64)
+            for k in np.flatnonzero(~first[part].all(axis=1)).tolist():
+                _, s, e = blocks[lo + k]
                 block = column[s:e] * r_prev[src[s:e]]
                 entry[k] = s + np.argmax(block, axis=0)
-        winners = np.full((n, dim), -1, dtype=np.int64)
-        winners[dst] = entry
-        msg = np.zeros((n, dim))
-        msg[dst] = weights[entry] * r_prev[src[entry], lanes]
-        updated = (1.0 - eta)[:, None] * msg + eta[:, None] * r_prev
+            winners[dst[part]] = entry
+            gathered = r_prev[src[entry], lanes]
+            msg[dst[part]] = np.multiply(weights[entry], gathered, out=gathered)
+        # gate_msg * msg + gate_in * r_prev, the second product by chunks
+        updated = gate_msg * msg
+        for lo in range(0, n, ROW_CHUNK):
+            part = slice(lo, lo + ROW_CHUNK)
+            updated[part] += gate_in[part] * r_prev[part]
         messages.append(msg)
         winners_all.append(winners)
         round_inputs.append(updated)
@@ -385,59 +405,54 @@ def backward(
 
     n = trace.n_nodes
     eta = trace.gate_values
+    gate_msg, gate_in = (1.0 - eta)[:, None], eta[:, None]
     dim = params.dim
     lanes = np.arange(dim)
-    d_out = np.tile(d_readout, (n, 1))
+    # every node's gradient from the readout is d_readout itself
+    d_out = np.broadcast_to(d_readout, (n, dim))
     for t in reversed(range(trace.rounds)):
         r_in = trace.round_inputs[t]
         msg = trace.messages[t]
         winners = trace.winners[t]
 
-        d_eta = (d_out * (r_in - msg)).sum(axis=1)
+        d_eta = np.empty(n)
+        for lo in range(0, n, ROW_CHUNK):
+            part = slice(lo, lo + ROW_CHUNK)
+            diff = r_in[part] - msg[part]
+            np.multiply(d_out[part], diff, out=diff).sum(axis=1, out=d_eta[part])
         np.add.at(grads.gates, graph.node_ids, d_eta * eta * (1.0 - eta))
 
-        d_msg = d_out * (1.0 - eta)[:, None]
-        d_in = d_out * eta[:, None]
+        d_in = np.multiply(d_out, gate_in, out=np.empty((n, dim)))
+        d_in_flat = d_in.reshape(-1)
 
         # a node's lanes are all -1 (no incoming entries) or all valid, so
-        # its first lane says whether the whole row takes part
+        # its first lane says whether the whole row takes part; receivers
+        # go ROW_CHUNK rows at a time in ascending order, so every element
+        # gets its adds in the order one scatter over all of them would
         receivers = np.flatnonzero(winners[:, :1] >= 0)
-        if receivers.size:
+        for lo in range(0, receivers.size, ROW_CHUNK):
+            part = receivers[lo : lo + ROW_CHUNK]
             # 1-D operands throughout: np.add.at is several times faster
             # on them than on 2-D index arrays or (row, lane) pairs
-            entry = winners[receivers].ravel()
-            pidx = graph.edge_param[entry]
+            entry = winners[part]
+            pidx = graph.edge_param[entry].ravel()
             # each winner's (source, lane) as a C-order position in r_in;
             # positions are int32, widened before they are scaled by dim
-            flat = graph.edge_src[entry].astype(np.int64).reshape(-1, dim)
-            del entry
+            flat = graph.edge_src[entry].astype(np.int64)
             flat *= dim
             flat += lanes
             flat = flat.ravel()
-            d_contrib = d_msg[receivers].ravel()
+            d_contrib = (d_out[part] * gate_msg[part]).ravel()
             np.add.at(grads.edge_weights, pidx, d_contrib * np.take(r_in, flat))
-            _scatter_add(d_in, flat, d_contrib * params.edge_weights[pidx])
+            np.add.at(d_in_flat, flat, d_contrib * params.edge_weights[pidx])
         d_out = d_in
 
     if trace.dropout_mask is not None:
-        d_out = d_out * trace.dropout_mask
+        np.multiply(d_out, trace.dropout_mask, out=d_out)
     at = graph.node_ids if rows is None else np.searchsorted(rows, graph.node_ids)
-    _scatter_add(grads.embeddings, at[:, None] * dim + lanes, d_out)
+    for lo in range(0, n, ROW_CHUNK):
+        np.add.at(grads.embeddings, at[lo : lo + ROW_CHUNK], d_out[lo : lo + ROW_CHUNK])
     return grads
-
-
-def _scatter_add(target: np.ndarray, flat_index: np.ndarray, values: np.ndarray) -> None:
-    """`np.add.at` into `target` at C-order flat positions.
-
-    Each position receives its values in the order given, as `np.add.at`
-    with (row, lane) index pairs would add them, but a 1-D target makes the
-    scatter several times faster. A target that is not C-contiguous is
-    updated through a C-order copy and written back.
-    """
-    flat = target.reshape(-1)
-    np.add.at(flat, flat_index.ravel(), values.ravel())
-    if not np.may_share_memory(flat, target):
-        target[...] = flat.reshape(target.shape)
 
 
 # --- optimizer --------------------------------------------------------------
@@ -625,6 +640,8 @@ def train(
                     )
                     batch_loss += loss(trace.probabilities, g.label)
                     backward(trace, g, params, g.label, out=grads, rows=rows)
+                    # freed before the next forward, so one trace is live
+                    del trace
             except NonFiniteActivationError as err:
                 raise NonFiniteActivationError(
                     f"epoch {epoch} batch {batch_no}: {err}"

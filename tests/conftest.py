@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic issue datasets with level-correlated wording.
+"""Shared fixtures: synthetic issue datasets with level-correlated wording,
+and a measure of the memory a call allocates.
 
 The published issue corpus is not bundled, so tests that need trainable
 data fabricate projects whose vocabulary correlates with the effort level.
@@ -9,6 +10,7 @@ the classification task learnable by both models at tiny sizes.
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,23 @@ def tiny_vectors_file(tmp_path) -> Path:
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def traced_peak():
+    """A function: the bytes `run()` allocates at its peak above what was
+    live before it."""
+
+    def measure(run) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
