@@ -100,7 +100,6 @@ class TfidfModel:
 
     vocabulary: dict[str, int]  # n-gram -> column
     idf: np.ndarray  # (F,)
-    document_count: int
     max_ngram: int = MAX_NGRAM
 
     @property
@@ -130,9 +129,7 @@ def tfidf_fit(
     idf = np.zeros(len(vocabulary))
     for gram, col in vocabulary.items():
         idf[col] = math.log((1.0 + n) / (1.0 + df[gram])) + 1.0
-    return TfidfModel(
-        vocabulary=vocabulary, idf=idf, document_count=n, max_ngram=max_ngram
-    )
+    return TfidfModel(vocabulary=vocabulary, idf=idf, max_ngram=max_ngram)
 
 
 def tfidf_transform(
@@ -207,7 +204,6 @@ class Tree:
     right: np.ndarray  # int64
     value: np.ndarray  # float64
     histogram: np.ndarray  # float64, (nodes, n_classes)
-    bootstrap_seed: int
 
 
 @dataclass
@@ -571,10 +567,7 @@ def rf_fit(
         config, task, n_classes,
     )
     return Forest(
-        trees=[
-            Tree(*arrays, bootstrap_seed=int(seed))
-            for arrays, seed in zip(grown, tree_seeds.tolist())
-        ],
+        trees=[Tree(*arrays) for arrays in grown],
         config=config,
         task=task,
         n_features=features.n_features,

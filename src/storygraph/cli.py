@@ -238,7 +238,7 @@ def _prepare_files(config: ex.ExperimentConfig, prepared: ex.PreparedProject,
     )
     vocab = build_vocabulary(split.train)
     provenance = row_provenance(vocab, pretrained, config.embedding_dim)
-    dump_vocabulary(vocab, provenance, out_dir / f"{project}.vocab.tsv")
+    dump_vocabulary(vocab, split.train, provenance, out_dir / f"{project}.vocab.tsv")
     return (f"{project}: {len(split.train)}/{len(split.validation)}/"
             f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
 

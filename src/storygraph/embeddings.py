@@ -9,6 +9,7 @@ where available and are sampled uniformly from [-0.01, 0.01] otherwise
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -33,7 +34,6 @@ class Vocabulary:
 
     id_to_token: list[str]
     token_to_id: dict[str, int]
-    counts: list[int]
 
     @property
     def size(self) -> int:
@@ -148,19 +148,11 @@ def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
     """
     if not train_docs:
         raise EmptyTrainingSetError("cannot build a vocabulary from zero documents")
-    id_to_token = [UNKNOWN_TOKEN]
     token_to_id = {UNKNOWN_TOKEN: 0}
-    counts = [0]
     for doc in train_docs:
         for tok in doc.tokens:
-            idx = token_to_id.get(tok)
-            if idx is None:
-                token_to_id[tok] = len(id_to_token)
-                id_to_token.append(tok)
-                counts.append(1)
-            else:
-                counts[idx] += 1
-    return Vocabulary(id_to_token=id_to_token, token_to_id=token_to_id, counts=counts)
+            token_to_id.setdefault(tok, len(token_to_id))
+    return Vocabulary(id_to_token=list(token_to_id), token_to_id=token_to_id)
 
 
 def row_provenance(
@@ -206,10 +198,13 @@ def build_vocab(
 
 
 def dump_vocabulary(
-    vocab: Vocabulary, provenance: Sequence[str], path: str | Path
+    vocab: Vocabulary, train_docs: Iterable[TokenizedDocument], provenance: Sequence[str],
+    path: str | Path,
 ) -> None:
-    """Write one `token<TAB>id<TAB>count<TAB>provenance` line per entry;
-    `provenance` is an EmbeddingTable's, or row_provenance's."""
+    """Write one `token<TAB>id<TAB>count<TAB>provenance` line per entry, the
+    count taken over `train_docs`, which vocab was built from; `provenance`
+    is an EmbeddingTable's, or row_provenance's."""
+    counts = Counter(tok for doc in train_docs for tok in doc.tokens)
     with open(path, "w", encoding="utf-8") as handle:
         for idx, token in enumerate(vocab.id_to_token):
-            handle.write(f"{token}\t{idx}\t{vocab.counts[idx]}\t{provenance[idx]}\n")
+            handle.write(f"{token}\t{idx}\t{counts[token]}\t{provenance[idx]}\n")

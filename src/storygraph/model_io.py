@@ -2,23 +2,26 @@
 reads both kinds of file.
 
 Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
-UTF-8 JSON header (`format_version` first), then raw little-endian arrays
-in a fixed order. A header states each fact once: a size that follows
-from a list it holds (vocabulary size, feature count) or from an array
-count (edge parameters = pairs + 1) is not stored, nor is anything the
-config holds. A `.model` holds the five float64 parameter arrays, then the
-edge table's pair codes (see graph.py) as int64, as they are in memory, so
-index i+1 in the edge-weight vector belongs to codes[i]; its header also
-records the run the model was trained in: its project, text mode, training
-config (with the master seed, window and edge frequency threshold) and
-split hash. Arrays round-trip bit-exactly; pre-threshold co-occurrence
-counts are not persisted.
+UTF-8 JSON header (`format_version` first), raw little-endian arrays in a
+fixed order, then a little-endian CRC-32 (zlib.crc32) of every byte before
+it. The checksum is checked before the header is parsed. A header holds
+exactly the fields its loader reads, and states each fact once: a size
+that follows from a list it holds (vocabulary size, feature count) or from
+an array count (edge parameters = pairs + 1) is not stored, nor is anything
+the config holds. A `.model` holds the five float64 parameter arrays, then
+the edge table's pair codes (see graph.py) as int64, as they are in
+memory, so index i+1 in the edge-weight vector belongs to codes[i]; its
+header also records the run the model was trained in: its project, text
+mode, training config (with the master seed, window and edge frequency
+threshold) and split hash. Arrays round-trip bit-exactly; token counts and
+pre-threshold co-occurrence counts are not persisted.
 
 A `.baseline` file holds the idf vector, then each tree's flat preorder
 arrays in the layout the baseline.py docstring states; loading refuses a
-tree that breaks it. Either header's config must meet its dataclass's
-declared legal values, every other header field must have exactly its
-JSON type, and a token or term may be listed once.
+tree that breaks it, and a tree count other than the config's. Its class
+count states the task: regression has none. Either header's config must
+meet its dataclass's declared legal values, every other header field must
+have exactly its JSON type, and a token or term may be listed once.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import reprlib
 import struct
+import zlib
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from .graph import EdgeTable, decode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -59,13 +63,18 @@ class ModelBundle:
 
 def _save(path: str | Path, magic: bytes, header: dict, arrays) -> None:
     """Write a container: the header after its format version, then each
-    (array, dtype) of `arrays` in order."""
+    (array, dtype) of `arrays` in order, then the checksum of it all."""
     blob = json.dumps({"format_version": FORMAT_VERSION, **header},
                       ensure_ascii=False).encode("utf-8")
+    head = magic + bytes([FORMAT_VERSION]) + struct.pack("<Q", len(blob)) + blob
+    crc = zlib.crc32(head)
     with open(path, "wb") as fh:
-        fh.write(magic + bytes([FORMAT_VERSION]) + struct.pack("<Q", len(blob)) + blob)
+        fh.write(head)
         for arr, dtype in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            body = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+            fh.write(body)
+            crc = zlib.crc32(body, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 class _Arrays:
@@ -121,27 +130,30 @@ def _positions(path: str | Path, what: str, names: list[str]) -> dict[str, int]:
 
 
 def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict, _Arrays]:
-    """Check a container's magic, versions and header, and convert each
-    header field by its kind in `fields` (see _field); returns the converted
-    fields and the file's arrays."""
-    data = Path(path).read_bytes()
-    if len(data) < len(magic) + 9:
+    """Check a container's magic, versions, checksum and header, and convert
+    each header field by its kind in `fields` (see _field); returns the
+    converted fields and the file's arrays."""
+    raw = Path(path).read_bytes()
+    if len(raw) < len(magic) + 13:
         raise CorruptFileError(f"{path}: too short to be a {kind} file")
-    if data[: len(magic)] != magic:
+    if raw[: len(magic)] != magic:
         raise CorruptFileError(f"{path}: not a {kind} file (bad magic)")
-    version = data[len(magic)]
+    version = raw[len(magic)]
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"{path}: format version {version}, this build reads {FORMAT_VERSION}; "
             "retrain to get a readable file"
         )
+    data = memoryview(raw)[:-4]
+    if zlib.crc32(data) != struct.unpack_from("<I", raw, len(data))[0]:
+        raise CorruptFileError(f"{path}: checksum mismatch, the file is damaged")
     pos = len(magic) + 1
     (header_len,) = struct.unpack_from("<Q", data, pos)
     pos += 8
     if pos + header_len > len(data):
         raise CorruptFileError(f"{path}: header extends past end of file")
     try:
-        header = json.loads(data[pos : pos + header_len].decode("utf-8"))
+        header = json.loads(bytes(data[pos : pos + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{path}: unreadable header: {err}") from err
     if not isinstance(header, dict):
@@ -149,6 +161,11 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
     if header.get("format_version") != FORMAT_VERSION:
         raise VersionMismatchError(
             f"{path}: header declares version {header.get('format_version')}"
+        )
+    unread = [key for key in header if key != "format_version" and key not in fields]
+    if unread:
+        raise CorruptFileError(
+            f"{path}: malformed header field: {unread[0]!r} is not one of this format's"
         )
     try:
         values = {key: _field(key, header[key], kind) for key, kind in fields.items()}
@@ -159,7 +176,6 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
     params = bundle.params
-    vocab = bundle.vocabulary
     header = {
         "dim": params.dim,
         "n_classes": params.n_classes,
@@ -169,8 +185,7 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "text_mode": bundle.text_mode,
         "split_hash": bundle.split_hash,
         "class_values": list(bundle.class_values),
-        "tokens": list(vocab.id_to_token),
-        "token_counts": [int(c) for c in vocab.counts],
+        "tokens": list(bundle.vocabulary.id_to_token),
     }
     arrays = [(arr, "<f8") for _, arr in params.named_arrays()]
     _save(path, MAGIC_PREFIX, header, [*arrays, (bundle.edge_table.codes, "<i8")])
@@ -180,16 +195,12 @@ def load_model(path: str | Path) -> ModelBundle:
     """Read a model container back; inverse of save_model, bit for bit."""
     h, arrays = _load(path, MAGIC_PREFIX, "model", {
         "dim": int, "n_classes": int, "n_pairs": int, "tokens": [str],
-        "token_counts": [int], "config": TrainConfig, "project": str,
-        "text_mode": str, "split_hash": str, "class_values": [int],
+        "config": TrainConfig, "project": str, "text_mode": str,
+        "split_hash": str, "class_values": [int],
     })
     d, c, n_pairs = h["dim"], h["n_classes"], h["n_pairs"]
     tokens, class_values = h["tokens"], tuple(h["class_values"])
     v = len(tokens)
-    if len(h["token_counts"]) != v:
-        raise CorruptFileError(
-            f"{path}: header lists {len(h['token_counts'])} token counts for {v} tokens"
-        )
     token_to_id = _positions(path, "token", tokens)
     if class_values and len(class_values) != c:
         raise CorruptFileError(
@@ -214,9 +225,7 @@ def load_model(path: str | Path) -> ModelBundle:
     return ModelBundle(
         params=params,
         config=h["config"],
-        vocabulary=Vocabulary(
-            id_to_token=tokens, token_to_id=token_to_id, counts=h["token_counts"]
-        ),
+        vocabulary=Vocabulary(id_to_token=tokens, token_to_id=token_to_id),
         edge_table=EdgeTable(codes=codes),
         project=h["project"],
         text_mode=h["text_mode"],
@@ -282,13 +291,10 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
     for gram, col in tfidf.vocabulary.items():
         terms_by_column[col] = gram
     header = {
-        "task": forest.task,
         "n_classes": forest.n_classes,
         "forest_config": asdict(forest.config),
-        "bootstrap_seeds": [t.bootstrap_seed for t in forest.trees],
         "tree_node_counts": [int(t.feature.shape[0]) for t in forest.trees],
         "terms": terms_by_column,
-        "document_count": tfidf.document_count,
         "max_ngram": tfidf.max_ngram,
     }
     arrays = [(tfidf.idf, "<f8")]
@@ -300,44 +306,39 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
     h, arrays = _load(path, BASELINE_MAGIC_PREFIX, "baseline model", {
-        "task": str, "n_classes": int, "forest_config": RandomForestConfig,
-        "bootstrap_seeds": [int], "tree_node_counts": [int], "terms": [str],
-        "document_count": int, "max_ngram": int,
+        "n_classes": int, "forest_config": RandomForestConfig,
+        "tree_node_counts": [int], "terms": [str], "max_ngram": int,
     })
-    task, n_classes = h["task"], h["n_classes"]
+    n_classes, config = h["n_classes"], h["forest_config"]
     terms, node_counts = h["terms"], h["tree_node_counts"]
     n_features = len(terms)
     vocabulary = _positions(path, "term", terms)
-    if len(h["bootstrap_seeds"]) != len(node_counts):
-        raise CorruptFileError(f"{path}: per-tree metadata lengths disagree")
-    if min(node_counts, default=1) < 1:
+    if len(node_counts) != config.n_trees:
+        raise CorruptFileError(
+            f"{path}: {len(node_counts)} trees listed for a forest of {config.n_trees}"
+        )
+    if min(node_counts) < 1:
         raise CorruptFileError(f"{path}: a tree without nodes")
-    if not (task == "classify" and n_classes > 0 or task == "regress" and n_classes == 0):
-        raise CorruptFileError(f"{path}: task {task!r} with {n_classes} classes")
+    if h["max_ngram"] < 1:
+        raise CorruptFileError(f"{path}: n-grams of at most {h['max_ngram']} words")
 
     idf = arrays.take("<f8", (n_features,))
     trees = []
-    for seed, count in zip(h["bootstrap_seeds"], node_counts):
+    for count in node_counts:
         tree = Tree(
             **{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS},
             histogram=arrays.take("<f8", (count, n_classes)),
-            bootstrap_seed=seed,
         )
         _check_tree(path, tree, n_features)
         trees.append(tree)
     arrays.end()
 
-    tfidf = TfidfModel(
-        vocabulary=vocabulary,
-        idf=idf,
-        document_count=h["document_count"],
-        max_ngram=h["max_ngram"],
-    )
     forest = Forest(
         trees=trees,
-        config=h["forest_config"],
-        task=task,
+        config=config,
+        task="classify" if n_classes else "regress",
         n_features=n_features,
         n_classes=n_classes,
     )
+    tfidf = TfidfModel(vocabulary=vocabulary, idf=idf, max_ngram=h["max_ngram"])
     return BaselineBundle(tfidf=tfidf, forest=forest)

@@ -1,5 +1,5 @@
 """Shared fixtures: synthetic issue datasets with level-correlated wording,
-and a measure of the memory a call allocates.
+a measure of the memory a call allocates, and model-file surgery.
 
 The published issue corpus is not bundled, so tests that need trainable
 data fabricate projects whose vocabulary correlates with the effort level.
@@ -10,7 +10,10 @@ the classification task learnable by both models at tiny sizes.
 from __future__ import annotations
 
 import csv
+import json
+import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,77 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+# --- model files ---------------------------------------------------------
+# A container is magic (7 bytes), version byte, uint64 header length, JSON
+# header, arrays, then the CRC-32 of all of it (see storygraph.model_io).
+
+
+def seal(body: bytes) -> bytes:
+    """A container's bytes before its checksum, with the checksum appended,
+    so an edit reaches the parser instead of the checksum test."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def read_header(path: Path) -> dict:
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)  # after magic and version byte
+    return json.loads(raw[16:16 + length])
+
+
+def rewrite_header(path: Path, section: str | None = None, **edits) -> None:
+    """Edit a container's header fields, or those of the config it holds
+    under `section`, and the header length before them, and re-seal it; the
+    arrays stay as they are."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    (header if section is None else header[section]).update(edits)
+    text = json.dumps(header).encode()
+    path.write_bytes(seal(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + length:-4]))
+
+
+def byte_classes(path: Path, array_bytes: list[tuple[str, int]]) -> dict[str, range]:
+    """The byte positions of each part of a container: its frame fields,
+    header, each non-empty array named in `array_bytes` (name, byte size,
+    in file order) and checksum."""
+    raw = path.read_bytes()
+    size = len(raw)
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    classes = {"magic": range(7), "version": range(7, 8), "length": range(8, 16),
+               "header": range(16, 16 + length)}
+    pos = 16 + length
+    for name, nbytes in array_bytes:
+        if nbytes:
+            classes[name] = range(pos, pos + nbytes)
+        pos += nbytes
+    assert pos == size - 4, "array sizes do not fill the file"
+    classes["checksum"] = range(pos, size)
+    return classes
+
+
+def mutations(raw: bytes, classes: dict[str, range], seed: int, per_class: int = 3):
+    """(class, what, mutated bytes): per class, `per_class` single-bit flips
+    and as many bytes replaced by another random value, at seeded
+    positions."""
+    rng = np.random.default_rng(seed)
+    for name, span in classes.items():
+        for kind in ("bit flip", "random byte"):
+            for pos in rng.choice(span, size=min(per_class, len(span)), replace=False):
+                blob = bytearray(raw)
+                if kind == "bit flip":
+                    blob[pos] ^= 1 << int(rng.integers(8))
+                else:
+                    blob[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+                yield name, f"{kind} at byte {pos}", bytes(blob)
+
+
+def expected_damage(byte_class: str) -> str:
+    """The error a mutation of this byte class must end in."""
+    return {"magic": "CorruptFileError: .*bad magic",
+            "version": "VersionMismatchError: .*format version"}.get(
+        byte_class, "CorruptFileError: .*checksum mismatch")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -189,8 +189,8 @@ def fit_trees(
     labels,
     config: RandomForestConfig,
     task: str,
-) -> list[tuple[int, dict]]:
-    """(bootstrap seed, arrays) per tree, seeded and sampled as rf_fit is."""
+) -> list[dict]:
+    """The arrays of each tree, seeded and sampled as rf_fit is."""
     n = len(features)
     if task == "classify":
         y = np.asarray(labels, dtype=np.int64)
@@ -204,9 +204,7 @@ def fit_trees(
     for seed in tree_seeds.tolist():
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        trees.append(
-            (int(seed), grow_tree(store, y, rows, config, task, n_classes, rng))
-        )
+        trees.append(grow_tree(store, y, rows, config, task, n_classes, rng))
     return trees
 
 

@@ -7,7 +7,7 @@ import csv
 import io
 import json
 import re
-import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,8 @@ from storygraph.experiment import ExperimentConfig
 from storygraph.gnn import TrainConfig
 
 from conftest import (
-    FILLER, LEVEL_POOLS, make_dataset, synth_rows, write_project_csv, write_vectors,
+    FILLER, LEVEL_POOLS, byte_classes, expected_damage, make_dataset, mutations, read_header,
+    rewrite_header, synth_rows, write_project_csv, write_vectors,
 )
 
 
@@ -393,16 +394,6 @@ def test_eval_accepts_options_that_agree_with_the_model(capsys, tmp_path, synth_
     assert out.startswith(f"alpha: accuracy {trained.split('gnn ')[1]} ")
 
 
-def rewrite_header(model, **fields):
-    """Replace header fields of a model file, keeping its arrays."""
-    raw = model.read_bytes()
-    (length,) = struct.unpack_from("<Q", raw, 8)  # after magic and version byte
-    header = json.loads(raw[16:16 + length])
-    header.update(fields)
-    text = json.dumps(header).encode()
-    model.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + length:])
-
-
 def test_eval_refuses_story_point_values_that_do_not_match_the_classes(
         capsys, tmp_path, synth_dataset):
     model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs", "--task", "regress")
@@ -417,9 +408,7 @@ def test_eval_refuses_story_point_values_that_do_not_match_the_classes(
 
 def test_eval_refuses_a_model_whose_config_is_malformed(capsys, tmp_path, synth_dataset):
     model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
-    raw = model.read_bytes()
-    (length,) = struct.unpack_from("<Q", raw, 8)
-    config = json.loads(raw[16:16 + length])["config"]
+    config = read_header(model)["config"]
     rewrite_header(model, config={**config, "window": 3.0})
     code, out, err = run_cli(
         capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
@@ -454,6 +443,30 @@ def test_eval_refuses_a_version_1_model_file(capsys, tmp_path, synth_dataset):
     )
     assert code == 1
     assert err.startswith("error: VersionMismatchError: ") and "retrain" in err
+
+
+def test_eval_refuses_every_damaged_byte_class_of_a_model(capsys, tmp_path, synth_dataset):
+    # a seeded sample of single-byte damage in each part of the file; with
+    # the checksum test taken out, 38 of the 62 still score
+    from storygraph.model_io import load_model
+
+    model, trained = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    bundle = load_model(model)
+    array_bytes = [*((name, arr.nbytes) for name, arr in bundle.params.named_arrays()),
+                   ("edge pair codes", bundle.edge_table.codes.nbytes)]
+    raw = model.read_bytes()
+    classes = byte_classes(model, array_bytes)
+    assert len(classes) == 5 + 6
+    argv = ("eval", "--data", str(synth_dataset), "--model", str(model))
+    for byte_class, what, blob in mutations(raw, classes, seed=17):
+        model.write_bytes(blob)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), (byte_class, what, err)
+        assert is_one_error_line(err), (byte_class, what, err)
+        assert re.match("error: " + expected_damage(byte_class), err), (byte_class, what, err)
+    model.write_bytes(raw)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith(f"alpha: accuracy {trained.split('gnn ')[1]} ")
 
 
 def test_eval_as_the_benchmark_calls_it(capsys, tmp_path, synth_dataset):
@@ -523,11 +536,12 @@ def test_prepare_writes_what_the_embedding_table_holds(capsys, tmp_path, synth_d
         train_tokens = {tok for doc in split.train for tok in doc.tokens}
         rows = load_pretrained_vectors(vectors, train_tokens, dim=8)
         vocab, table = build_vocab(split.train, rows, seed=0, dim=8)
+        counts = Counter(tok for doc in split.train for tok in doc.tokens)
         assert "unseen" not in vocab.token_to_id
         assert {table.provenance[vocab.id_for(w)] for w in FILLER[:2]} == {"random"}
         assert "pretrained" in table.provenance
         vocab_tsv = "".join(
-            f"{token}\t{i}\t{vocab.counts[i]}\t{table.provenance[i]}\n"
+            f"{token}\t{i}\t{counts[token]}\t{table.provenance[i]}\n"
             for i, token in enumerate(vocab.id_to_token)
         )
         assert (out / "prepare" / f"{project}.vocab.tsv").read_bytes() == (

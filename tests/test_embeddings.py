@@ -33,7 +33,6 @@ def test_ids_follow_first_occurrence():
     assert vocab.id_to_token == [UNKNOWN_TOKEN, "b", "a", "c"]
     assert vocab.id_for("b") == 1
     assert vocab.id_for("never-seen") == 0
-    assert vocab.counts == [0, 2, 2, 1]
 
 
 def test_unknown_row_is_zero_and_reserved():
@@ -206,7 +205,7 @@ def test_non_finite_rows_count_toward_the_verdict(tmp_path):
 def test_dump_vocabulary(tmp_path):
     vocab, table = build_vocab(_docs(["red green red"]), {}, seed=0, dim=2)
     out = tmp_path / "vocab.tsv"
-    dump_vocabulary(vocab, table.provenance, out)
+    dump_vocabulary(vocab, _docs(["red green red"]), table.provenance, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == vocab.size
     fields = lines[1].split("\t")

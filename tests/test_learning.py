@@ -13,14 +13,20 @@ again on the same project in verb-noun-filter mode, where the generator's
 marker words survive the filter, and must beat that rate by
 FILTER_MARGIN_POINTS.
 
+The forest also regresses story points on the project, and its test MAE
+must be REGRESSION_MARGIN points below that of always predicting the
+training split's median story point. The GNN's regression is not held to
+this yet: it beats the median on this corpus but not on every one (5.200
+against 5.175 at corpus seed 602).
+
 A second forest run reads the same issues with every test issue moved to
 another level. A forest that never trained on a test issue still predicts
 each one's true level and so scores low on the moved labels; one that saw
 them scores them as labelled.
 
-MARGIN_POINTS, FILTER_MARGIN_POINTS and LEAK_BOUND were set once, from
-corpus seeds that played no part in writing this file (see CHANGES.md); a
-later failure is fixed in the program, not in them.
+MARGIN_POINTS, FILTER_MARGIN_POINTS, REGRESSION_MARGIN and LEAK_BOUND
+were set once, from corpus seeds that played no part in writing this file
+(see CHANGES.md); a later failure is fixed in the program, not in them.
 
 The last test records a behaviour of the paper's model rather than a
 fault: at the reference configuration the readout softmax(relu(W R + b))
@@ -46,6 +52,7 @@ from storygraph.experiment import (
     ExperimentConfig,
     prepare_project,
     run_classification,
+    run_regression,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +62,7 @@ PROJECT = "atlas"
 ISSUES = 200
 MARGIN_POINTS = 15.0  # percentage points above the majority-class rate
 FILTER_MARGIN_POINTS = 30.0  # the same in verb-noun-filter mode
+REGRESSION_MARGIN = 1.0  # story points of MAE below the median predictor's
 LEAK_BOUND = 25.0  # % of moved test labels an honest forest may match
 
 # a 250-issue project on which the GNN stalls at the reference configuration
@@ -98,6 +106,13 @@ def majority_percent(corpus_rate: float, split: DatasetSplit) -> float:
     top = Counter(int(d.level) for d in split.train).most_common(1)[0][0]
     hits = sum(int(d.level) == top for d in split.test)
     return max(100.0 * corpus_rate, 100.0 * hits / len(split.test))
+
+
+def median_mae(split: DatasetSplit) -> float:
+    """The test MAE of always predicting the training split's median story
+    point."""
+    median = float(np.median([d.raw_story_point for d in split.train]))
+    return float(np.mean([abs(d.raw_story_point - median) for d in split.test]))
 
 
 def move_test_levels(config: ExperimentConfig, split: DatasetSplit,
@@ -154,6 +169,15 @@ def test_criterion_11_forest_beats_the_majority_class(learned):
     assert result.baseline_accuracy >= majority + MARGIN_POINTS, (
         f"forest {result.baseline_accuracy:.2f}% against a {majority:.2f}% "
         f"majority class")
+
+
+def test_criterion_11_forest_regression_beats_the_training_median(tmp_path):
+    config = replace(learning_config(tmp_path / "data", tmp_path / "out"), model="tfidf-rf")
+    corpus_gen.write_corpus(config.data_dir, {PROJECT: ISSUES}, seed=CORPUS_SEED)
+    median = median_mae(prepare_project(config, PROJECT).split)
+    forest = run_regression(config).rows[0].baseline_mae
+    assert forest <= median - REGRESSION_MARGIN, (
+        f"forest MAE {forest:.3f} against {median:.3f} for the training median")
 
 
 def test_criterion_11_forest_never_trains_on_a_test_issue(learned):
