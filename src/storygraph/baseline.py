@@ -210,9 +210,13 @@ class Tree:
 class Forest:
     trees: list[Tree]
     config: RandomForestConfig
-    task: str  # "classify" | "regress"
     n_features: int
     n_classes: int = 0  # classification only
+
+    @property
+    def task(self) -> str:
+        """The task it was fitted for: a regression forest has no classes."""
+        return "classify" if self.n_classes else "regress"
 
 
 class _ColumnStore(NamedTuple):
@@ -569,7 +573,6 @@ def rf_fit(
     return Forest(
         trees=[Tree(*arrays) for arrays in grown],
         config=config,
-        task=task,
         n_features=features.n_features,
         n_classes=n_classes,
     )

@@ -60,11 +60,10 @@ def _option(parser: argparse.ArgumentParser, flag: str, text: str,
     its help shows that field's default."""
     dest = dest or flag[2:]
     f = options(ex.ExperimentConfig, TrainConfig)[dest]
-    kind, names = f.metadata["type"], f.metadata["choices"] or {}
-    default = next((name for name, value in names.items() if value == f.default), _text(f.default))
-    parser.add_argument(flag, dest=dest, help=f"{text} (default: {default})",
+    kind = f.metadata["type"]
+    parser.add_argument(flag, dest=dest, help=f"{text} (default: {_text(f.default)})",
                         type=kind if kind in (int, float) and not f.metadata["many"] else None,
-                        choices=tuple(names) or None)
+                        choices=f.metadata["choices"])
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -193,7 +192,7 @@ def _experiment_config(given: dict, **fixed) -> ex.ExperimentConfig:
     its field's default, checked in turn before the dataset directory is
     looked up. `fixed` fields (a subcommand's model, a model's run) win."""
     values = {
-        f.name: check_option(key, f, _typed_value(key, f, given[key]), names=True)
+        f.name: check_option(key, f, _typed_value(key, f, given[key]))
         for key, f in options(ex.ExperimentConfig, TrainConfig).items()
         if key != "data" and key in given
     }
@@ -265,7 +264,7 @@ def _run_and_print(run, config: ex.ExperimentConfig) -> int:
 
 
 def _scored(config: ex.ExperimentConfig) -> int:
-    run = ex.run_regression if config.task == ex.TASK_REGRESS else ex.run_classification
+    run = ex.run_regression if config.task == "regress" else ex.run_classification
     return _run_and_print(run, config)
 
 
@@ -293,7 +292,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         asked,
         projects=(bundle.project,),
         text_mode=bundle.text_mode,
-        task=ex.TASK_REGRESS if bundle.class_values else ex.TASK_CLASSIFY,
+        task="regress" if bundle.class_values else "classify",
         embedding_dim=bundle.params.embeddings.shape[1],
         train=bundle.config,
     )
@@ -311,7 +310,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"the model was trained on split {bundle.split_hash}"
         )
     test = prepared.split.test
-    accuracy, mae = ex.score_gnn(bundle, bundle.vocabulary.encode_all(test), test)
+    accuracy, mae = ex.score_gnn(bundle, bundle.vocabulary.encode_all(test))
     line = f"{bundle.project}: accuracy {accuracy:.2f}% (n={len(test)})"
     if mae is not None:
         line += f", mae {mae:.2f}"

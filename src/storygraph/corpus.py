@@ -219,8 +219,12 @@ class TokenizedDocument:
 
     doc_id: str
     tokens: tuple[str, ...]
-    level: StoryPointLevel
     raw_story_point: int
+
+    @property
+    def level(self) -> StoryPointLevel:
+        """The effort level of its story point."""
+        return bucket_level(self.raw_story_point)
 
 
 @dataclass
@@ -261,7 +265,6 @@ def tokenize_issues(
             TokenizedDocument(
                 doc_id=issue.issue_key,
                 tokens=tuple(map(sys.intern, tokens)),
-                level=bucket_level(issue.story_point),
                 raw_story_point=issue.story_point,
             )
         )

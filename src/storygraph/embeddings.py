@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import StoryPointLevel, TokenizedDocument
+from .corpus import StoryPointLevel, TokenizedDocument, bucket_level
 from .errors import DimensionMismatchError, EmptyTrainingSetError
 
 UNKNOWN_TOKEN = "<unk>"
@@ -50,7 +50,6 @@ class Vocabulary:
         return EncodedDocument(
             doc_id=doc.doc_id,
             token_ids=tuple(self.encode(doc.tokens)),
-            level=doc.level,
             raw_story_point=doc.raw_story_point,
         )
 
@@ -64,8 +63,12 @@ class EncodedDocument:
 
     doc_id: str
     token_ids: tuple[int, ...]
-    level: StoryPointLevel
     raw_story_point: int
+
+    @property
+    def level(self) -> StoryPointLevel:
+        """The effort level of its story point."""
+        return bucket_level(self.raw_story_point)
 
 
 @dataclass

@@ -97,11 +97,9 @@ class DegenerateDataError(StoryGraphError):
 def option(default=MISSING, kind=None, *, key=None, choices=None, low=None, high=None,
            many=False):
     """A config field with its legal values beside its default: of type `kind`
-    (`many`: a tuple of them, none twice), one of `choices` (or of a map's
-    values, keyed by the names a user gives), in [low, high) (None: open).
-    `key` is the option's name where it is not the field's."""
-    if choices is not None and not isinstance(choices, dict):
-        choices = dict(zip(choices, choices))
+    (`many`: a tuple of them, none twice), one of the tuple `choices`, in
+    [low, high) (None: open). `key` is the option's name where it is not the
+    field's."""
     return field(default=default, metadata=dict(
         key=key, type=kind, choices=choices, range=(low, high), many=many))
 
@@ -111,17 +109,16 @@ def options(*classes) -> dict:
     return {f.metadata["key"] or f.name: f for cls in classes for f in fields(cls) if f.metadata}
 
 
-def check_option(key: str, f, value, names: bool = False):
+def check_option(key: str, f, value):
     """`value` as field `f` holds it (a Path from a string, a float from an
-    int, a tuple from a list, with `names` a choice from its name), or a
-    StoryGraphError("<key>: ...") if the declaration does not allow it."""
+    int, a tuple from a list), or a StoryGraphError("<key>: ...") if the
+    declaration does not allow it."""
     meta = f.metadata
     kind, choices, (low, high) = meta["type"], meta["choices"], meta["range"]
     if choices is not None:
-        legal = tuple(choices if names else choices.values())
-        if value not in legal:
-            raise StoryGraphError(f"{key}: {value!r} is not one of {', '.join(legal)}")
-        return choices[value] if names else value
+        if value not in choices:
+            raise StoryGraphError(f"{key}: {value!r} is not one of {', '.join(choices)}")
+        return value
     if value is None and f.default is None:
         return value
     if meta["many"]:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +47,8 @@ from .tagging import LexiconTagger
 
 DEFAULT_WINDOWS = (2, 5, 10, 20, 50, 100)
 
-TASK_CLASSIFY = "level-classification"
-TASK_REGRESS = "sp-as-label-regression"
+# each task's name in the paper, as the config echo spells it
+TASK_NAMES = {"classify": "level-classification", "regress": "sp-as-label-regression"}
 MODE_RAW = "raw"
 MODE_FILTERED = "verb-noun-filter"
 
@@ -63,7 +63,7 @@ class ExperimentConfig:
     output_dir: Path = option(Path("runs"), Path, key="out")
     projects: tuple[str, ...] = option((), str, key="project", many=True)  # (): every *.csv
     text_mode: str = option(MODE_RAW, key="mode", choices=(MODE_RAW, MODE_FILTERED))
-    task: str = option(TASK_CLASSIFY, choices={"classify": TASK_CLASSIFY, "regress": TASK_REGRESS})
+    task: str = option("classify", choices=tuple(TASK_NAMES))
     model: str = option("both", choices=("gnn", "tfidf-rf", "both"))
     jobs: int = option(1, int, low=1)
     embedding_dim: int = option(300, int, key="dim", low=1)
@@ -87,7 +87,7 @@ class ExperimentConfig:
         """Everything a reader needs to audit or rerun the experiment."""
         return {
             **asdict(self.train),
-            "task": self.task,
+            "task": TASK_NAMES[self.task],
             "text_mode": self.text_mode,
             "model": self.model,
             "optimizer": "adam",
@@ -138,24 +138,20 @@ def mean_absolute_error(predictions, targets) -> float:
 
 
 def score_gnn(
-    bundle: ModelBundle,
-    encoded: list[EncodedDocument],
-    docs: tuple[TokenizedDocument, ...],
+    bundle: ModelBundle, encoded: list[EncodedDocument]
 ) -> tuple[float, float | None]:
     """A model's accuracy (%) on documents encoded against its vocabulary,
     and, when its classes are story points, its MAE in story points."""
     cv = bundle.class_values
-    task = TASK_REGRESS if cv else TASK_CLASSIFY
     graphs = build_graphs(
-        encoded, bundle.config.window, bundle.edge_table,
-        labels=labels_for(docs, task, cv),
+        encoded, bundle.config.window, bundle.edge_table, labels=labels_for(encoded, cv)
     )
     rounds = bundle.config.rounds
     predictions = [gnn.predict(bundle.params, g, rounds=rounds)[0] for g in graphs]
     accuracy = accuracy_percent(predictions, [g.label for g in graphs])
     if not cv:
         return accuracy, None
-    actual = [d.raw_story_point for d in docs]
+    actual = [d.raw_story_point for d in encoded]
     return accuracy, mean_absolute_error([cv[p] for p in predictions], actual)
 
 
@@ -164,7 +160,7 @@ class PreparedProject:
     project: str
     split: DatasetSplit
     split_hash: str
-    class_values: tuple[int, ...]  # regression task: story point per class index
+    class_values: tuple[int, ...]  # story point per class index; (): effort levels
 
 
 def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
@@ -175,7 +171,7 @@ def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
     docs, _ = tokenize_issues(issues, tagger=tagger)
     split = split_dataset(docs, seed=derive_seed(config.train.seed, project, "split"))
     class_values: tuple[int, ...] = ()
-    if config.task == TASK_REGRESS:
+    if config.task == "regress":
         class_values = tuple(sorted({d.raw_story_point for d in split.train}))
     return PreparedProject(
         project=project,
@@ -186,11 +182,12 @@ def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
 
 
 def labels_for(
-    docs: tuple[TokenizedDocument, ...],
-    task: str,
+    docs: Sequence[TokenizedDocument | EncodedDocument],
     class_values: tuple[int, ...],
 ) -> list[int]:
-    if task == TASK_CLASSIFY:
+    """Each document's class: its effort level, or with `class_values` the
+    index of its story point among them."""
+    if not class_values:
         return [int(d.level) for d in docs]
     value_to_class = {v: i for i, v in enumerate(class_values)}
     # story points unseen in training have no class; -1 never matches a
@@ -215,7 +212,6 @@ class ProjectResult:
     node_count: int | None = None
     edge_count: int | None = None
     train_seconds: float | None = None
-    baseline_seconds: float | None = None
 
 
 Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
@@ -278,7 +274,6 @@ def _run_gnn(
 ) -> None:
     master = config.train.seed
     project = prepared.project
-    split = prepared.split
     vocab, table, (train_enc, val_enc, test_enc) = encoded
     window = config.train.window
     counts = count_cooccurrences(train_enc, window)
@@ -288,22 +283,14 @@ def _run_gnn(
     result.edge_count = len(counts)
     edges = assign_edge_params(counts, config.train.min_edge_frequency)
     del counts  # not held while training
-    task = config.task
     cv = prepared.class_values
-    train_graphs = build_graphs(
-        train_enc, window, edges,
-        labels=labels_for(split.train, task, cv),
-    )
-    val_graphs = build_graphs(
-        val_enc, window, edges,
-        labels=labels_for(split.validation, task, cv),
-    )
+    train_graphs = build_graphs(train_enc, window, edges, labels=labels_for(train_enc, cv))
+    val_graphs = build_graphs(val_enc, window, edges, labels=labels_for(val_enc, cv))
 
-    n_classes = len(cv) if task == TASK_REGRESS else len(StoryPointLevel)
     init_params = gnn.init_parameters(
         table.matrix,
         edges.num_edge_params,
-        n_classes,
+        len(cv) or len(StoryPointLevel),
         seed=derive_seed(master, project, "init"),
     )
     train_cfg = replace(config.train, seed=derive_seed(master, project, "train"))
@@ -324,7 +311,7 @@ def _run_gnn(
         split_hash=prepared.split_hash,
         class_values=cv,
     )
-    result.gnn_accuracy, result.gnn_mae = score_gnn(bundle, test_enc, split.test)
+    result.gnn_accuracy, result.gnn_mae = score_gnn(bundle, test_enc)
 
     if models_dir is not None:
         models_dir.mkdir(parents=True, exist_ok=True)
@@ -338,34 +325,30 @@ def _run_baseline(
     models_dir: Path | None,
 ) -> None:
     split = prepared.split
-    task = "classify" if config.task == TASK_CLASSIFY else "regress"
-    started = time.perf_counter()
+    task = config.task
+
+    def targets(docs) -> list[int]:
+        """The forest's target of each document: its effort level, or its
+        story point when regressing."""
+        if task == "classify":
+            return labels_for(docs, ())
+        return [d.raw_story_point for d in docs]
+
     tfidf = bl.tfidf_fit([d.tokens for d in split.train])
-    if task == "classify":
-        targets: list = [int(d.level) for d in split.train]
-    else:
-        targets = [float(d.raw_story_point) for d in split.train]
     rf_config = bl.RandomForestConfig(
         seed=derive_seed(config.train.seed, prepared.project, "baseline")
     )
     forest = bl.rf_fit(
         bl.tfidf_transform(tfidf, [d.tokens for d in split.train]),
-        targets, rf_config, task=task,
+        targets(split.train), rf_config, task=task,
     )
-    if config.include_timings:
-        result.baseline_seconds = time.perf_counter() - started
-
     predictions = bl.rf_predict_many(
         forest, bl.tfidf_transform(tfidf, [d.tokens for d in split.test])
     )
     if task == "classify":
-        result.baseline_accuracy = accuracy_percent(
-            predictions, [int(d.level) for d in split.test]
-        )
+        result.baseline_accuracy = accuracy_percent(predictions, targets(split.test))
     else:
-        result.baseline_mae = mean_absolute_error(
-            predictions, [float(d.raw_story_point) for d in split.test]
-        )
+        result.baseline_mae = mean_absolute_error(predictions, targets(split.test))
 
     if models_dir is not None:
         models_dir.mkdir(parents=True, exist_ok=True)
@@ -552,13 +535,13 @@ def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> Eva
 
 def run_classification(config: ExperimentConfig) -> EvalReport:
     """Per-project effort-level accuracy for the selected model(s)."""
-    return _run(replace(config, task=TASK_CLASSIFY), "classification",
+    return _run(replace(config, task="classify"), "classification",
                 _run_project, _trains_gnn(config))
 
 
 def run_regression(config: ExperimentConfig) -> EvalReport:
     """Per-project story-point MAE, story points used directly as labels."""
-    return _run(replace(config, task=TASK_REGRESS), "regression",
+    return _run(replace(config, task="regress"), "regression",
                 _run_project, _trains_gnn(config))
 
 

@@ -285,8 +285,13 @@ def _check_tree(path: str | Path, tree: Tree, n_features: int) -> None:
 
 
 def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
+    """Write a fitted vectorizer and forest; a forest whose tree count is
+    not its config's is refused before any file is made."""
     tfidf = bundle.tfidf
     forest = bundle.forest
+    if len(forest.trees) != forest.config.n_trees:
+        raise ValueError(f"{path}: a forest of {forest.config.n_trees} trees "
+                         f"holds {len(forest.trees)}")
     terms_by_column: list[str] = [""] * tfidf.n_features
     for gram, col in tfidf.vocabulary.items():
         terms_by_column[col] = gram
@@ -333,12 +338,6 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
         trees.append(tree)
     arrays.end()
 
-    forest = Forest(
-        trees=trees,
-        config=config,
-        task="classify" if n_classes else "regress",
-        n_features=n_features,
-        n_classes=n_classes,
-    )
+    forest = Forest(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
     tfidf = TfidfModel(vocabulary=vocabulary, idf=idf, max_ngram=h["max_ngram"])
     return BaselineBundle(tfidf=tfidf, forest=forest)

@@ -219,16 +219,10 @@ def stump(feature, threshold, left_value, right_value, n_classes=None):
     )
 
 
-def forest_of(arrays, task, n_features, n_classes=0):
+def forest_of(arrays, n_features, n_classes=0):
     trees = [Tree(**a) for a in arrays]
     config = RandomForestConfig(n_trees=len(trees))
-    return Forest(
-        trees=trees,
-        config=config,
-        task=task,
-        n_features=n_features,
-        n_classes=n_classes,
-    )
+    return Forest(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
 
 
 def test_predict_majority_vote():
@@ -237,26 +231,27 @@ def test_predict_majority_vote():
         stump(0, 0.5, 1, 1, n_classes=3),
         stump(0, 0.5, 2, 2, n_classes=3),
     ]
-    f = forest_of(trees, "classify", n_features=2, n_classes=3)
+    f = forest_of(trees, n_features=2, n_classes=3)
     assert rf_predict_many(f, dense([0.0, 0.0], 2)) == [1]
 
 
 def test_predict_vote_tie_breaks_to_lowest_class():
     trees = [stump(0, 0.5, 2, 2, n_classes=3), stump(0, 0.5, 0, 0, n_classes=3)]
-    f = forest_of(trees, "classify", n_features=2, n_classes=3)
+    f = forest_of(trees, n_features=2, n_classes=3)
     assert rf_predict_many(f, dense([1.0, 0.0], 2)) == [0]
 
 
 def test_predict_regression_averages_leaf_means():
     trees = [stump(0, 0.5, 2.0, 2.0), stump(0, 0.5, 4.0, 4.0)]
-    f = forest_of(trees, "regress", n_features=1)
+    f = forest_of(trees, n_features=1)
+    assert f.task == "regress"  # a forest without classes regresses
     assert rf_predict_many(f, dense([0.2], 1)) == [pytest.approx(3.0)]
 
 
 def test_descend_goes_left_on_equality():
     # x <= threshold routes left
     tree = stump(0, 0.5, 7, 9, n_classes=10)
-    f = forest_of([tree], "classify", n_features=1, n_classes=10)
+    f = forest_of([tree], n_features=1, n_classes=10)
     assert rf_predict_many(f, dense([0.5], 1)) == [7]
     assert rf_predict_many(f, dense([0.50001], 1)) == [9]
 

@@ -727,6 +727,18 @@ def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, 
     assert err.startswith(f"error: StoryGraphError: {next(iter(entry))}: ")
 
 
+def test_a_config_file_task_takes_the_library_names(capsys, tmp_path, synth_dataset):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"task": "sp-as-label-regression"}))
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(synth_dataset),
+        "--out", str(tmp_path / "o"), "--config", str(cfg),
+    )
+    assert code == 1 and stdout == ""
+    assert err == ("error: StoryGraphError: task: 'sp-as-label-regression' "
+                   "is not one of classify, regress\n")
+
+
 @pytest.mark.parametrize("flag, value, key", [
     ("--dropout", "1.0", "dropout"),
     ("--batch-size", "0", "batch_size"),

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument
 from storygraph.errors import (
     IndexOutOfRangeError,
@@ -30,7 +29,6 @@ def doc(ids, doc_id="d", sp=2):
     return EncodedDocument(
         doc_id=doc_id,
         token_ids=tuple(ids),
-        level=StoryPointLevel.SMALL,
         raw_story_point=sp,
     )
 

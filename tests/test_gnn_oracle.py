@@ -14,7 +14,6 @@ import pytest
 
 import gnn_oracle
 from storygraph import gnn
-from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument
 from storygraph.errors import NonFiniteActivationError
 from storygraph.graph import (
@@ -64,8 +63,7 @@ def random_params(rng, vocab, dim, n_edge_params, n_classes):
 
 
 def text_graph(ids, window, k=1):
-    doc = EncodedDocument(doc_id="d", token_ids=tuple(ids),
-                          level=StoryPointLevel.SMALL, raw_story_point=2)
+    doc = EncodedDocument(doc_id="d", token_ids=tuple(ids), raw_story_point=2)
     table = assign_edge_params(count_cooccurrences([doc], window), k)
     return build_graph(doc, window, table, label=0), table.num_edge_params
 
@@ -345,7 +343,7 @@ def training_set(rng, n=20, vocab=14, dim=5):
         label = i % 3
         ids = (1 + 4 * label + rng.integers(0, 5, size=int(rng.integers(1, 9)))) % vocab
         docs.append(EncodedDocument(doc_id=f"t{i}", token_ids=tuple(ids.tolist()),
-                                    level=StoryPointLevel.SMALL, raw_story_point=2))
+                                    raw_story_point=2))
         labels.append(label)
     table = assign_edge_params(count_cooccurrences(docs, 3), 1)
     graphs = [build_graph(d, 3, table, label=y) for d, y in zip(docs, labels)]
@@ -376,7 +374,7 @@ def test_training_on_graphs_of_several_chunks_matches_the_oracle(rounds):
     rng = np.random.default_rng(21)
     chunk = gnn.ROW_CHUNK
     vocab, length = 5 * chunk, 3 * chunk + chunk // 2
-    docs = [EncodedDocument(doc_id=f"c{i}", level=StoryPointLevel.SMALL,
+    docs = [EncodedDocument(doc_id=f"c{i}",
                             token_ids=tuple(rng.permutation(vocab)[:length].tolist()),
                             raw_story_point=2) for i in range(6)]
     table = assign_edge_params(count_cooccurrences(docs, 3), 2)

@@ -25,7 +25,6 @@ def doc(ids, doc_id="d", sp=2):
     return EncodedDocument(
         doc_id=doc_id,
         token_ids=tuple(ids),
-        level=StoryPointLevel.SMALL,
         raw_story_point=sp,
     )
 

@@ -19,6 +19,12 @@ training split's median story point. The GNN's regression is not held to
 this yet: it beats the median on this corpus but not on every one (5.200
 against 5.175 at corpus seed 602).
 
+Both models' reported accuracies must also be the hit rates of their saved
+models against each test issue's level, bucketed in this file from the
+story point its CSV row holds. A label rule that moved every document to
+another level would train and score both models on the moved levels alike,
+which the accuracy alone cannot show.
+
 A second forest run reads the same issues with every test issue moved to
 another level. A forest that never trained on a test issue still predicts
 each one's true level and so scores low on the moved labels; one that saw
@@ -45,6 +51,7 @@ import numpy as np
 import pytest
 
 from storygraph import gnn
+from storygraph.baseline import rf_predict_many, tfidf_transform
 from storygraph.corpus import DatasetSplit
 from storygraph.experiment import (
     MODE_FILTERED,
@@ -54,6 +61,8 @@ from storygraph.experiment import (
     run_classification,
     run_regression,
 )
+from storygraph.graph import build_graphs
+from storygraph.model_io import load_baseline_model, load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +73,7 @@ MARGIN_POINTS = 15.0  # percentage points above the majority-class rate
 FILTER_MARGIN_POINTS = 30.0  # the same in verb-noun-filter mode
 REGRESSION_MARGIN = 1.0  # story points of MAE below the median predictor's
 LEAK_BOUND = 25.0  # % of moved test labels an honest forest may match
+LEVEL_TOPS = (5, 15, 40)  # highest story point of Small, Medium and Large
 
 # a 250-issue project on which the GNN stalls at the reference configuration
 STALL_CORPUS_SEED = 7
@@ -138,18 +148,19 @@ def move_test_levels(config: ExperimentConfig, split: DatasetSplit,
 
 def learning_run(root: Path, seed: int):
     """(majority %, result of both models, forest result on moved labels,
-    result of both models in verb-noun-filter mode)."""
+    result of both models in verb-noun-filter mode, `root`); the first run
+    saves its models."""
     config = learning_config(root / "data", root / "out")
     summary = corpus_gen.write_corpus(config.data_dir, {PROJECT: ISSUES}, seed=seed)
     split = prepare_project(config, PROJECT).split
     majority = majority_percent(summary["majority_class_rate"], split)
-    learned = run_classification(config).rows[0]
+    learned = run_classification(replace(config, save_models=True)).rows[0]
     move_test_levels(config, split, root / "moved")
     leak = run_classification(
         replace(config, data_dir=root / "moved", model="tfidf-rf")).rows[0]
     filtered = run_classification(
         learning_config(config.data_dir, root / "filtered", MODE_FILTERED)).rows[0]
-    return majority, learned, leak, filtered
+    return majority, learned, leak, filtered, root
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +169,14 @@ def learned(tmp_path_factory):
 
 
 def test_criterion_11_gnn_beats_the_majority_class(learned):
-    majority, result, _, _ = learned
+    majority, result, *_ = learned
     assert result.test_size >= 30
     assert result.gnn_accuracy >= majority + MARGIN_POINTS, (
         f"GNN {result.gnn_accuracy:.2f}% against a {majority:.2f}% majority class")
 
 
 def test_criterion_11_forest_beats_the_majority_class(learned):
-    majority, result, _, _ = learned
+    majority, result, *_ = learned
     assert result.baseline_accuracy >= majority + MARGIN_POINTS, (
         f"forest {result.baseline_accuracy:.2f}% against a {majority:.2f}% "
         f"majority class")
@@ -181,7 +192,7 @@ def test_criterion_11_forest_regression_beats_the_training_median(tmp_path):
 
 
 def test_criterion_11_forest_never_trains_on_a_test_issue(learned):
-    _, result, leak, _ = learned
+    _, result, leak, *_ = learned
     assert leak.split_hash == result.split_hash
     assert leak.baseline_accuracy <= LEAK_BOUND, (
         f"forest matched {leak.baseline_accuracy:.2f}% of the moved test labels")
@@ -190,13 +201,41 @@ def test_criterion_11_forest_never_trains_on_a_test_issue(learned):
 def test_criterion_11_both_models_beat_the_majority_class_after_the_filter(learned):
     # the filter drops no document of this project, so the split and the
     # majority-class rate are the raw run's
-    majority, raw, _, result = learned
+    majority, raw, _, result, _ = learned
     assert result.split_hash == raw.split_hash
     for name, accuracy in (("GNN", result.gnn_accuracy),
                            ("forest", result.baseline_accuracy)):
         assert accuracy >= majority + FILTER_MARGIN_POINTS, (
             f"{name} {accuracy:.2f}% in {MODE_FILTERED} mode against a "
             f"{majority:.2f}% majority class")
+
+
+def test_criterion_11_accuracies_are_hit_rates_on_the_csv_levels(learned):
+    _, result, *_, root = learned
+    config = learning_config(root / "data", root / "out")
+    models = config.output_dir / "classification-raw" / "models"
+    with open(config.data_dir / f"{PROJECT}.csv", newline="", encoding="utf-8") as handle:
+        points = {row["issuekey"]: row["storypoint"] for row in csv.DictReader(handle)}
+    test = prepare_project(config, PROJECT).split.test
+    levels = [sum(int(points[d.doc_id]) > top for top in LEVEL_TOPS) for d in test]
+
+    bundle = load_model(models / f"{PROJECT}.model")
+    encoded = bundle.vocabulary.encode_all(test)
+    graphs = build_graphs(encoded, bundle.config.window, bundle.edge_table,
+                          labels=[0] * len(encoded))
+    gnn_predictions = [gnn.predict(bundle.params, g, rounds=bundle.config.rounds)[0]
+                       for g in graphs]
+    forest = load_baseline_model(models / f"{PROJECT}.baseline")
+    forest_predictions = rf_predict_many(
+        forest.forest, tfidf_transform(forest.tfidf, [d.tokens for d in test]))
+
+    for name, predictions, accuracy in (
+            ("GNN", gnn_predictions, result.gnn_accuracy),
+            ("forest", forest_predictions, result.baseline_accuracy)):
+        hits = sum(p == level for p, level in zip(predictions, levels))
+        assert accuracy == 100.0 * hits / len(test), (
+            f"{name} reported {accuracy:.2f}%, its saved model hits "
+            f"{hits} of {len(test)} CSV levels")
 
 
 def test_gnn_readout_stalls_at_the_reference_configuration(tmp_path, monkeypatch):

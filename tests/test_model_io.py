@@ -15,7 +15,6 @@ from storygraph.baseline import (
     tfidf_fit,
     tfidf_transform,
 )
-from storygraph.corpus import StoryPointLevel
 from storygraph.embeddings import EncodedDocument, Vocabulary
 from storygraph.errors import CorruptFileError, VersionMismatchError
 from storygraph.gnn import TrainConfig, forward, init_parameters, predict
@@ -38,8 +37,8 @@ def make_bundle(seed=0):
         token_to_id={"<unk>": 0, "alpha": 1, "beta": 2, "gamma": 3},
     )
     docs = [
-        EncodedDocument("a", (1, 2, 3, 2), StoryPointLevel.SMALL, 2),
-        EncodedDocument("b", (2, 3, 1), StoryPointLevel.MEDIUM, 8),
+        EncodedDocument("a", (1, 2, 3, 2), 2),
+        EncodedDocument("b", (2, 3, 1), 8),
     ]
     table = assign_edge_params(count_cooccurrences(docs, 2), 1)
     params = init_parameters(
@@ -372,6 +371,16 @@ def test_baseline_round_trip(tmp_path, task):
     assert loaded.forest.n_features == bundle.forest.n_features
     assert len(loaded.forest.trees) == len(bundle.forest.trees)
     assert rf_predict_many(loaded.forest, xs) == rf_predict_many(bundle.forest, xs)
+
+
+def test_save_baseline_refuses_a_forest_short_of_its_trees(tmp_path):
+    # loading would refuse the file, so it is never written
+    bundle, _ = fit_small_baseline()
+    bundle.forest.trees = bundle.forest.trees[:1]
+    path = tmp_path / "m.baseline"
+    with pytest.raises(ValueError, match="a forest of 5 trees holds 1$"):
+        save_baseline_model(path, bundle)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("task", ["classify", "regress"])
