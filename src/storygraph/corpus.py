@@ -47,6 +47,11 @@ class StoryPointLevel(IntEnum):
     HUGE = 3
 
 
+def class_count(class_values: tuple[int, ...]) -> int:
+    """A model's classes: one per story-point value, else one per level."""
+    return len(class_values) or len(StoryPointLevel)
+
+
 def bucket_level(story_point: int) -> StoryPointLevel:
     """Map a story point to its effort level.
 

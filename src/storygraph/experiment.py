@@ -25,9 +25,9 @@ import numpy as np
 from . import baseline as bl
 from . import gnn
 from .corpus import (
-    StoryPointLevel,
     TokenizedDocument,
     DatasetSplit,
+    class_count,
     load_issues,
     split_dataset,
     tokenize_issues,
@@ -287,12 +287,8 @@ def _run_gnn(
     train_graphs = build_graphs(train_enc, window, edges, labels=labels_for(train_enc, cv))
     val_graphs = build_graphs(val_enc, window, edges, labels=labels_for(val_enc, cv))
 
-    init_params = gnn.init_parameters(
-        table.matrix,
-        edges.num_edge_params,
-        len(cv) or len(StoryPointLevel),
-        seed=derive_seed(master, project, "init"),
-    )
+    init_params = gnn.init_parameters(table.matrix, edges.num_edge_params, class_count(cv),
+                                      seed=derive_seed(master, project, "init"))
     train_cfg = replace(config.train, seed=derive_seed(master, project, "train"))
     trained = gnn.train(init_params, train_graphs, val_graphs, train_cfg)
     if config.include_timings:
@@ -500,7 +496,7 @@ def _collect(
     config: ExperimentConfig, projects, run_dir: Path, run_one, use_vectors: bool
 ) -> list:
     """run_one(config, prepared, rows, run_dir) per project, in project
-    order, in up to config.jobs worker processes.
+    order, in up to config.jobs worker processes, one at most per project.
 
     Two phases share one pool. Every project is prepared first; then this
     process reads the vector file once and sends each project's run only
@@ -511,7 +507,7 @@ def _collect(
         # imported only where a pool is made: it costs every CLI process
         # about 16 ms
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(min(config.jobs, n)) if parallel else nullcontext() as pool:
         map_ = pool.map if parallel else map
         prepared = list(map_(_run_named, [prepare_project] * n, projects, [config] * n,
                              projects))

@@ -1,20 +1,22 @@
 """Versioned binary container for trained models; one codec writes and
 reads both kinds of file.
 
-Layout: 7-byte magic, 1 version byte, little-endian uint64 header length,
-UTF-8 JSON header (`format_version` first), raw little-endian arrays in a
-fixed order, then a little-endian CRC-32 (zlib.crc32) of every byte before
-it. The checksum is checked before the header is parsed. A header holds
-exactly the fields its loader reads, and states each fact once: a size
-that follows from a list it holds (vocabulary size, feature count) or from
-an array count (edge parameters = pairs + 1) is not stored, nor is anything
-the config holds. A `.model` holds the five float64 parameter arrays, then
-the edge table's pair codes (see graph.py) as int64, as they are in
-memory, so index i+1 in the edge-weight vector belongs to codes[i]; its
-header also records the run the model was trained in: its project, text
-mode, training config (with the master seed, window and edge frequency
-threshold) and split hash. Arrays round-trip bit-exactly; token counts and
-pre-threshold co-occurrence counts are not persisted.
+Layout: 7-byte magic, 1 version byte (the version's one statement),
+little-endian uint64 header length, UTF-8 JSON header, raw little-endian
+arrays in a fixed order, then a little-endian CRC-32 (zlib.crc32) of every
+byte before it. The checksum is checked before the header is parsed. A
+header holds exactly the fields its loader reads, and states each fact
+once: a size that follows from a list it holds (vocabulary size, feature
+count, a `.model`'s class count by corpus.class_count) or from an array
+count (edge parameters = pairs + 1) is not stored, nor is anything the
+config holds. A `.model` holds the five float64 parameter arrays, then the
+edge table's pair codes (see graph.py) as int64, as in memory, so index
+i+1 in the edge-weight vector belongs to codes[i]; its header also records
+the run the model was trained in: its project, text mode, training config
+(with the master seed, window and edge frequency threshold) and split
+hash. Arrays round-trip bit-exactly, as read-only views of the one copy of
+the array section in memory; token and pre-threshold co-occurrence counts
+are not kept.
 
 A `.baseline` file holds the idf vector, then each tree's flat preorder
 arrays in the layout the baseline.py docstring states; loading refuses a
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import Forest, RandomForestConfig, TfidfModel, Tree
+from .corpus import class_count
 from .embeddings import Vocabulary
 from .errors import CorruptFileError, StoryGraphError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
@@ -43,7 +46,7 @@ from .graph import EdgeTable, decode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -62,10 +65,9 @@ class ModelBundle:
 
 
 def _save(path: str | Path, magic: bytes, header: dict, arrays) -> None:
-    """Write a container: the header after its format version, then each
+    """Write a container: the format version, the header, then each
     (array, dtype) of `arrays` in order, then the checksum of it all."""
-    blob = json.dumps({"format_version": FORMAT_VERSION, **header},
-                      ensure_ascii=False).encode("utf-8")
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     head = magic + bytes([FORMAT_VERSION]) + struct.pack("<Q", len(blob)) + blob
     crc = zlib.crc32(head)
     with open(path, "wb") as fh:
@@ -78,10 +80,10 @@ def _save(path: str | Path, magic: bytes, header: dict, arrays) -> None:
 
 
 class _Arrays:
-    """The array section of a container, taken in file order."""
+    """The array section of a container, taken in file order as views."""
 
-    def __init__(self, path: str | Path, data: bytes, pos: int):
-        self.path, self.data, self.pos = path, data, pos
+    def __init__(self, path: str | Path, data: memoryview):
+        self.path, self.data, self.pos = path, data, 0
 
     def take(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         if min(shape) < 0:
@@ -90,10 +92,10 @@ class _Arrays:
         end = self.pos + want * np.dtype(dtype).itemsize
         if end > len(self.data):
             raise CorruptFileError(f"{self.path}: array section truncated: "
-                                   f"need {end} bytes, file has {len(self.data)}")
-        arr = np.frombuffer(self.data, dtype=dtype, count=want, offset=self.pos)
+                                   f"need {end} bytes, it has {len(self.data)}")
+        arr = np.ndarray(shape, dtype, buffer=self.data, offset=self.pos)
         self.pos = end
-        return arr.reshape(shape).copy()
+        return arr
 
     def end(self) -> None:
         if self.pos != len(self.data):
@@ -130,39 +132,37 @@ def _positions(path: str | Path, what: str, names: list[str]) -> dict[str, int]:
 
 
 def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict, _Arrays]:
-    """Check a container's magic, versions, checksum and header, and convert
+    """Check a container's magic, version, checksum and header, and convert
     each header field by its kind in `fields` (see _field); returns the
     converted fields and the file's arrays."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(magic) + 13:
+    size = Path(path).stat().st_size
+    if size < len(magic) + 13:
         raise CorruptFileError(f"{path}: too short to be a {kind} file")
-    if raw[: len(magic)] != magic:
+    # the arrays get a buffer of their own: it holds no header bytes, and each
+    # array starts 8-byte aligned, which numpy's matmul needs to sum it as trained
+    with open(path, "rb") as fh:
+        frame = fh.read(len(magic) + 9)  # magic, version byte, header length
+        (header_len,) = struct.unpack_from("<Q", frame, len(magic) + 1)
+        blob = fh.read(min(header_len, size - len(frame) - 4))
+        rest = fh.read(size - len(frame) - len(blob))  # read() to the end copies it
+    if frame[: len(magic)] != magic:
         raise CorruptFileError(f"{path}: not a {kind} file (bad magic)")
-    version = raw[len(magic)]
+    version = frame[len(magic)]
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, this build reads {FORMAT_VERSION}; "
-            "retrain to get a readable file"
-        )
-    data = memoryview(raw)[:-4]
-    if zlib.crc32(data) != struct.unpack_from("<I", raw, len(data))[0]:
+        raise VersionMismatchError(f"{path}: format version {version}, this build reads "
+                                   f"{FORMAT_VERSION}; retrain to get a readable file")
+    data = memoryview(rest)[:-4]
+    if zlib.crc32(data, zlib.crc32(frame + blob)) != struct.unpack_from("<I", rest, len(data))[0]:
         raise CorruptFileError(f"{path}: checksum mismatch, the file is damaged")
-    pos = len(magic) + 1
-    (header_len,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-    if pos + header_len > len(data):
+    if len(blob) < header_len:
         raise CorruptFileError(f"{path}: header extends past end of file")
     try:
-        header = json.loads(bytes(data[pos : pos + header_len]).decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CorruptFileError(f"{path}: unreadable header: {err}") from err
     if not isinstance(header, dict):
         raise CorruptFileError(f"{path}: header is not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{path}: header declares version {header.get('format_version')}"
-        )
-    unread = [key for key in header if key != "format_version" and key not in fields]
+    unread = [key for key in header if key not in fields]
     if unread:
         raise CorruptFileError(
             f"{path}: malformed header field: {unread[0]!r} is not one of this format's"
@@ -171,14 +171,16 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
         values = {key: _field(key, header[key], kind) for key, kind in fields.items()}
     except (KeyError, TypeError, ValueError, StoryGraphError) as err:
         raise CorruptFileError(f"{path}: malformed header field: {err}") from err
-    return values, _Arrays(path, data, pos + header_len)
+    return values, _Arrays(path, data)
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    params = bundle.params
+    """Write a trained model; its class values must state its class count."""
+    params, want = bundle.params, class_count(bundle.class_values)
+    if params.n_classes != want:
+        raise ValueError(f"{path}: a model of {want} classes holds {params.n_classes}")
     header = {
         "dim": params.dim,
-        "n_classes": params.n_classes,
         "n_pairs": int(bundle.edge_table.codes.shape[0]),
         "config": asdict(bundle.config),
         "project": bundle.project,
@@ -192,28 +194,23 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    """Read a model container back; inverse of save_model, bit for bit."""
+    """Read a model container back; inverse of save_model, bit for bit.
+    Its arrays are read-only: a caller that writes to one copies it first."""
     h, arrays = _load(path, MAGIC_PREFIX, "model", {
-        "dim": int, "n_classes": int, "n_pairs": int, "tokens": [str],
-        "config": TrainConfig, "project": str, "text_mode": str,
-        "split_hash": str, "class_values": [int],
+        "dim": int, "n_pairs": int, "tokens": [str], "config": TrainConfig,
+        "project": str, "text_mode": str, "split_hash": str, "class_values": [int],
     })
-    d, c, n_pairs = h["dim"], h["n_classes"], h["n_pairs"]
-    tokens, class_values = h["tokens"], tuple(h["class_values"])
-    v = len(tokens)
+    tokens, class_values, n_pairs = h["tokens"], tuple(h["class_values"]), h["n_pairs"]
+    v, d, c = len(tokens), h["dim"], class_count(class_values)
     token_to_id = _positions(path, "token", tokens)
-    if class_values and len(class_values) != c:
-        raise CorruptFileError(
-            f"{path}: {len(class_values)} story-point values for {c} classes"
-        )
+    if list(class_values) != sorted(set(class_values)) or min(class_values, default=1) < 1:
+        raise CorruptFileError(f"{path}: story-point values {reprlib.repr(class_values)} "
+                               "are not strictly increasing and >= 1")
 
-    params = ModelParameters(
-        embeddings=arrays.take("<f8", (v, d)),
-        edge_weights=arrays.take("<f8", (n_pairs + 1,)),
-        gates=arrays.take("<f8", (v,)),
-        classifier_weights=arrays.take("<f8", (c, d)),
-        classifier_bias=arrays.take("<f8", (c,)),
-    )
+    shapes = {"embeddings": (v, d), "edge_weights": (n_pairs + 1,), "gates": (v,),
+              "classifier_weights": (c, d), "classifier_bias": (c,)}
+    params = ModelParameters(**{name: arrays.take("<f8", shapes[name])
+                                for name in ModelParameters.ARRAY_FIELDS})
     codes = arrays.take("<i8", (n_pairs,))
     arrays.end()
 
@@ -310,6 +307,8 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
 
 
 def load_baseline_model(path: str | Path) -> BaselineBundle:
+    """Read a baseline container back; inverse of save_baseline_model. Its
+    arrays are read-only: a caller that writes to one copies it first."""
     h, arrays = _load(path, BASELINE_MAGIC_PREFIX, "baseline model", {
         "n_classes": int, "forest_config": RandomForestConfig,
         "tree_node_counts": [int], "terms": [str], "max_ngram": int,

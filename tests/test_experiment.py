@@ -34,7 +34,7 @@ from storygraph.gnn import TrainConfig
 from storygraph.graph import assign_edge_params, build_graphs, count_cooccurrences
 from storygraph.model_io import load_model
 
-from conftest import synth_rows, write_project_csv, write_vectors
+from conftest import make_dataset, synth_rows, write_project_csv, write_vectors
 
 
 def fast_train(seed=5):
@@ -301,6 +301,28 @@ def test_run_with_worker_pool_matches_serial(synth_dataset, tmp_path):
         assert a.gnn_accuracy == b.gnn_accuracy
         assert a.baseline_accuracy == b.baseline_accuracy
         assert a.split_hash == b.split_hash
+
+
+@pytest.mark.parametrize("jobs, projects", [
+    (4, ("alpha", "beta")), (3, ("alpha", "beta")), (2, ("alpha", "beta", "gamma")),
+], ids=["4-jobs-2-projects", "3-jobs-2-projects", "2-jobs-3-projects"])
+def test_the_pool_starts_no_more_workers_than_projects(tmp_path, monkeypatch, jobs, projects):
+    # a fork pool starts every worker up front: `--jobs 4` on 2 projects
+    # started 4 processes
+    import concurrent.futures
+
+    made = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    data = make_dataset(tmp_path / "data", dict.fromkeys(projects, 40))
+    report = run_graph_stats(make_config(data, tmp_path / "out", jobs=jobs))
+    assert made == [min(jobs, len(projects))]
+    assert [r.project for r in report.rows] == list(projects)
 
 
 def test_run_with_pretrained_vectors(synth_dataset, tmp_path, tiny_vectors_file):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from storygraph.baseline import (
     tfidf_fit,
     tfidf_transform,
 )
+from storygraph.corpus import class_count
 from storygraph.embeddings import EncodedDocument, Vocabulary
 from storygraph.errors import CorruptFileError, VersionMismatchError
+from storygraph.experiment import score_gnn
 from storygraph.gnn import TrainConfig, forward, init_parameters, predict
 from storygraph.graph import EdgeTable, assign_edge_params, build_graph, count_cooccurrences
 from storygraph.model_io import (
@@ -30,7 +33,8 @@ from storygraph.model_io import (
 )
 
 
-def make_bundle(seed=0):
+def make_bundle(seed=0, class_values=(2, 8, 20)):
+    """A small model of as many classes as `class_values` state."""
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(
         id_to_token=["<unk>", "alpha", "beta", "gamma"],
@@ -42,7 +46,7 @@ def make_bundle(seed=0):
     ]
     table = assign_edge_params(count_cooccurrences(docs, 2), 1)
     params = init_parameters(
-        rng.normal(size=(4, 5)), table.num_edge_params, 3, seed=seed
+        rng.normal(size=(4, 5)), table.num_edge_params, class_count(class_values), seed=seed
     )
     config = TrainConfig(seed=seed, window=2, min_edge_frequency=1)
     return (
@@ -54,7 +58,7 @@ def make_bundle(seed=0):
             project="alpha",
             text_mode="raw",
             split_hash="0123456789ab",
-            class_values=(2, 8, 20),
+            class_values=class_values,
         ),
         docs,
     )
@@ -116,7 +120,7 @@ def empty_edge_table(bundle):
 
 @pytest.mark.parametrize("variant", [
     pytest.param(lambda b: b, id="story-points"),
-    pytest.param(lambda b: dataclasses.replace(b, class_values=()), id="no-class-values"),
+    pytest.param(lambda b: make_bundle(class_values=())[0], id="no-class-values"),
     pytest.param(empty_edge_table, id="no-edge-pairs"),
 ])
 def test_model_round_trip_is_byte_exact(tmp_path, variant):
@@ -129,11 +133,42 @@ def test_model_round_trip_is_byte_exact(tmp_path, variant):
 
 def test_empty_class_values(tmp_path):
     # classification bundles carry no story-point mapping
-    bundle, _ = make_bundle()
-    bundle = dataclasses.replace(bundle, class_values=())
+    bundle, _ = make_bundle(class_values=())
     path = tmp_path / "m.model"
     save_model(path, bundle)
-    assert load_model(path).class_values == ()
+    loaded = load_model(path)
+    assert loaded.class_values == ()
+    assert loaded.params.n_classes == 4
+
+
+def test_class_values_alone_state_the_class_count(tmp_path):
+    # format 4 wrote 3 classes under no story-point values, and the model
+    # was then scored against the 4 effort levels
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    with pytest.raises(ValueError, match="a model of 4 classes holds 3$"):
+        save_model(path, dataclasses.replace(bundle, class_values=()))
+    assert not path.exists()
+
+    # sealed by hand, its classifier arrays do not fit the array section
+    save_model(path, bundle)
+    rewrite_header(path, class_values=[])
+    with pytest.raises(CorruptFileError, match="array section truncated"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("class_values", [[8, 2, 8], [2, 8, 8], [20, 8, 2], [0, 2, 8],
+                                          [-8, 2, 20]], ids=str)
+def test_rejects_story_point_values_not_increasing_from_one(tmp_path, class_values):
+    # format 4 loaded [8, 2, 8], and score_gnn then gave 0.00% to this
+    # model, which scores 50.00%
+    bundle, docs = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    assert score_gnn(load_model(path), docs)[0] == 50.0
+    rewrite_header(path, class_values=class_values)
+    with pytest.raises(CorruptFileError, match="not strictly increasing and >= 1"):
+        load_model(path)
 
 
 def test_rejects_bad_magic(tmp_path):
@@ -225,14 +260,15 @@ def saved_baseline_header(path):
     *(pytest.param(saved_model_header, edit, id=f"header-{edit!r}") for edit in (
         {"n_pairs": 2.9}, {"dim": True}, {"project": 5},
         {"split_hash": 7}, {"tokens": "<abc"}, {"tokens": ["<unk>", "alpha", "beta", 3]},
-        {"class_values": [2, 8, 20.5]}, {"n_classes": 4.0},
+        {"class_values": [2, 8, 20.5]},
     )),
     *(pytest.param(saved_baseline_header, edit, id=f"baseline-header-{edit!r}")
       for edit in ({"max_ngram": 2.5}, {"n_classes": False})),
-    # fields of format 3 that format 4 no longer reads: a header holding one
-    # is refused, whatever its value
-    pytest.param(saved_model_header, {"token_counts": [0, 5, 3, 2.0]},
-                 id="header-{'token_counts': [0, 5, 3, 2.0]}"),
+    # fields of earlier formats that this one no longer reads: a header
+    # holding one is refused, whatever its value
+    *(pytest.param(saved_model_header, edit, id=f"header-{edit!r}") for edit in (
+        {"token_counts": [0, 5, 3, 2.0]}, {"n_classes": 4.0},
+    )),
     *(pytest.param(saved_baseline_header, edit, id=f"baseline-header-{edit!r}")
       for edit in (
         {"document_count": 3.7}, {"bootstrap_seeds": [1.9, 2, 3, 4, 5]}, {"task": 1},
@@ -261,15 +297,16 @@ def test_rejects_a_negative_array_shape(tmp_path, edit):
 
 
 @pytest.mark.parametrize("container, keys", [
-    (saved_model, ["format_version", "dim", "n_classes", "n_pairs", "config", "project",
-                   "text_mode", "split_hash", "class_values", "tokens"]),
-    (saved_baseline, ["format_version", "n_classes", "forest_config", "tree_node_counts",
-                      "terms", "max_ngram"]),
+    (saved_model, ["dim", "n_pairs", "config", "project", "text_mode", "split_hash",
+                   "class_values", "tokens"]),
+    (saved_baseline, ["n_classes", "forest_config", "tree_node_counts", "terms",
+                      "max_ngram"]),
 ])
 def test_each_header_states_each_fact_once(tmp_path, container, keys):
     # sizes that follow from another field (vocabulary size, edge parameter
-    # count, feature count) or the config (edge window, frequency threshold)
-    # are not stored
+    # count, feature count, a model's class count) or the config (edge
+    # window, frequency threshold) are not stored, nor is the version byte's
+    # format version
     container(tmp_path / "m")
     assert list(read_header(tmp_path / "m")) == keys
 
@@ -406,13 +443,6 @@ def test_baseline_rejects_gnn_file_and_vice_versa(tmp_path):
         load_model(base_path)
 
 
-def _header_version_bumped(raw: bytes) -> bytes:
-    """raw, re-sealed, with its header declaring the next format version."""
-    field = f'"format_version": {FORMAT_VERSION}'.encode()
-    assert field in raw
-    return seal(raw[:-4].replace(field, f'"format_version": {FORMAT_VERSION + 1}'.encode(), 1))
-
-
 @pytest.mark.parametrize("container", [saved_model, saved_baseline])
 def test_refuses_a_file_of_the_previous_format_with_retrain(tmp_path, container):
     # a file written before this format: its version byte and header say so
@@ -427,13 +457,16 @@ def test_refuses_a_file_of_the_previous_format_with_retrain(tmp_path, container)
         load()
 
 
-def test_rejects_header_version_mismatch(tmp_path):
-    bundle, _ = make_bundle()
-    path = tmp_path / "m.model"
-    save_model(path, bundle)
-    path.write_bytes(_header_version_bumped(path.read_bytes()))
-    with pytest.raises(VersionMismatchError):
-        load_model(path)
+@pytest.mark.parametrize("container", [saved_model_header, saved_baseline_header],
+                         ids=["model", "baseline"])
+def test_refuses_a_header_that_states_the_format_version(tmp_path, container):
+    # the version byte alone states the version; format 4's header restated
+    # it as `format_version`, a field this format does not read
+    load, _, _ = container(tmp_path / "m")
+    rewrite_header(tmp_path / "m", format_version=FORMAT_VERSION)
+    with pytest.raises(CorruptFileError,
+                       match="malformed header field: 'format_version' is not one of"):
+        load()
 
 
 def test_baseline_rejects_corrupt_containers(tmp_path):
@@ -448,7 +481,6 @@ def test_baseline_rejects_corrupt_containers(tmp_path):
     cases = [
         (b"NOTMAGIC" + b"\x00" * 64, CorruptFileError),
         (bytes(wrong_version), VersionMismatchError),
-        (_header_version_bumped(raw), VersionMismatchError),
         (seal(bytes(bad_json)), CorruptFileError),
         (raw + b"\x00\x01", CorruptFileError),
         *((raw[:cut], CorruptFileError) for cut in (3, 10, len(raw) // 2, len(raw) - 1)),
@@ -609,3 +641,50 @@ def test_every_byte_class_of_a_baseline_is_checked(tmp_path, task):
             load_baseline_model(path)
         assert re.match(expected_damage(byte_class), f"{err.typename}: {err.value}"), (
             byte_class, what, str(err.value))
+
+
+def test_a_loaded_model_holds_its_file_once_and_read_only(tmp_path, traced_peak):
+    # a model of about 1 MB: copying each array out of the file's bytes
+    # peaked at about 2.2 times the file
+    tokens = [f"t{i}" for i in range(2000)]
+    params = init_parameters(np.random.default_rng(5).normal(size=(2000, 64)), 1, 4, seed=5)
+    path = tmp_path / "m.model"
+    save_model(path, ModelBundle(
+        params=params, config=TrainConfig(), project="alpha", text_mode="raw",
+        vocabulary=Vocabulary(id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)}),
+        edge_table=EdgeTable(codes=np.empty(0, dtype=np.int64)), split_hash="0123456789ab",
+    ))
+    assert 1_000_000 < path.stat().st_size < 1_200_000
+    assert traced_peak(lambda: load_model(path)) <= 1.5 * path.stat().st_size
+
+    loaded = load_model(path)
+    for arr in (*(arr for _, arr in loaded.params.named_arrays()), loaded.edge_table.codes):
+        assert not arr.flags.writeable and arr.flags.aligned
+
+
+def test_arrays_load_aligned_whatever_the_header_length(tmp_path):
+    # spaces after the JSON put the arrays one byte past an 8-byte boundary
+    # of the file; a view of the file's bytes there would be unaligned, and
+    # numpy's matmul sums such an array's columns in another order
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = raw[16:16 + length] + b" " * ((1 - length) % 8)
+    path.write_bytes(seal(raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + length:-4]))
+    loaded = load_model(path)
+    for name, arr in loaded.params.named_arrays():
+        assert arr.flags.aligned and np.array_equal(arr, getattr(bundle.params, name))
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_a_loaded_baseline_is_read_only(tmp_path, task):
+    bundle, _ = fit_small_baseline(task)
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    loaded = load_baseline_model(path)
+    assert not loaded.tfidf.idf.flags.writeable
+    for tree in loaded.forest.trees:
+        for name in ("feature", "threshold", "left", "right", "value", "histogram"):
+            assert not getattr(tree, name).flags.writeable
