@@ -15,15 +15,18 @@ node of every unfinished tree and scores all of the step's split nodes in
 one search. Each tree keeps its own stack and generator and draws its
 bootstrap sample, then one candidate subsample per split node, in its own
 preorder, so its draws, node numbers and arrays are those of growing it
-alone. The search reads only the candidates' nonzeros. A candidate's values
-in a node sort into its negatives, one block of zeros, then its positives,
-so its cuts are those between distinct nonzeros plus at most two at the
-edges of the zero block. The block's class counts, or target sums and sums
-of squares, are the node's totals less the candidate's nonzero sums. That
-is exact, and so equal to a sequential scan of the sorted column, because
-rf_fit takes only targets whose every sum is exact: class labels that are
-whole numbers >= 0, and regression targets that are whole numbers with
-n * max(|y|)**2 < 2**53 (n training rows).
+alone. A bootstrap sample is a count per training row (Breiman, Random
+Forests, 2001), so a node holds each of its distinct rows once and weighs
+the row's split stats by its count. The search reads only the candidates'
+nonzeros. A candidate's values in a node sort into its negatives, one
+block of zeros, then its positives, so its cuts are those between distinct
+nonzeros plus at most two at the edges of the zero block. The block's
+class counts, or target sums and sums of squares, are the node's totals
+less the candidate's nonzero sums. That is exact, and so equal to a
+sequential scan of the sorted column, because rf_fit takes only targets
+whose every sum is exact: class labels that are whole numbers >= 0, and
+regression targets that are whole numbers with n * max(|y|)**2 < 2**53
+(n training rows).
 
 A tree is six parallel arrays over its nodes in preorder (a node, then its
 left subtree, then its right subtree); `.baseline` files store exactly
@@ -246,60 +249,52 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """The nodes of one lockstep step, over the flat list of their rows:
-    node i holds positions off[i]:off[i + 1]."""
+    """The nodes of one lockstep step, over the flat list of their distinct
+    rows: node i holds positions off[i]:off[i + 1]."""
 
     off: np.ndarray
-    # per position, int64: 1, then the one-hot class (Gini) or the target
-    # and its square (variance)
+    # per position, int64, times the row's bootstrap count: 1, then its
+    # one-hot class (Gini) or its target and the target's square (variance)
     stat: np.ndarray
     total: np.ndarray  # per node: stat summed over its positions
-    # per key node * n_rows + training row: how many of the node's positions
-    # hold the row, and where they start in by_key, the positions by key
-    copies: np.ndarray
-    start: np.ndarray
-    by_key: np.ndarray
+    # per key node * n_rows + training row: the node's position holding the
+    # row, or -1
+    slot: np.ndarray
     n_rows: int
 
 
 def _step(
-    rows: list[np.ndarray], stat: np.ndarray, n_rows: int
+    rows: list[np.ndarray], trees: list[int], counts: np.ndarray, stat: np.ndarray
 ) -> tuple[_Step, np.ndarray]:
-    """The step over these nodes' rows, and the flat row list."""
+    """The step over these nodes' distinct rows, and the flat row list. Node
+    i's rows are weighted by tree trees[i]'s row of counts, the bootstrap
+    count of every training row."""
+    n_rows = counts.shape[1]
+    sizes = [r.size for r in rows]
     off = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=off[1:])
+    np.cumsum(sizes, out=off[1:])
     flat = np.concatenate(rows)
-    keys = np.repeat(np.arange(len(rows)) * n_rows, np.diff(off)) + flat
-    copies = np.bincount(keys, minlength=len(rows) * n_rows)
-    stat = stat[flat]
-    return (
-        _Step(
-            off,
-            stat,
-            np.add.reduceat(stat, off[:-1], axis=0),
-            copies,
-            np.cumsum(copies) - copies,
-            np.argsort(keys, kind="stable"),
-            n_rows,
-        ),
-        flat,
-    )
+    keys = np.repeat(np.arange(len(rows)) * n_rows, sizes) + flat
+    slot = np.full(len(rows) * n_rows, -1)
+    slot[keys] = np.arange(flat.size)
+    stat = stat[flat] * counts[np.repeat(trees, sizes), flat][:, None]
+    return _Step(off, stat, np.add.reduceat(stat, off[:-1], axis=0), slot, n_rows), flat
 
 
 def _gather(
     columns: _ColumnStore, step: _Step, pair_node: np.ndarray, pair_feature: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(pair, value, position) triples, pair ascending: every nonzero of each
-    pair's feature among its node's rows, once per copy of the row."""
+    pair's feature among its node's distinct rows, each row once."""
     starts = columns.indptr[pair_feature]
     counts = columns.indptr[pair_feature + 1] - starts
     entry = _ranges(starts, counts)
-    key = np.repeat(pair_node * step.n_rows, counts) + columns.rows[entry]
-    copies = step.copies[key]
+    pos = step.slot[np.repeat(pair_node * step.n_rows, counts) + columns.rows[entry]]
+    hit = pos >= 0
     return (
-        np.repeat(np.repeat(np.arange(pair_node.size), counts), copies),
-        np.repeat(columns.values[entry], copies),
-        step.by_key[_ranges(step.start[key], copies)],
+        np.repeat(np.arange(pair_node.size), counts)[hit],
+        columns.values[entry[hit]],
+        pos[hit],
     )
 
 
@@ -323,14 +318,9 @@ def _best_splits(
     pair_node = np.repeat([i for i, _ in batch], [c.size for _, c in batch])
     pair_feature = np.concatenate([c for _, c in batch])
     pair, value, pos = _gather(columns, step, pair_node, pair_feature)
-    # sort each pair's nonzeros by value, then position, through one int64
-    # key (exact while pairs x nonzeros x positions stays below 2**63)
-    by_value = np.argsort(value)
-    sorted_value = value[by_value]
-    value_rank = np.empty(value.size, dtype=np.int64)
-    distinct = np.diff(sorted_value, prepend=sorted_value[:1]) != 0
-    value_rank[by_value] = np.cumsum(distinct)
-    order = np.argsort((pair * value.size + value_rank) * step.off[-1] + pos)
+    # each pair's nonzeros by value; no cut falls between equal values, so
+    # their order changes no sum at a cut
+    order = np.lexsort((value, pair))
     pair, value, pos = pair[order], value[order], pos[order]
     new = np.ones(pair.size, dtype=bool)
     new[1:] = pair[1:] != pair[:-1]
@@ -423,7 +413,7 @@ def _grow_trees(
     n_features: int,
     labels: np.ndarray,
     stat: np.ndarray,
-    roots: list[np.ndarray],
+    counts: np.ndarray,
     rngs: list[np.random.Generator],
     config: RandomForestConfig,
     task: str,
@@ -431,24 +421,24 @@ def _grow_trees(
 ) -> list[tuple[np.ndarray, ...]]:
     """The Tree arrays, feature through histogram, of every tree, grown in
     lockstep: each step pops the next preorder node of every unfinished tree
-    and searches all of the step's split nodes together."""
+    and searches all of the step's split nodes together. counts holds each
+    tree's bootstrap count per training row."""
     k = _resolve_max_features(config.max_features, n_features, task)
     min_rows = max(2, 2 * config.min_leaf)
-    n_rows = labels.shape[0]
     column_nnz = np.diff(columns.indptr)
     # per tree, per node: [feature, threshold, left, right, value, histogram row]
     nodes: list[list[list]] = [[] for _ in rngs]
-    # per tree: (rows, depth, node whose right child this is, or -1); the
-    # stack pops its tree's nodes in preorder
-    stacks = [[(rows, 0, -1)] for rows in roots]
+    # per tree: (distinct rows, depth, node whose right child this is, or
+    # -1); the stack pops its tree's nodes in preorder
+    stacks = [[(np.flatnonzero(c), 0, -1)] for c in counts]
     live = list(range(len(rngs)))
     while live:
         popped = [stacks[t].pop() for t in live]
-        step, flat = _step([p[0] for p in popped], stat, n_rows)
+        step, flat = _step([p[0] for p in popped], live, counts, stat)
         off = step.off
         y = labels[flat]
         pure = np.minimum.reduceat(y, off[:-1]) == np.maximum.reduceat(y, off[:-1])
-        split = ~pure & (np.diff(off) >= min_rows)
+        split = ~pure & (step.total[:, 0] >= min_rows)
         if config.max_depth is not None:
             split &= np.array([p[1] for p in popped]) < config.max_depth
 
@@ -480,7 +470,7 @@ def _grow_trees(
                 if task == "classify":
                     tree.append([-1, 0.0, -1, -1, 0.0, histogram[i]])
                 else:
-                    mean = float(y[off[i] : off[i + 1]].mean())
+                    mean = float(step.total[i, 1] / step.total[i, 0])
                     tree.append([-1, 0.0, -1, -1, mean, np.zeros(0)])
                 continue
             tree.append(
@@ -509,7 +499,8 @@ def _split_stats(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The split stats, targets and class count (0 when regressing) of
     these labels. A row's stats are 1, then its one-hot class or its target
-    and the target's square, all int64, so every sum is exact in any order.
+    and the target's square, all int64. A node weighs them by the row's
+    bootstrap count, whose sum is n, so every sum is exact in any order.
 
     Class labels must be finite whole numbers >= 0. Regression targets must
     be finite whole numbers with n * max|y|**2 < 2**53 (n training rows)."""
@@ -544,9 +535,10 @@ def rf_fit(
     config: RandomForestConfig | None = None,
     task: str = "classify",
 ) -> Forest:
-    """Grow the forest: each tree on its own bootstrap sample (same size as
-    the training set) with a fresh feature subsample per split. Labels
-    whose sums could round are refused with ValueError (see _split_stats)."""
+    """Grow the forest: each tree on its own bootstrap sample, n draws with
+    replacement held as a count per training row (a count of 1 each without
+    bootstrap), with a fresh feature subsample per split. Labels whose sums
+    could round are refused with ValueError (see _split_stats)."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     config = config or RandomForestConfig()
@@ -563,11 +555,12 @@ def rf_fit(
     stat, y, n_classes = _split_stats(labels, task)
     tree_seeds = np.random.SeedSequence(config.seed).generate_state(config.n_trees)
     rngs = [np.random.default_rng(seed) for seed in tree_seeds.tolist()]
-    roots = [
-        rng.integers(0, n, size=n) if config.bootstrap else np.arange(n) for rng in rngs
-    ]
+    counts = np.array([
+        np.bincount(rng.integers(0, n, size=n), minlength=n) if config.bootstrap
+        else np.ones(n, dtype=np.int64) for rng in rngs
+    ])
     grown = _grow_trees(
-        _column_store(features), features.n_features, y, stat, roots, rngs,
+        _column_store(features), features.n_features, y, stat, counts, rngs,
         config, task, n_classes,
     )
     return Forest(

@@ -39,9 +39,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, 0)
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         get = self.token_to_id.get
         return [get(tok, 0) for tok in tokens]

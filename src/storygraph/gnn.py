@@ -45,7 +45,7 @@ bit of any result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -106,14 +106,6 @@ class ModelParameters:
     classifier_weights: np.ndarray  # (C, d)
     classifier_bias: np.ndarray  # (C,)
 
-    ARRAY_FIELDS = (
-        "embeddings",
-        "edge_weights",
-        "gates",
-        "classifier_weights",
-        "classifier_bias",
-    )
-
     @property
     def vocab_size(self) -> int:
         return int(self.embeddings.shape[0])
@@ -127,8 +119,10 @@ class ModelParameters:
         return int(self.classifier_bias.shape[0])
 
     def named_arrays(self):
-        for name in self.ARRAY_FIELDS:
-            yield name, getattr(self, name)
+        """(name, array) of every field, in declaration order, which is the
+        order a model file stores them in."""
+        for f in fields(self):
+            yield f.name, getattr(self, f.name)
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(

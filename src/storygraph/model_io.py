@@ -32,7 +32,7 @@ import json
 import reprlib
 import struct
 import zlib
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +209,9 @@ def load_model(path: str | Path) -> ModelBundle:
 
     shapes = {"embeddings": (v, d), "edge_weights": (n_pairs + 1,), "gates": (v,),
               "classifier_weights": (c, d), "classifier_bias": (c,)}
-    params = ModelParameters(**{name: arrays.take("<f8", shapes[name])
-                                for name in ModelParameters.ARRAY_FIELDS})
+    # the arrays follow in ModelParameters' field order, as save_model writes them
+    params = ModelParameters(**{f.name: arrays.take("<f8", shapes[f.name])
+                                for f in fields(ModelParameters)})
     codes = arrays.take("<i8", (n_pairs,))
     arrays.end()
 

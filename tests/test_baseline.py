@@ -493,10 +493,15 @@ def sparse_labels(task, rng, n):
 GRID = list(itertools.product((True, False), (1, 2), (2, None)))
 
 
-@pytest.mark.parametrize("block_cells", [None, 40])
+@pytest.mark.parametrize("block_cells, max_features", [
+    pytest.param(None, "auto", id="None"),
+    pytest.param(40, "auto", id="40"),
+    # every feature a candidate, so no node draws a subsample
+    pytest.param(None, "all", id="None-all"),
+])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("task", ["classify", "regress"])
-def test_fit_matches_frozen_oracle(task, seed, block_cells, monkeypatch):
+def test_fit_matches_frozen_oracle(task, seed, block_cells, max_features, monkeypatch):
     # 40 cells holds one candidate per block when classifying and one to a
     # few when regressing, so the cross-block strict-improvement rule
     # decides most nodes
@@ -507,7 +512,7 @@ def test_fit_matches_frozen_oracle(task, seed, block_cells, monkeypatch):
     for bootstrap, min_leaf, max_depth in GRID:
         config = RandomForestConfig(
             n_trees=3, seed=seed, bootstrap=bootstrap, min_leaf=min_leaf,
-            max_depth=max_depth,
+            max_depth=max_depth, max_features=max_features,
         )
         forest = rf_fit(vectors, labels, config, task=task)
         expected = forest_oracle.fit_trees(vectors, labels, config, task)

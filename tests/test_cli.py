@@ -538,7 +538,7 @@ def test_prepare_writes_what_the_embedding_table_holds(capsys, tmp_path, synth_d
         vocab, table = build_vocab(split.train, rows, seed=0, dim=8)
         counts = Counter(tok for doc in split.train for tok in doc.tokens)
         assert "unseen" not in vocab.token_to_id
-        assert {table.provenance[vocab.id_for(w)] for w in FILLER[:2]} == {"random"}
+        assert {table.provenance[vocab.encode([w])[0]] for w in FILLER[:2]} == {"random"}
         assert "pretrained" in table.provenance
         vocab_tsv = "".join(
             f"{token}\t{i}\t{counts[token]}\t{table.provenance[i]}\n"

@@ -31,8 +31,8 @@ def _docs(texts):
 def test_ids_follow_first_occurrence():
     vocab, _ = build_vocab(_docs(["b a b", "c a"]), {}, seed=0, dim=4)
     assert vocab.id_to_token == [UNKNOWN_TOKEN, "b", "a", "c"]
-    assert vocab.id_for("b") == 1
-    assert vocab.id_for("never-seen") == 0
+    assert vocab.encode(["b"])[0] == 1
+    assert vocab.encode(["never-seen"])[0] == 0
 
 
 def test_unknown_row_is_zero_and_reserved():
@@ -45,10 +45,10 @@ def test_unknown_row_is_zero_and_reserved():
 def test_pretrained_rows_copied_exactly():
     vec = np.array([0.25, -0.5, 0.125])
     vocab, table = build_vocab(_docs(["cache miss"]), {"cache": vec}, seed=0, dim=3)
-    row = table.matrix[vocab.id_for("cache")]
+    row = table.matrix[vocab.encode(["cache"])[0]]
     assert np.array_equal(row, vec)
-    assert table.provenance[vocab.id_for("cache")] == PROVENANCE_PRETRAINED
-    assert table.provenance[vocab.id_for("miss")] == PROVENANCE_RANDOM
+    assert table.provenance[vocab.encode(["cache"])[0]] == PROVENANCE_PRETRAINED
+    assert table.provenance[vocab.encode(["miss"])[0]] == PROVENANCE_RANDOM
 
 
 def test_random_rows_bounded_and_seeded():
