@@ -35,7 +35,6 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment as ex
-from .embeddings import build_vocabulary, dump_vocabulary, row_provenance
 from .errors import StoryGraphError, check_option, options
 from .gnn import TrainConfig
 from .model_io import load_model
@@ -214,39 +213,8 @@ def _experiment_config(given: dict, **fixed) -> ex.ExperimentConfig:
     return replace(config, **fixed)
 
 
-def _prepare_files(config: ex.ExperimentConfig, prepared: ex.PreparedProject,
-                   pretrained: dict, out_dir: Path) -> str:
-    """Write one project's split manifest and vocabulary dump; returns the
-    line that summarises them."""
-    project = prepared.project
-    split = prepared.split
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"# seed = {config.train.seed}",
-        f"# split_hash = {prepared.split_hash}",
-    ]
-    for section, docs in (
-        ("train", split.train),
-        ("validation", split.validation),
-        ("test", split.test),
-    ):
-        lines.append(f"[{section}]")
-        lines.extend(d.doc_id for d in docs)
-    (out_dir / f"{project}.split.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    vocab = build_vocabulary(split.train)
-    provenance = row_provenance(vocab, pretrained, config.embedding_dim)
-    dump_vocabulary(vocab, split.train, provenance, out_dir / f"{project}.vocab.tsv")
-    return (f"{project}: {len(split.train)}/{len(split.validation)}/"
-            f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
-
-
 def cmd_prepare(args: argparse.Namespace) -> int:
-    config = _experiment_config(_given(args))
-    out_dir = config.output_dir / "prepare"
-    lines = ex._collect(config, config.resolved_projects(), out_dir, _prepare_files,
-                        use_vectors=True)
+    lines, out_dir = ex.run_prepare(_experiment_config(_given(args)))
     for line in lines:
         print(line)
     print(f"manifests: {out_dir}")
@@ -303,17 +271,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if key in given and asked_values[key] != saved:
             raise StoryGraphError(f"{args.model_file} was trained with {key} "
                                   f"{_text(saved)}, not {_text(asked_values[key])}")
-    prepared = ex.prepare_project(config, bundle.project)
-    if prepared.split_hash != bundle.split_hash:
-        raise StoryGraphError(
-            f"{bundle.project}: the data now splits to hash {prepared.split_hash}, "
-            f"the model was trained on split {bundle.split_hash}"
-        )
-    test = prepared.split.test
-    accuracy, mae = ex.score_gnn(bundle, bundle.vocabulary.encode_all(test))
-    line = f"{bundle.project}: accuracy {accuracy:.2f}% (n={len(test)})"
-    if mae is not None:
-        line += f", mae {mae:.2f}"
+    result = ex.eval_model(config, bundle)
+    line = f"{bundle.project}: accuracy {result.gnn_accuracy:.2f}% (n={result.test_size})"
+    if result.gnn_mae is not None:
+        line += f", mae {result.gnn_mae:.2f}"
     print(line)
     return 0
 
@@ -325,7 +286,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _MissingDataDir as err:
         line, code = f"error: {err}", 2
-    except (StoryGraphError, OSError, ValueError, csv.Error) as err:
+    except (StoryGraphError, OSError, ValueError, csv.Error, MemoryError) as err:
         line, code = f"error: {type(err).__name__}: {err}", 1
     print(line.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
     return code

@@ -17,6 +17,7 @@ import hashlib
 import json
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -38,9 +39,11 @@ from .embeddings import (
     Vocabulary,
     build_vocab,
     build_vocabulary,
+    dump_vocabulary,
     load_pretrained_vectors,
+    row_provenance,
 )
-from .errors import EmptyDatasetError, check_options, option
+from .errors import EmptyDatasetError, StoryGraphError, check_options, option
 from .graph import assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
@@ -161,6 +164,8 @@ class PreparedProject:
     split: DatasetSplit
     split_hash: str
     class_values: tuple[int, ...]  # story point per class index; (): effort levels
+    # the vector file's rows of its training tokens (see _load_vector_rows)
+    vector_rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def prepare_project(config: ExperimentConfig, project: str) -> PreparedProject:
@@ -221,40 +226,31 @@ def _trains_gnn(config: ExperimentConfig) -> bool:
     return config.model in ("gnn", "both")
 
 
-def _vector_rows(
-    config: ExperimentConfig, prepared: list[PreparedProject], use_vectors: bool
-) -> list[dict[str, np.ndarray]]:
-    """Each project's rows of the vector file: those of its training
+def _load_vector_rows(config: ExperimentConfig, prepared: list[PreparedProject]) -> None:
+    """Give each project its rows of the vector file: those of its training
     tokens. The file is read once, for the union of every project's
-    training tokens, so its errors name no project. Without `use_vectors`
-    or a file, every project gets no rows."""
-    if not (use_vectors and config.vectors_path):
-        return [{} for _ in prepared]
+    training tokens, so its errors name no project."""
     own = [{tok for doc in p.split.train for tok in doc.tokens} for p in prepared]
     rows = load_pretrained_vectors(
         config.vectors_path, set().union(*own), dim=config.embedding_dim
     )
-    return [{tok: rows[tok] for tok in tokens if tok in rows} for tokens in own]
+    for p, tokens in zip(prepared, own):
+        p.vector_rows = {tok: rows[tok] for tok in tokens if tok in rows}
 
 
-def _encode(
-    config: ExperimentConfig,
-    prepared: PreparedProject,
-    pretrained: dict[str, np.ndarray],
-    *docsets,
-) -> Encoded:
+def _encode(config: ExperimentConfig, prepared: PreparedProject, *docsets) -> Encoded:
     """The training vocabulary, its initial embeddings, and each docset
-    encoded against it. Rows of training tokens found in `pretrained` (the
-    project's rows of the vector file, see _vector_rows) are copied; the
-    rest are random. `pretrained` is emptied once the table holds its rows,
-    so they do not stay in memory while the project trains."""
+    encoded against it. Rows of training tokens found in the project's
+    vector rows are copied; the rest are random. The rows are emptied once
+    the table holds them, so they do not stay in memory while the project
+    trains."""
     vocab, table = build_vocab(
         prepared.split.train,
-        pretrained,
+        prepared.vector_rows,
         seed=derive_seed(config.train.seed, prepared.project, "vocab"),
         dim=config.embedding_dim,
     )
-    pretrained.clear()
+    prepared.vector_rows.clear()
     return vocab, table, [vocab.encode_all(docs) for docs in docsets]
 
 
@@ -365,19 +361,14 @@ def _result_for(prepared: PreparedProject) -> ProjectResult:
 
 
 def _run_project(
-    config: ExperimentConfig,
-    prepared: PreparedProject,
-    pretrained: dict[str, np.ndarray],
-    run_dir: Path,
+    config: ExperimentConfig, prepared: PreparedProject, run_dir: Path
 ) -> list[ProjectResult]:
     split = prepared.split
     result = _result_for(prepared)
     # made by the first save, so a run that fails first leaves no directory
     models_dir = run_dir / "models" if config.save_models else None
     if _trains_gnn(config):
-        encoded = _encode(
-            config, prepared, pretrained, split.train, split.validation, split.test
-        )
+        encoded = _encode(config, prepared, split.train, split.validation, split.test)
         _run_gnn(config, prepared, encoded, result, models_dir)
     if config.model in ("tfidf-rf", "both"):
         _run_baseline(config, prepared, result, models_dir)
@@ -385,10 +376,7 @@ def _run_project(
 
 
 def _stats_project(
-    config: ExperimentConfig,
-    prepared: PreparedProject,
-    pretrained: dict[str, np.ndarray],
-    run_dir: Path,
+    config: ExperimentConfig, prepared: PreparedProject, run_dir: Path
 ) -> list[ProjectResult]:
     """Split sizes and graph scale of one project, without training: every
     training token is a node of some training graph and every counted pair
@@ -469,7 +457,8 @@ def _write_config(config: ExperimentConfig, run_dir: Path) -> None:
 
 def _named(err: Exception, project: str) -> Exception:
     """An error of err's type whose message names the project, or err
-    itself when its type is not built from one message."""
+    itself when its type is not built from one message; numpy's failed
+    allocation, built from a shape and a dtype, becomes a MemoryError."""
     if isinstance(err, UnicodeDecodeError):
         # built from its fields: the name goes in front of the reason
         return UnicodeDecodeError(
@@ -478,7 +467,7 @@ def _named(err: Exception, project: str) -> Exception:
     try:
         return type(err)(f"{project}: {err}")
     except TypeError:
-        return err
+        return MemoryError(f"{project}: {err}") if isinstance(err, MemoryError) else err
 
 
 def _run_named(fn, project: str, *args):
@@ -495,12 +484,13 @@ def _run_named(fn, project: str, *args):
 def _collect(
     config: ExperimentConfig, projects, run_dir: Path, run_one, use_vectors: bool
 ) -> list:
-    """run_one(config, prepared, rows, run_dir) per project, in project
-    order, in up to config.jobs worker processes, one at most per project.
+    """run_one(config, prepared, run_dir) per project, in project order, in
+    up to config.jobs worker processes, one at most per project.
 
-    Two phases share one pool. Every project is prepared first; then this
-    process reads the vector file once and sends each project's run only
-    its own rows (see _vector_rows). An error from a project names it."""
+    Two phases share one pool. Every project is prepared first; then, with
+    `use_vectors` and a vector file, this process reads the file once and
+    each prepared project carries only its own rows to its run (see
+    _load_vector_rows). An error from a project names it."""
     n = len(projects)
     parallel = config.jobs > 1 and n > 1
     if parallel:
@@ -511,9 +501,10 @@ def _collect(
         map_ = pool.map if parallel else map
         prepared = list(map_(_run_named, [prepare_project] * n, projects, [config] * n,
                              projects))
-        rows = _vector_rows(config, prepared, use_vectors)
+        if use_vectors and config.vectors_path:
+            _load_vector_rows(config, prepared)
         return list(map_(_run_named, [run_one] * n, projects, [config] * n, prepared,
-                         rows, [run_dir] * n))
+                         [run_dir] * n))
 
 
 def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:
@@ -551,10 +542,7 @@ def run_graph_stats(config: ExperimentConfig) -> EvalReport:
 
 
 def _sweep_project(
-    config: ExperimentConfig,
-    prepared: PreparedProject,
-    pretrained: dict[str, np.ndarray],
-    run_dir: Path,
+    config: ExperimentConfig, prepared: PreparedProject, run_dir: Path
 ) -> list[ProjectResult]:
     split = prepared.split
     if not _trains_gnn(config):
@@ -564,9 +552,8 @@ def _sweep_project(
                     edge_count=len(count_cooccurrences(train_enc, window)))
             for window in config.windows
         ]
-    vocab, table, docsets = _encode(
-        config, prepared, pretrained, split.train, split.validation, split.test
-    )
+    vocab, table, docsets = _encode(config, prepared, split.train, split.validation,
+                                    split.test)
     rows = []
     for window in config.windows:
         window_config = replace(config, train=replace(config.train, window=window))
@@ -588,6 +575,57 @@ def run_window_sweep(config: ExperimentConfig) -> EvalReport:
     model at each window unless the model selection excludes it.
     """
     return _run(config, "sweep", _sweep_project, _trains_gnn(config))
+
+
+# --- split manifests and saved models ---------------------------------------
+
+
+def _prepare_files(config: ExperimentConfig, prepared: PreparedProject, out_dir: Path) -> str:
+    """Write one project's split manifest and vocabulary dump; returns the
+    line that summarises them."""
+    project = prepared.project
+    split = prepared.split
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lines = [f"# seed = {config.train.seed}", f"# split_hash = {prepared.split_hash}"]
+    for section, docs in (("train", split.train), ("validation", split.validation),
+                          ("test", split.test)):
+        lines.append(f"[{section}]")
+        lines.extend(d.doc_id for d in docs)
+    (out_dir / f"{project}.split.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    vocab = build_vocabulary(split.train)
+    provenance = row_provenance(vocab, prepared.vector_rows, config.embedding_dim)
+    dump_vocabulary(vocab, split.train, provenance, out_dir / f"{project}.vocab.tsv")
+    return (f"{project}: {len(split.train)}/{len(split.validation)}/"
+            f"{len(split.test)} train/val/test, vocabulary {vocab.size}")
+
+
+def run_prepare(config: ExperimentConfig) -> tuple[list[str], Path]:
+    """Each project's split manifest and vocabulary dump, written into
+    <out>/prepare; returns each project's summary line and that directory."""
+    out_dir = config.output_dir / "prepare"
+    return _collect(config, config.resolved_projects(), out_dir, _prepare_files,
+                    use_vectors=True), out_dir
+
+
+def _eval_project(bundle: ModelBundle, config: ExperimentConfig, prepared: PreparedProject,
+                  run_dir: Path) -> ProjectResult:
+    if prepared.split_hash != bundle.split_hash:
+        raise StoryGraphError(f"the data now splits to hash {prepared.split_hash}, "
+                              f"the model was trained on split {bundle.split_hash}")
+    result = _result_for(prepared)
+    test = bundle.vocabulary.encode_all(prepared.split.test)
+    result.gnn_accuracy, result.gnn_mae = score_gnn(bundle, test)
+    return result
+
+
+def eval_model(config: ExperimentConfig, bundle: ModelBundle) -> ProjectResult:
+    """A saved model's scores on its project's test split, rebuilt under
+    `config`, which holds the model's run. Refuses the model if the split
+    no longer hashes to the one it was trained on. An error names the
+    project."""
+    [result] = _collect(config, (bundle.project,), config.output_dir,
+                        partial(_eval_project, bundle), use_vectors=False)
+    return result
 
 
 # --- report files -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The word-graph classifier: forward pass, exact gradients, training loop.
 
-One round of message passing per document graph (configurable):
+One round of message passing per document graph (configurable; at 0 rounds
+the readout sums the input rows):
 
     r_n  = embedding row of node n (dropout-masked while training)
     M_n  = elementwise max over incoming entries (a -> n) of  e_an * r_a
@@ -91,7 +92,7 @@ class TrainConfig:
     patience: int = option(10, int, low=1)
     seed: int = option(42, int)
     min_edge_frequency: int = option(2, int, low=1)
-    rounds: int = option(1, int, low=1)
+    rounds: int = option(1, int, low=0)  # 0: no message passing
 
     __post_init__ = check_options
 
@@ -204,8 +205,8 @@ class ForwardTrace:
     probabilities: np.ndarray  # (C,)
 
 
-def _check_graph(params: ModelParameters, graph: DocumentGraph, rounds: int) -> None:
-    """Refuse a graph whose ids fall outside the parameters, or no rounds."""
+def _check_graph(params: ModelParameters, graph: DocumentGraph) -> None:
+    """Refuse a graph whose ids fall outside the parameters."""
     if graph.n_nodes == 0:
         raise IndexOutOfRangeError(f"{graph.doc_id}: graph has no nodes")
     if int(graph.node_ids.max()) >= params.vocab_size or int(graph.node_ids.min()) < 0:
@@ -220,8 +221,6 @@ def _check_graph(params: ModelParameters, graph: DocumentGraph, rounds: int) -> 
             f"{graph.doc_id}: edge parameter index outside table of "
             f"{params.edge_weights.shape[0]}"
         )
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
 
 
 def _blocks(graph: DocumentGraph) -> list[tuple[int, int, int]]:
@@ -262,7 +261,7 @@ def forward(
     `training` is true (inverted dropout: survivors scaled by 1/(1-p), so
     inference needs no rescaling).
     """
-    _check_graph(params, graph, rounds)
+    _check_graph(params, graph)
     n = graph.n_nodes
     r = params.embeddings[graph.node_ids]
     mask = None
@@ -442,7 +441,8 @@ def backward(
         d_out = d_in
 
     if trace.dropout_mask is not None:
-        np.multiply(d_out, trace.dropout_mask, out=d_out)
+        # with no rounds, d_out is still the read-only broadcast of d_readout
+        d_out = np.multiply(d_out, trace.dropout_mask, out=d_out if trace.rounds else None)
     at = graph.node_ids if rows is None else np.searchsorted(rows, graph.node_ids)
     for lo in range(0, n, ROW_CHUNK):
         np.add.at(grads.embeddings, at[lo : lo + ROW_CHUNK], d_out[lo : lo + ROW_CHUNK])
@@ -700,7 +700,7 @@ def predict(
     each destination's message is the lanewise max of its block of
     weighted source rows, since inference needs no winners.
     """
-    _check_graph(params, graph, rounds)
+    _check_graph(params, graph)
     blocks = _blocks(graph)
     src = graph.edge_src.astype(np.intp)  # widened once, as in `forward`
     weights = params.edge_weights[graph.edge_param][:, None]

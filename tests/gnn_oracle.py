@@ -33,7 +33,7 @@ from storygraph.gnn import (
 
 
 def forward(params, graph, dropout=0.0, rng=None, training=False, rounds=1):
-    _check_graph(params, graph, rounds)
+    _check_graph(params, graph)
     n = graph.n_nodes
     r = params.embeddings[graph.node_ids]
     mask = None
@@ -94,7 +94,7 @@ def forward(params, graph, dropout=0.0, rng=None, training=False, rounds=1):
 
 
 def predict(params, graph, rounds=1):
-    _check_graph(params, graph, rounds)
+    _check_graph(params, graph)
     r = params.embeddings[graph.node_ids]
     eta = sigmoid(params.gates[graph.node_ids])[:, None]
     weights = params.edge_weights[graph.edge_param][:, None]

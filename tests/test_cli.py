@@ -430,7 +430,21 @@ def test_eval_refuses_data_that_no_longer_splits_as_in_training(
         capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
     )
     assert code == 1
-    assert err.startswith("error: StoryGraphError: alpha: ") and "split" in err
+    assert err.startswith("error: StoryGraphError: alpha: the data now splits to hash ")
+    assert err.count("alpha: ") == 1
+
+
+def test_eval_names_the_project_in_its_data_errors(capsys, tmp_path, synth_dataset):
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    path = synth_dataset / "alpha.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    write_project_csv(path, rows[:5])
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: DatasetTooSmallError: alpha: need at least 10 documents, got 5\n"
 
 
 def test_eval_refuses_a_version_1_model_file(capsys, tmp_path, synth_dataset):
@@ -750,7 +764,7 @@ def test_a_config_file_task_takes_the_library_names(capsys, tmp_path, synth_data
     ("--dim", "0", "dim"),
     ("--jobs", "0", "jobs"),
     ("--patience", "0", "patience"),
-    ("--rounds", "0", "rounds"),
+    ("--rounds", "-1", "rounds"),
     ("--window", "0", "window"),
     ("--k", "0", "min_edge_frequency"),
     ("--lr", "nan", "learning_rate"),
@@ -859,7 +873,7 @@ def test_range_ends_are_legal(capsys, tmp_path, synth_dataset):
     code, _, err = run_cli(
         capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
         "--dropout", "0", "--lr", "0", "--weight-decay", "0", "--batch-size", "1",
-        "--epochs", "1", "--patience", "1", "--rounds", "1", "--window", "1",
+        "--epochs", "1", "--patience", "1", "--rounds", "0", "--window", "1",
         "--k", "1", "--dim", "1", "--jobs", "1",
     )
     assert code == 0, err
@@ -932,6 +946,19 @@ def test_project_data_errors_name_the_project(capsys, tmp_path, synth_dataset,
     )
     assert code == 1
     assert err == "error: DatasetTooSmallError: small: need at least 10 documents, got 5\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_allocation_ends_in_one_error_line(capsys, tmp_path, synth_dataset, jobs):
+    # a PiB-sized embedding table: np.zeros refuses it before touching memory
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(synth_dataset), "--out", str(out),
+        *FAST, "--model", "gnn", "--dim", str(10**12), "--jobs", jobs,
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: MemoryError: alpha: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_undecodable_csv_names_the_project_without_traceback(capsys, tmp_path,

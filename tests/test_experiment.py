@@ -338,15 +338,15 @@ def test_run_with_pretrained_vectors(synth_dataset, tmp_path, tiny_vectors_file)
     assert report.config_echo["vectors"] == tiny_vectors_file.name
 
 
-def rows_and_table(config, prepared, pretrained, run_dir):
-    """A per-project run that returns the vector rows it was sent, the
-    embedding table they give and the rows left once it is built;
+def rows_and_table(config, prepared, run_dir):
+    """A per-project run that returns the vector rows its project carries,
+    the embedding table they give and the rows left once it is built;
     module-level, so a worker process can take it."""
     import storygraph.experiment as ex
 
-    sent = sorted(pretrained)
-    _, table, _ = ex._encode(config, prepared, pretrained)
-    return sent, table, len(pretrained)
+    sent = sorted(prepared.vector_rows)
+    _, table, _ = ex._encode(config, prepared)
+    return sent, table, len(prepared.vector_rows)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

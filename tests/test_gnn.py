@@ -256,6 +256,18 @@ def test_gradients_match_finite_differences_two_rounds():
         assert worst < FD_TOLERANCE
 
 
+def test_gradients_match_finite_differences_with_no_rounds_and_dropout():
+    # rounds = 0 is the no-graph control: a readout of the masked input rows
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        params, graph = random_instance(rng)
+        draws = rng.random((graph.n_nodes, params.dim))
+        kwargs = {"dropout": 0.5, "training": True, "rng": FixedDraws(draws)}
+        worst = numeric_gradient_check(params, graph, graph.label, rounds=0,
+                                       forward_kwargs=kwargs)
+        assert worst < FD_TOLERANCE
+
+
 class FixedDraws:
     """Generator stand-in replaying one stored uniform draw, so dropout
     masks are identical across the repeated forwards of a finite-difference
@@ -640,8 +652,6 @@ def test_predict_shares_forward_checks():
     with pytest.raises(IndexOutOfRangeError):
         gnn.predict(params, graph)
     params, graph = hand_instance()
-    with pytest.raises(ValueError):
-        gnn.predict(params, graph, rounds=0)
     params.embeddings[1, 0] = np.inf
     with pytest.raises(NonFiniteActivationError):
         gnn.predict(params, graph)
