@@ -151,7 +151,10 @@ def _given(args: argparse.Namespace) -> dict:
     option left out takes its config field's default."""
     given = {}
     if args.config:
-        given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            given = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as err:  # not UTF-8 text, or not JSON
+            raise StoryGraphError(f"{args.config}: not a JSON file: {err}") from None
         if not isinstance(given, dict):
             raise StoryGraphError("config file must hold a JSON object")
         unknown = sorted(set(given) - set(options(ex.ExperimentConfig, TrainConfig)))
@@ -171,9 +174,14 @@ def _typed_value(key: str, f, value):
     integral JSON number (3.0) for an int. An empty list names nothing."""
     kind = f.metadata["type"]
     if f.metadata["many"]:
-        if isinstance(value, str):
-            value = ([value] if kind is str
-                     else [int(w) for w in value.replace(" ", "").split(",") if w])
+        if isinstance(value, str) and kind is str:
+            value = [value]
+        elif isinstance(value, str):
+            try:
+                value = [kind(w) for w in value.replace(" ", "").split(",") if w]
+            except ValueError:
+                raise StoryGraphError(f"{key}: {value!r} is not a comma-separated "
+                                      f"list of {kind.__name__}") from None
         if isinstance(value, list) and not value:
             raise StoryGraphError(f"{key}: no {key if kind is str else 'window size'} given")
     elif kind in (int, float) and isinstance(value, str):

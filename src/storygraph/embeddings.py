@@ -119,11 +119,8 @@ def load_pretrained_vectors(
             token, _, rest = line.partition(" ")
             if token in wanted:
                 try:
-                    vec = np.fromiter(
-                        map(float, rest.rstrip("\n").split(" ")),
-                        dtype=np.float64,
-                        count=dim,
-                    )
+                    # one call per row, each field read as `float` reads it
+                    vec = np.array(rest.rstrip("\n").split(" "), dtype=np.float64)
                 except ValueError:
                     skipped += 1
                     continue

@@ -490,21 +490,27 @@ def _collect(
     Two phases share one pool. Every project is prepared first; then, with
     `use_vectors` and a vector file, this process reads the file once and
     each prepared project carries only its own rows to its run (see
-    _load_vector_rows). An error from a project names it."""
+    _load_vector_rows). An error from a project names it; a worker that
+    dies (killed, or out of memory) ends the run in a StoryGraphError."""
     n = len(projects)
     parallel = config.jobs > 1 and n > 1
+    broken = ()  # what a pool raises once a worker has died
     if parallel:
         # imported only where a pool is made: it costs every CLI process
         # about 16 ms
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(config.jobs, n)) if parallel else nullcontext() as pool:
-        map_ = pool.map if parallel else map
-        prepared = list(map_(_run_named, [prepare_project] * n, projects, [config] * n,
-                             projects))
-        if use_vectors and config.vectors_path:
-            _load_vector_rows(config, prepared)
-        return list(map_(_run_named, [run_one] * n, projects, [config] * n, prepared,
-                         [run_dir] * n))
+        from concurrent.futures.process import BrokenProcessPool as broken
+    try:
+        with ProcessPoolExecutor(min(config.jobs, n)) if parallel else nullcontext() as pool:
+            map_ = pool.map if parallel else map
+            prepared = list(map_(_run_named, [prepare_project] * n, projects,
+                                 [config] * n, projects))
+            if use_vectors and config.vectors_path:
+                _load_vector_rows(config, prepared)
+            return list(map_(_run_named, [run_one] * n, projects, [config] * n, prepared,
+                             [run_dir] * n))
+    except broken as err:
+        raise StoryGraphError("a worker process ended without a result") from err
 
 
 def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:

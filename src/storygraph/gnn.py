@@ -31,16 +31,17 @@ in place. The embedding gradient holds only the batch's rows (the sorted
 distinct node ids of its graphs), so training holds four (V x d) arrays:
 the parameters (the caller's embedding table itself), the best copy and
 the two moments; Adam reads every other row's gradient as +0.0, as a
-dense gradient would give it. Per graph, `forward` allocates only its
+dense gradient would give it. Per graph, `forward` allocates its
 trace's (n x d) arrays (the dropout mask, 1 + rounds round inputs, and
-per round the messages and winners) and `backward` at most two more (the
-gradients into and out of a round); everything else of theirs, from the
-winners' messages and the gated update to backward's scatters, runs
-ROW_CHUNK rows at a time, and `train` frees each trace before the next
-forward. Chunks take rows in ascending order, so every element gets the
-adds it got from one whole-array scatter, in the same order. Graph
-adjacency arrays are int32 (see DocumentGraph). None of this changes a
-bit of any result.
+per round the messages and winners) plus, per round, the (blocks x d)
+rows of the winners, and `backward` at most two more (the gradients into
+and out of a round). `forward` pools each block once and takes each
+message from the block it pooled; the rest of their (n x d) work, the
+gated update and backward's scatters, runs ROW_CHUNK rows at a time, and
+`train` frees each trace before the next forward. Chunks take rows in
+ascending order, so every element gets the adds it got from one
+whole-array scatter, in the same order. Graph adjacency arrays are int32
+(see DocumentGraph). None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -282,17 +283,17 @@ def forward(
     # sources' rows. A lane's winner is its first row equal to the lane's
     # max (the lowest source position, the tie-break backward relies on),
     # found as the hit with the largest `countdown`, whose narrowest dtype
-    # keeps the (rows x d) product small; the block loop stores only that
-    # value, and then ROW_CHUNK blocks at a time turn theirs into entry
-    # indices and gather the winners' own products as messages. A lane
-    # with a NaN has no hit (0) and its block takes argmax's winners, the
-    # first NaN. The int32 source positions are widened once here: numpy
-    # would cast them again for every block's gather.
+    # keeps the (rows x d) product small; a lane with a NaN has no hit (0)
+    # and its block takes argmax's rows, the first NaN. The message is the
+    # winning rows' own products, read from the block, and the rows become
+    # entry indices once the loop ends. The int32 source positions are
+    # widened once here: numpy would cast them again for every block's
+    # gather.
     blocks = _blocks(graph)
     dst = np.array([node for node, _, _ in blocks], dtype=np.intp)
+    starts = np.array([s for _, s, _ in blocks], dtype=np.int64)[:, None]
     src = graph.edge_src.astype(np.intp)
-    weights = params.edge_weights[graph.edge_param]
-    column = weights[:, None]
+    column = params.edge_weights[graph.edge_param][:, None]
     n_entries = graph.n_entries
     countdown = np.arange(n_entries, 0, -1,
                           dtype=np.min_scalar_type(n_entries))[:, None]
@@ -303,24 +304,19 @@ def forward(
     winners_all: list[np.ndarray] = []
     for _ in range(rounds):
         r_prev = round_inputs[-1]
-        first = np.empty((len(blocks), dim), dtype=countdown.dtype)
-        for k, (_, s, e) in enumerate(blocks):
+        msg = np.zeros((n, dim))
+        rows = np.empty((len(blocks), dim), dtype=np.int64)
+        for k, (node, s, e) in enumerate(blocks):
             block = r_prev[src[s:e]]
             np.multiply(column[s:e], block, out=block)
-            ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0, out=first[k])
+            hit = ((block == block.max(axis=0)) * countdown[s:e]).max(axis=0)
+            row = n_entries - s - hit if hit.all() else np.argmax(block, axis=0)
+            msg[node] = block[row, lanes]
+            rows[k] = row
         block = None  # the last block is not held through the writes below
+        rows += starts
         winners = np.full((n, dim), -1, dtype=np.int64)
-        msg = np.zeros((n, dim))
-        for lo in range(0, len(blocks), ROW_CHUNK):
-            part = slice(lo, lo + ROW_CHUNK)
-            entry = np.subtract(n_entries, first[part], dtype=np.int64)
-            for k in np.flatnonzero(~first[part].all(axis=1)).tolist():
-                _, s, e = blocks[lo + k]
-                block = column[s:e] * r_prev[src[s:e]]
-                entry[k] = s + np.argmax(block, axis=0)
-            winners[dst[part]] = entry
-            gathered = r_prev[src[entry], lanes]
-            msg[dst[part]] = np.multiply(weights[entry], gathered, out=gathered)
+        winners[dst] = rows
         # gate_msg * msg + gate_in * r_prev, the second product by chunks
         updated = gate_msg * msg
         for lo in range(0, n, ROW_CHUNK):

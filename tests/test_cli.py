@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from storygraph.cli import DATA_ENV_VAR, build_parser, main
 from storygraph.errors import options
-from storygraph.experiment import ExperimentConfig
+from storygraph.experiment import ExperimentConfig, _run_project
 from storygraph.gnn import TrainConfig
 
 from conftest import (
@@ -700,6 +701,21 @@ def test_config_file_with_unknown_key_fails(capsys, tmp_path, synth_dataset):
     assert "windoww" in err
 
 
+@pytest.mark.parametrize("content", [b"issuekey,title\nA-1,t\n", b"\xff{}"],
+                         ids=["csv", "not-utf-8"])
+def test_a_config_file_that_is_not_json_names_itself(capsys, tmp_path, synth_dataset,
+                                                     content):
+    cfg = tmp_path / "run.csv"
+    cfg.write_bytes(content)
+    code, stdout, err = run_cli(
+        capsys, "train", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        "--config", str(cfg),
+    )
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: StoryGraphError: {cfg}: not a JSON file: ")
+    assert is_one_error_line(err)
+
+
 @pytest.mark.parametrize("entry", [{"project": "alpha"}, {"project": ["alpha"]}])
 def test_config_file_project_is_a_name_or_a_list(capsys, tmp_path, synth_dataset, entry):
     cfg = tmp_path / "run.json"
@@ -728,7 +744,7 @@ def test_config_file_windows_may_be_a_list(capsys, tmp_path, synth_dataset):
     {"project": 3}, {"project": ["alpha", 3]}, {"windows": 5}, {"windows": [2, "5"]},
     {"window": [3]}, {"mode": "lemmas"}, {"project": ["alpha", "beta", "alpha"]},
     {"window": 2.9}, {"seed": 3.5}, {"window": True}, {"learning_rate": True},
-    {"dropout": False}, {"jobs": 1.5}, {"project": []},
+    {"dropout": False}, {"jobs": 1.5}, {"project": []}, {"windows": "2,x"},
 ])
 def test_config_file_refuses_other_value_types(capsys, tmp_path, synth_dataset, entry):
     cfg = tmp_path / "run.json"
@@ -798,6 +814,7 @@ def test_config_file_values_are_range_checked(capsys, tmp_path, synth_dataset, e
 
 PROJECT_TWICE = "error: StoryGraphError: project: alpha named more than once\n"
 WINDOW_TWICE = "error: StoryGraphError: windows: 2 named more than once\n"
+WINDOW_NOT_INT = "error: StoryGraphError: windows: '2,x' is not a comma-separated list of int\n"
 ALPHA_TWICE = ("--project", "alpha", "--project", "alpha", "--project", "beta")
 ALPHA_SWEEP = ("--project", "alpha", "--model", "tfidf-rf")
 
@@ -807,10 +824,12 @@ ALPHA_SWEEP = ("--project", "alpha", "--model", "tfidf-rf")
     ("baseline", (*ALPHA_TWICE, "--jobs", "2"), None, PROJECT_TWICE),
     ("sweep", (*ALPHA_SWEEP, "--windows", "2,2"), None, WINDOW_TWICE),
     ("sweep", ALPHA_SWEEP, {"windows": [2, 2]}, WINDOW_TWICE),
-], ids=["1", "2", "windows-flag", "windows-config"])
+    ("sweep", (*ALPHA_SWEEP, "--windows", "2,x"), None, WINDOW_NOT_INT),
+], ids=["1", "2", "windows-flag", "windows-config", "windows-not-int"])
 def test_a_project_named_twice_is_refused(capsys, tmp_path, synth_dataset, command,
                                           extra, config, expected):
-    # a window size named twice is refused the same way
+    # a window size named twice, or one that is not a whole number, is
+    # refused the same way
     if config is not None:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(config))
@@ -959,6 +978,29 @@ def test_a_failed_allocation_ends_in_one_error_line(capsys, tmp_path, synth_data
     assert code == 1 and stdout == ""
     assert err.startswith("error: MemoryError: alpha: Unable to allocate ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _dies_on_beta(config, prepared, run_dir):
+    # beta's worker ends at once, as one the kernel kills (out of memory,
+    # say) does; module-level, so the pool can pickle it by name
+    if prepared.project == "beta":
+        os._exit(9)
+    return _run_project(config, prepared, run_dir)
+
+
+def test_a_worker_that_dies_ends_in_one_error_line(capsys, tmp_path, synth_dataset,
+                                                   monkeypatch):
+    import storygraph.experiment as ex
+
+    monkeypatch.setattr(ex, "_run_project", _dies_on_beta)  # the fork pool inherits it
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        capsys, "baseline", "--data", str(synth_dataset), "--out", str(out),
+        "--project", "alpha", "--project", "beta", "--jobs", "2",
+    )
+    assert code == 1
+    assert err == "error: StoryGraphError: a worker process ended without a result\n"
+    assert not [*out.rglob("report.*"), *out.rglob("config.json")]
 
 
 def test_undecodable_csv_names_the_project_without_traceback(capsys, tmp_path,

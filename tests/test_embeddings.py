@@ -1,5 +1,7 @@
 """Vocabulary construction and pretrained-vector loading."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,25 @@ def test_non_finite_row_is_skipped(tmp_path, value):
     path = _vector_file(tmp_path, [f"bad 1.0 {value}", "good 1.0 2.0", "ok 3.0 4.0"])
     vectors = load_pretrained_vectors(path, {"bad", "good"}, dim=2)
     assert set(vectors) == {"good"}
+
+
+@pytest.mark.parametrize("value", [
+    # spellings `float` reads
+    "1_0", "\u0661\u0662", "\t1.5", "1.5\t", "+.5", "nan", "inf", "-Infinity", "1e999",
+    # and spellings it refuses
+    "", "0x10", "abc", "1,5",
+])
+def test_a_value_is_read_by_the_rules_of_float(tmp_path, value):
+    path = _vector_file(tmp_path, [f"a {value} {value}", "b 1.0 2.0", "c 3.0 4.0"])
+    vectors = load_pretrained_vectors(path, {"a", "b"}, dim=2)
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan  # refused: skipped like a non-finite value
+    if math.isfinite(number):
+        assert vectors["a"].tobytes() == np.array([number, number]).tobytes()
+    else:
+        assert set(vectors) == {"b"}
 
 
 def test_non_finite_rows_count_toward_the_verdict(tmp_path):
