@@ -28,20 +28,20 @@ whose every sum is exact: class labels that are whole numbers >= 0, and
 regression targets that are whole numbers with n * max(|y|)**2 < 2**53
 (n training rows).
 
-A tree is six parallel arrays over its nodes in preorder (a node, then its
-left subtree, then its right subtree); `.baseline` files store exactly
+A tree is four parallel arrays over its nodes in preorder (a node, then its
+left subtree, then its right subtree), so an internal node i's left child
+is node i + 1, and the root is node 0; `.baseline` files store exactly
 these arrays (see model_io):
 
 - ``feature`` (int64): the split feature of an internal node; -1 at a leaf.
 - ``threshold`` (float64): a row goes left when its value of ``feature``
   is <= the threshold; 0.0 at a leaf.
-- ``left``, ``right`` (int64): child indices. An internal node i has
-  ``left[i] == i + 1`` and ``right[i]`` is the first node after its left
-  subtree; both are -1 at a leaf. The root is node 0.
-- ``value`` (float64): a regression leaf's mean target; 0.0 at internal
-  nodes and at classification leaves.
-- ``histogram`` (float64, nodes x classes): a classification leaf's class
-  counts; zero rows at internal nodes, and zero columns when regressing.
+- ``right`` (int64): an internal node's right child, the first node after
+  its left subtree; -1 at a leaf.
+- ``value`` (float64): a leaf's prediction. Regressing, it is the leaf's
+  mean target; classifying, the class with the most bootstrap-weighted
+  rows, ties to the lowest (each tree casts one vote for it). 0.0 at
+  internal nodes.
 """
 
 from __future__ import annotations
@@ -203,10 +203,8 @@ class Tree:
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
-    left: np.ndarray  # int64
     right: np.ndarray  # int64
     value: np.ndarray  # float64
-    histogram: np.ndarray  # float64, (nodes, n_classes)
 
 
 @dataclass
@@ -417,16 +415,14 @@ def _grow_trees(
     rngs: list[np.random.Generator],
     config: RandomForestConfig,
     task: str,
-    n_classes: int,
-) -> list[tuple[np.ndarray, ...]]:
-    """The Tree arrays, feature through histogram, of every tree, grown in
-    lockstep: each step pops the next preorder node of every unfinished tree
-    and searches all of the step's split nodes together. counts holds each
-    tree's bootstrap count per training row."""
+) -> list[Tree]:
+    """Every tree, grown in lockstep: each step pops the next preorder node
+    of every unfinished tree and searches all of the step's split nodes
+    together. counts holds each tree's bootstrap count per training row."""
     k = _resolve_max_features(config.max_features, n_features, task)
     min_rows = max(2, 2 * config.min_leaf)
     column_nnz = np.diff(columns.indptr)
-    # per tree, per node: [feature, threshold, left, right, value, histogram row]
+    # per tree, per node: [feature, threshold, right, value]
     nodes: list[list[list]] = [[] for _ in rngs]
     # per tree: (distinct rows, depth, node whose right child this is, or
     # -1); the stack pops its tree's nodes in preorder
@@ -460,38 +456,30 @@ def _grow_trees(
         go_left = np.repeat(0.0 <= threshold, np.diff(off))
         pair, x, pos = _gather(columns, step, won, feature[won])
         go_left[pos] = x <= threshold[won][pair]
-        histogram = step.total[:, 1:].astype(np.float64)
+        # a leaf's value: its weighted majority class (argmax takes the
+        # lowest of tied classes) or its weighted mean target
+        value = np.where(
+            feature < 0,
+            np.argmax(step.total[:, 1:], axis=1) if task == "classify"
+            else step.total[:, 1] / step.total[:, 0],
+            0.0,
+        )
         for i, (t, (rows, depth, right_of)) in enumerate(zip(live, popped)):
             tree = nodes[t]
             node = len(tree)
             if right_of >= 0:
-                tree[right_of][3] = node
-            if feature[i] < 0:
-                if task == "classify":
-                    tree.append([-1, 0.0, -1, -1, 0.0, histogram[i]])
-                else:
-                    mean = float(step.total[i, 1] / step.total[i, 0])
-                    tree.append([-1, 0.0, -1, -1, mean, np.zeros(0)])
-                continue
-            tree.append(
-                [feature[i], threshold[i], node + 1, -1, 0.0, np.zeros(n_classes)]
-            )
-            mask = go_left[off[i] : off[i + 1]]
-            stacks[t].append((rows[~mask], depth + 1, node))
-            stacks[t].append((rows[mask], depth + 1, -1))
+                tree[right_of][2] = node
+            tree.append([feature[i], threshold[i], -1, value[i]])
+            if feature[i] >= 0:
+                mask = go_left[off[i] : off[i + 1]]
+                stacks[t].append((rows[~mask], depth + 1, node))
+                stacks[t].append((rows[mask], depth + 1, -1))
         live = [t for t in live if stacks[t]]
-    grown = []
-    for tree in nodes:
-        feature, threshold, left, right, value, histogram = zip(*tree)
-        grown.append((
-            np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=np.float64),
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(value, dtype=np.float64),
-            np.array(histogram, dtype=np.float64),
-        ))
-    return grown
+    dtypes = (np.int64, np.float64, np.int64, np.float64)
+    return [
+        Tree(*(np.array(column, dtype=dtype) for column, dtype in zip(zip(*tree), dtypes)))
+        for tree in nodes
+    ]
 
 
 def _split_stats(
@@ -559,12 +547,11 @@ def rf_fit(
         np.bincount(rng.integers(0, n, size=n), minlength=n) if config.bootstrap
         else np.ones(n, dtype=np.int64) for rng in rngs
     ])
-    grown = _grow_trees(
-        _column_store(features), features.n_features, y, stat, counts, rngs,
-        config, task, n_classes,
+    trees = _grow_trees(
+        _column_store(features), features.n_features, y, stat, counts, rngs, config, task
     )
     return Forest(
-        trees=[Tree(*arrays) for arrays in grown],
+        trees=trees,
         config=config,
         n_features=features.n_features,
         n_classes=n_classes,
@@ -578,14 +565,14 @@ def _descend(
     r's value of feature j is the one stored under key r * width + j (keys
     ascending, ending in a sentinel above every query), else 0."""
     node = np.zeros(n_rows, dtype=np.int64)
-    live = np.flatnonzero(tree.left[node] >= 0)
+    live = np.flatnonzero(tree.feature[node] >= 0)
     while live.size:
         at = node[live]
         want = live * width + tree.feature[at]
         pos = np.searchsorted(keys, want)
         x = np.where(keys[pos] == want, values[pos], 0.0)
-        node[live] = np.where(x <= tree.threshold[at], tree.left[at], tree.right[at])
-        live = live[tree.left[node[live]] >= 0]
+        node[live] = np.where(x <= tree.threshold[at], at + 1, tree.right[at])
+        live = live[tree.feature[node[live]] >= 0]
     return node
 
 
@@ -606,7 +593,7 @@ def rf_predict_many(forest: Forest, rows: TfidfMatrix) -> list[int] | list[float
         votes = np.zeros((n, forest.n_classes), dtype=np.int64)
         for tree in forest.trees:
             leaf = _descend(tree, keys, values, width, n)
-            votes[np.arange(n), np.argmax(tree.histogram[leaf], axis=1)] += 1
+            votes[np.arange(n), tree.value[leaf].astype(np.int64)] += 1
         return np.argmax(votes, axis=1).tolist()
     total = np.zeros(n)
     for tree in forest.trees:

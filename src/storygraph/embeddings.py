@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import StoryPointLevel, TokenizedDocument, bucket_level
-from .errors import DimensionMismatchError, EmptyTrainingSetError
+from .errors import DimensionMismatchError, EmptyTrainingSetError, named_error
 
 UNKNOWN_TOKEN = "<unk>"
 
@@ -92,7 +92,8 @@ def load_pretrained_vectors(
     path: str | Path, tokens: Iterable[str], dim: int
 ) -> dict[str, np.ndarray]:
     """The rows of `tokens` in a plain-text vector file, which holds one
-    token followed by `dim` space-separated floats per line.
+    token followed by `dim` space-separated floats per line, in UTF-8 with
+    or without a byte-order mark, as corpus.load_issues reads a CSV.
 
     One streaming pass: every line's field count is checked, but numbers
     are converted only on lines whose token is wanted, so memory follows
@@ -110,25 +111,28 @@ def load_pretrained_vectors(
     vectors: dict[str, np.ndarray] = {}
     good = 0
     skipped = 0
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            # a line of dim + 1 fields holds exactly dim separators
-            if line.count(" ") != dim:
-                skipped += 1
-                continue
-            token, _, rest = line.partition(" ")
-            if token in wanted:
-                try:
-                    # one call per row, each field read as `float` reads it
-                    vec = np.array(rest.rstrip("\n").split(" "), dtype=np.float64)
-                except ValueError:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for line in handle:
+                # a line of dim + 1 fields holds exactly dim separators
+                if line.count(" ") != dim:
                     skipped += 1
                     continue
-                if not np.isfinite(vec).all():
-                    skipped += 1
-                    continue
-                vectors[token] = vec
-            good += 1
+                token, _, rest = line.partition(" ")
+                if token in wanted:
+                    try:
+                        # one call per row, each field read as `float` reads it
+                        vec = np.array(rest.rstrip("\n").split(" "), dtype=np.float64)
+                    except ValueError:
+                        skipped += 1
+                        continue
+                    if not np.isfinite(vec).all():
+                        skipped += 1
+                        continue
+                    vectors[token] = vec
+                good += 1
+    except UnicodeDecodeError as err:
+        raise named_error(err, path) from None
     if skipped > good:
         raise DimensionMismatchError(
             f"{path}: {skipped} lines skipped vs {good} parsed; "

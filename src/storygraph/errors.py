@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the config option check.
+"""Exception types shared across the package, an error's message led by
+the name of what it concerns, and the config option check.
 
 Built-in ``FileNotFoundError`` and ``OSError`` are used as-is for missing
 files and I/O failures; everything domain-specific derives from
@@ -92,16 +93,33 @@ class DegenerateDataError(StoryGraphError):
     """Forest fitting needs at least two samples."""
 
 
+def named_error(err: Exception, name: str | Path) -> Exception:
+    """An error of err's type whose message starts with the name, or err
+    itself when its type is not built from one message; numpy's failed
+    allocation, built from a shape and a dtype, becomes a MemoryError."""
+    if isinstance(err, UnicodeDecodeError):
+        # built from its fields: the name goes in front of the reason
+        return UnicodeDecodeError(
+            err.encoding, err.object, err.start, err.end, f"{name}: {err.reason}"
+        )
+    try:
+        return type(err)(f"{name}: {err}")
+    except TypeError:
+        return MemoryError(f"{name}: {err}") if isinstance(err, MemoryError) else err
+
+
 # --- config options -------------------------------------------------------
 
 def option(default=MISSING, kind=None, *, key=None, choices=None, low=None, high=None,
-           many=False):
+           many=False, file_name=False):
     """A config field with its legal values beside its default: of type `kind`
     (`many`: a tuple of them, none twice), one of the tuple `choices`, in
-    [low, high) (None: open). `key` is the option's name where it is not the
-    field's."""
+    [low, high) (None: open), and with `file_name` a name that joins a
+    directory as one file: not empty, "." or "..", and without a path
+    separator. `key` is the option's name where it is not the field's."""
     return field(default=default, metadata=dict(
-        key=key, type=kind, choices=choices, range=(low, high), many=many))
+        key=key, type=kind, choices=choices, range=(low, high), many=many,
+        file_name=file_name))
 
 
 def options(*classes) -> dict:
@@ -134,10 +152,12 @@ def check_option(key: str, f, value):
         value = float(value)
     elif not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise StoryGraphError(f"{key}: {value!r} is not a {kind.__name__}")  # a bool is no number
-    for number in value if meta["many"] else (value,):
-        if low is not None and not low <= number < (math.inf if high is None else high):
+    for item in value if meta["many"] else (value,):
+        if meta["file_name"] and (item in ("", ".", "..") or os.path.basename(item) != item):
+            raise StoryGraphError(f"{key}: {item!r} is not a file name")
+        if low is not None and not low <= item < (math.inf if high is None else high):
             legal = f"in [{low}, {high})" if high is not None else f">= {low}"
-            raise StoryGraphError(f"{key}: {number!r} is not {legal}")
+            raise StoryGraphError(f"{key}: {item!r} is not {legal}")
     return value
 
 

@@ -43,7 +43,7 @@ from .embeddings import (
     load_pretrained_vectors,
     row_provenance,
 )
-from .errors import EmptyDatasetError, StoryGraphError, check_options, option
+from .errors import EmptyDatasetError, StoryGraphError, check_options, named_error, option
 from .graph import assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
@@ -64,7 +64,8 @@ class ExperimentConfig:
 
     data_dir: Path = option(kind=Path, key="data")
     output_dir: Path = option(Path("runs"), Path, key="out")
-    projects: tuple[str, ...] = option((), str, key="project", many=True)  # (): every *.csv
+    # (): every *.csv; a project is its file's name without .csv
+    projects: tuple[str, ...] = option((), str, key="project", many=True, file_name=True)
     text_mode: str = option(MODE_RAW, key="mode", choices=(MODE_RAW, MODE_FILTERED))
     task: str = option("classify", choices=tuple(TASK_NAMES))
     model: str = option("both", choices=("gnn", "tfidf-rf", "both"))
@@ -455,27 +456,12 @@ def _write_config(config: ExperimentConfig, run_dir: Path) -> None:
     )
 
 
-def _named(err: Exception, project: str) -> Exception:
-    """An error of err's type whose message names the project, or err
-    itself when its type is not built from one message; numpy's failed
-    allocation, built from a shape and a dtype, becomes a MemoryError."""
-    if isinstance(err, UnicodeDecodeError):
-        # built from its fields: the name goes in front of the reason
-        return UnicodeDecodeError(
-            err.encoding, err.object, err.start, err.end, f"{project}: {err.reason}"
-        )
-    try:
-        return type(err)(f"{project}: {err}")
-    except TypeError:
-        return MemoryError(f"{project}: {err}") if isinstance(err, MemoryError) else err
-
-
 def _run_named(fn, project: str, *args):
     """fn(*args), naming the project in any error it raises."""
     try:
         return fn(*args)
     except Exception as err:
-        named = _named(err, project)
+        named = named_error(err, project)
         if named is err:
             raise
         raise named from err
@@ -627,9 +613,10 @@ def _eval_project(bundle: ModelBundle, config: ExperimentConfig, prepared: Prepa
 def eval_model(config: ExperimentConfig, bundle: ModelBundle) -> ProjectResult:
     """A saved model's scores on its project's test split, rebuilt under
     `config`, which holds the model's run. Refuses the model if the split
-    no longer hashes to the one it was trained on. An error names the
-    project."""
-    [result] = _collect(config, (bundle.project,), config.output_dir,
+    no longer hashes to the one it was trained on, and a project that is
+    not a file name, as a flag's would be. An error names the project."""
+    config = replace(config, projects=(bundle.project,))
+    [result] = _collect(config, config.projects, config.output_dir,
                         partial(_eval_project, bundle), use_vectors=False)
     return result
 

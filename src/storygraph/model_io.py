@@ -18,9 +18,10 @@ hash. Arrays round-trip bit-exactly, as read-only views of the one copy of
 the array section in memory; token and pre-threshold co-occurrence counts
 are not kept.
 
-A `.baseline` file holds the idf vector, then each tree's flat preorder
-arrays in the layout the baseline.py docstring states; loading refuses a
-tree that breaks it, and a tree count other than the config's. Its class
+A `.baseline` file holds the idf vector, then each tree's four flat
+preorder arrays in the layout the baseline.py docstring states; loading
+refuses a tree that breaks it, a classification leaf whose value is not a
+class of the forest, and a tree count other than the config's. Its class
 count states the task: regression has none. Either header's config must
 meet its dataclass's declared legal values, every other header field must
 have exactly its JSON type, and a token or term may be listed once.
@@ -46,7 +47,7 @@ from .graph import EdgeTable, decode_pairs
 
 MAGIC_PREFIX = b"STGRMDL"
 BASELINE_MAGIC_PREFIX = b"STGRBSL"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 @dataclass
@@ -243,36 +244,36 @@ class BaselineBundle:
     forest: Forest
 
 
-# per-node arrays of a tree in file order; the (nodes x classes) histogram
-# follows them, and has no bytes when regressing
+# a tree's arrays in file order
 _TREE_ARRAYS = (
     ("feature", "<i8"),
     ("threshold", "<f8"),
-    ("left", "<i8"),
     ("right", "<i8"),
     ("value", "<f8"),
 )
 
 
-def _check_tree(path: str | Path, tree: Tree, n_features: int) -> None:
+def _check_tree(path: str | Path, tree: Tree, n_features: int, n_classes: int) -> None:
     """Refuse a tree outside the preorder layout of baseline.py: descending
-    a cycle or a stray child index would never end or would crash."""
+    a cycle or a stray child index would never end or would crash, and so
+    would voting for a class the forest lacks."""
     n = tree.feature.shape[0]
     node = np.arange(n)
-    internal = tree.left != -1
+    internal = tree.feature != -1
     problems = [
         (~internal & (tree.right != -1), "a leaf with a right child"),
-        (internal & (tree.left != node + 1), "a left child that is not the next node"),
         (internal & ((tree.right <= node + 1) | (tree.right >= n)),
          "a right child out of order"),
         (internal & ((tree.feature < 0) | (tree.feature >= n_features)),
          "a split feature out of range"),
+        ((n_classes > 0) & ~internal & ~np.isin(tree.value, np.arange(n_classes)),
+         f"a leaf class that is not one of 0 to {n_classes - 1}"),
     ]
     for bad, what in problems:
         if bad.any():
             raise CorruptFileError(f"{path}: tree node {int(np.argmax(bad))} has {what}")
     parents = np.bincount(
-        np.concatenate([tree.left[internal], tree.right[internal]]), minlength=n
+        np.concatenate([node[internal] + 1, tree.right[internal]]), minlength=n
     )
     parents[0] += 1  # the root is nobody's child; count it as one here
     if np.any(parents != 1):
@@ -303,7 +304,6 @@ def save_baseline_model(path: str | Path, bundle: BaselineBundle) -> None:
     arrays = [(tfidf.idf, "<f8")]
     for tree in forest.trees:
         arrays += [(getattr(tree, name), dtype) for name, dtype in _TREE_ARRAYS]
-        arrays.append((tree.histogram, "<f8"))
     _save(path, BASELINE_MAGIC_PREFIX, header, arrays)
 
 
@@ -324,17 +324,16 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
         )
     if min(node_counts) < 1:
         raise CorruptFileError(f"{path}: a tree without nodes")
+    if n_classes < 0:
+        raise CorruptFileError(f"{path}: n_classes is {n_classes}, below 0")
     if h["max_ngram"] < 1:
         raise CorruptFileError(f"{path}: n-grams of at most {h['max_ngram']} words")
 
     idf = arrays.take("<f8", (n_features,))
     trees = []
     for count in node_counts:
-        tree = Tree(
-            **{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS},
-            histogram=arrays.take("<f8", (count, n_classes)),
-        )
-        _check_tree(path, tree, n_features)
+        tree = Tree(**{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS})
+        _check_tree(path, tree, n_features, n_classes)
         trees.append(tree)
     arrays.end()
 

@@ -10,6 +10,7 @@ the classification task learnable by both models at tiny sizes.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -115,6 +116,12 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+def tree_arrays(tree) -> dict[str, np.ndarray]:
+    """A forest tree's arrays by name, in its field order, which is also
+    their order in a `.baseline` file."""
+    return {f.name: getattr(tree, f.name) for f in dataclasses.fields(tree)}
 
 
 # --- model files ---------------------------------------------------------

@@ -110,10 +110,8 @@ def grow_tree(store, labels, rows, config, task, n_classes, rng) -> dict:
     k = _resolve_max_features(config.max_features, store.n_features, task)
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
     right: list[int] = []
     value: list[float] = []
-    histogram: list[np.ndarray] = []
     # (rows, depth, index of the parent whose right child this is, or -1)
     stack = [(rows, 0, -1)]
     while stack:
@@ -123,10 +121,8 @@ def grow_tree(store, labels, rows, config, task, n_classes, rng) -> dict:
             right[right_of] = node
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
         value.append(0.0)
-        histogram.append(np.zeros(n_classes))
 
         y = labels[node_rows]
         pure = np.all(y == y[0])
@@ -160,27 +156,22 @@ def grow_tree(store, labels, rows, config, task, n_classes, rng) -> dict:
                     best_x = x
         if best_feature < 0:
             if task == "classify":
-                histogram[node] = np.bincount(
-                    y.astype(np.int64), minlength=n_classes
-                ).astype(np.float64)
+                # the most frequent class of the node's rows, bootstrap
+                # copies included; argmax takes the lowest of tied classes
+                value[node] = float(np.argmax(np.bincount(y.astype(np.int64))))
             else:
                 value[node] = float(y.mean())
             continue
         go_left = best_x <= best_threshold
         feature[node] = best_feature
         threshold[node] = best_threshold
-        left[node] = node + 1
         stack.append((node_rows[~go_left], depth + 1, node))
         stack.append((node_rows[go_left], depth + 1, -1))
     return {
         "feature": np.array(feature, dtype=np.int64),
         "threshold": np.array(threshold, dtype=np.float64),
-        "left": np.array(left, dtype=np.int64),
         "right": np.array(right, dtype=np.int64),
         "value": np.array(value, dtype=np.float64),
-        "histogram": np.array(histogram, dtype=np.float64).reshape(
-            len(feature), n_classes
-        ),
     }
 
 
@@ -216,14 +207,14 @@ def predict_one(forest, matrix: TfidfMatrix, row: int):
     leaves = []
     for tree in forest.trees:
         node = 0
-        while tree.left[node] >= 0:
+        while tree.feature[node] >= 0:
             x = values.get(int(tree.feature[node]), 0.0)
-            node = tree.left[node] if x <= tree.threshold[node] else tree.right[node]
+            node = node + 1 if x <= tree.threshold[node] else tree.right[node]
         leaves.append((tree, node))
     if forest.task == "classify":
         votes = np.zeros(forest.n_classes, dtype=np.int64)
         for tree, node in leaves:
-            votes[int(np.argmax(tree.histogram[node]))] += 1
+            votes[int(tree.value[node])] += 1
         return int(np.argmax(votes))
     total = 0.0
     for tree, node in leaves:

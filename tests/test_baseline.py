@@ -26,8 +26,7 @@ from storygraph.baseline import (
 from storygraph.errors import DegenerateDataError, EmptyCorpusError
 
 import forest_oracle
-
-TREE_FIELDS = ("feature", "threshold", "left", "right", "value", "histogram")
+from conftest import tree_arrays
 
 
 def from_rows(rows, n_features):
@@ -196,26 +195,14 @@ def test_matrix_rows_may_restart_their_indices():
 # --- forest: hand-built trees -------------------------------------------------
 
 
-def leaf(value, n_classes=None):
-    """A leaf's (value, histogram row): a one-hot count of class `value`
-    when classifying, no columns when regressing."""
-    if n_classes is None:
-        return value, np.zeros(0)
-    hist = np.zeros(n_classes)
-    hist[int(value)] = 1.0
-    return 0.0, hist
-
-
-def stump(feature, threshold, left_value, right_value, n_classes=None):
-    """Root split over two leaves, as the flat preorder arrays of a Tree."""
-    (lv, lh), (rv, rh) = leaf(left_value, n_classes), leaf(right_value, n_classes)
+def stump(feature, threshold, left_value, right_value):
+    """Root split over two leaves, as the flat preorder arrays of a Tree; a
+    leaf's value is its class when classifying."""
     return dict(
         feature=np.array([feature, -1, -1], dtype=np.int64),
         threshold=np.array([threshold, 0.0, 0.0]),
-        left=np.array([1, -1, -1], dtype=np.int64),
         right=np.array([2, -1, -1], dtype=np.int64),
-        value=np.array([0.0, lv, rv]),
-        histogram=np.stack([np.zeros_like(lh), lh, rh]),
+        value=np.array([0.0, left_value, right_value], dtype=np.float64),
     )
 
 
@@ -227,16 +214,16 @@ def forest_of(arrays, n_features, n_classes=0):
 
 def test_predict_majority_vote():
     trees = [
-        stump(0, 0.5, 1, 1, n_classes=3),
-        stump(0, 0.5, 1, 1, n_classes=3),
-        stump(0, 0.5, 2, 2, n_classes=3),
+        stump(0, 0.5, 1, 1),
+        stump(0, 0.5, 1, 1),
+        stump(0, 0.5, 2, 2),
     ]
     f = forest_of(trees, n_features=2, n_classes=3)
     assert rf_predict_many(f, dense([0.0, 0.0], 2)) == [1]
 
 
 def test_predict_vote_tie_breaks_to_lowest_class():
-    trees = [stump(0, 0.5, 2, 2, n_classes=3), stump(0, 0.5, 0, 0, n_classes=3)]
+    trees = [stump(0, 0.5, 2, 2), stump(0, 0.5, 0, 0)]
     f = forest_of(trees, n_features=2, n_classes=3)
     assert rf_predict_many(f, dense([1.0, 0.0], 2)) == [0]
 
@@ -250,7 +237,7 @@ def test_predict_regression_averages_leaf_means():
 
 def test_descend_goes_left_on_equality():
     # x <= threshold routes left
-    tree = stump(0, 0.5, 7, 9, n_classes=10)
+    tree = stump(0, 0.5, 7, 9)
     f = forest_of([tree], n_features=1, n_classes=10)
     assert rf_predict_many(f, dense([0.5], 1)) == [7]
     assert rf_predict_many(f, dense([0.50001], 1)) == [9]
@@ -323,8 +310,9 @@ def test_fit_seed_changes_bootstrap():
     xs, ys = separable_xy(seed=4)
     a = rf_fit(xs, ys, RandomForestConfig(n_trees=4, seed=1), task="classify")
     b = rf_fit(xs, ys, RandomForestConfig(n_trees=4, seed=2), task="classify")
-    # each tree's leaf class counts are those of its bootstrap sample
-    assert any(not np.array_equal(ta.histogram, tb.histogram)
+    # each tree grows on its own bootstrap sample, so its splits differ
+    assert any(not (np.array_equal(ta.feature, tb.feature)
+                    and np.array_equal(ta.threshold, tb.threshold))
                for ta, tb in zip(a.trees, b.trees))
 
 
@@ -346,7 +334,7 @@ def test_min_leaf_limits_tree_growth():
                              bootstrap=False)
     f = rf_fit(xs, ys, cfg, task="classify")
     for t in f.trees:
-        assert t.left.tolist() == [-1]  # cannot split without starving a side
+        assert t.feature.tolist() == [-1]  # cannot split without starving a side
 
 
 def test_max_depth_zero_is_a_single_leaf():
@@ -354,7 +342,19 @@ def test_max_depth_zero_is_a_single_leaf():
     cfg = RandomForestConfig(n_trees=2, max_depth=0, seed=0)
     f = rf_fit(xs, ys, cfg, task="classify")
     for t in f.trees:
-        assert t.left.tolist() == [-1]
+        assert t.feature.tolist() == [-1]
+
+
+def test_a_leaf_of_tied_classes_holds_the_lowest():
+    # no feature tells the rows apart, so the root is the only leaf; it
+    # holds two rows each of classes 1 and 2, and votes for class 1
+    xs = dense([[0.5, 0.0]] * 4, 2)
+    config = RandomForestConfig(n_trees=1, bootstrap=False, max_features="all")
+    forest = rf_fit(xs, [2, 1, 2, 1], config, task="classify")
+    (tree,) = forest.trees
+    assert tree.feature.tolist() == [-1]
+    assert tree.value.tolist() == [1.0]
+    assert rf_predict_many(forest, xs) == [1] * 4
 
 
 # --- split finding vs brute force ----------------------------------------------
@@ -394,11 +394,7 @@ def fit_single_full_tree(X, y):
 
 def collect_splits(tree):
     """(feature, threshold) of every internal node, in preorder."""
-    return [
-        (int(f), float(t))
-        for f, t, child in zip(tree.feature, tree.threshold, tree.left)
-        if child >= 0
-    ]
+    return [(int(f), float(t)) for f, t in zip(tree.feature, tree.threshold) if f >= 0]
 
 
 def test_root_split_matches_brute_force_exactly():
@@ -415,7 +411,7 @@ def test_root_split_matches_brute_force_exactly():
         tree = f.trees[0]
         if score == np.inf or not np.isfinite(score):
             continue
-        if tree.left[0] < 0:
+        if tree.feature[0] < 0:
             # production found no impurity-reducing split; brute force must
             # agree that no split with finite score beats a pure leaf
             assert len(np.unique(y)) == 1 or score == np.inf
@@ -493,6 +489,18 @@ def sparse_labels(task, rng, n):
 GRID = list(itertools.product((True, False), (1, 2), (2, None)))
 
 
+def assert_trees_equal(forest, expected, *context):
+    """forest's trees hold the oracle's arrays: the same names, dtypes and
+    values; a failure names the array and `context`."""
+    assert len(forest.trees) == len(expected)
+    for tree, want in zip(forest.trees, expected):
+        got = tree_arrays(tree)
+        assert list(got) == list(want)
+        for name, array in got.items():
+            assert array.dtype == want[name].dtype, name
+            assert np.array_equal(array, want[name]), (name, *context)
+
+
 @pytest.mark.parametrize("block_cells, max_features", [
     pytest.param(None, "auto", id="None"),
     pytest.param(40, "auto", id="40"),
@@ -516,12 +524,7 @@ def test_fit_matches_frozen_oracle(task, seed, block_cells, max_features, monkey
         )
         forest = rf_fit(vectors, labels, config, task=task)
         expected = forest_oracle.fit_trees(vectors, labels, config, task)
-        assert len(forest.trees) == len(expected)
-        for tree, arrays in zip(forest.trees, expected):
-            for name in TREE_FIELDS:
-                got, want = getattr(tree, name), arrays[name]
-                assert got.dtype == want.dtype, name
-                assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
+        assert_trees_equal(forest, expected, bootstrap, min_leaf, max_depth)
 
 
 def signed_corpus(seed):
@@ -582,11 +585,7 @@ def test_fit_on_signed_values_matches_frozen_oracle(targets, seed, block_cells, 
         )
         forest = rf_fit(vectors, labels, config, task=task)
         expected = forest_oracle.fit_trees(vectors, labels, config, task)
-        for tree, arrays in zip(forest.trees, expected, strict=True):
-            for name in TREE_FIELDS:
-                got, want = getattr(tree, name), arrays[name]
-                assert got.dtype == want.dtype, name
-                assert np.array_equal(got, want), (name, bootstrap, min_leaf, max_depth)
+        assert_trees_equal(forest, expected, bootstrap, min_leaf, max_depth)
 
 
 N_TARGETS = 36
@@ -618,12 +617,7 @@ def test_fit_refuses_targets_it_cannot_sum_exactly(task, bad, refusal):
             rf_fit(vectors, labels, config, task=task)
         return
     forest = rf_fit(vectors, labels, config, task=task)
-    expected = forest_oracle.fit_trees(vectors, labels, config, task)
-    for tree, arrays in zip(forest.trees, expected, strict=True):
-        for name in TREE_FIELDS:
-            got, want = getattr(tree, name), arrays[name]
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
+    assert_trees_equal(forest, forest_oracle.fit_trees(vectors, labels, config, task))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

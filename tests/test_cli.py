@@ -2,6 +2,7 @@
 subcommand leaves behind."""
 
 import argparse
+import codecs
 import contextlib
 import csv
 import io
@@ -526,6 +527,22 @@ def test_train_skips_a_non_finite_vector_row(capsys, tmp_path, synth_dataset):
     assert provenance[FILLER[1]] == "pretrained"
 
 
+def test_a_vector_file_may_start_with_a_byte_order_mark(capsys, tmp_path, synth_dataset):
+    # as a CSV may; the mark once became part of the first token, which then
+    # got a random row
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, dim=8)
+    vectors.write_bytes(codecs.BOM_UTF8 + vectors.read_bytes())
+    out = tmp_path / "runs"
+    code, _, err = run_cli(capsys, "prepare", "--data", str(synth_dataset), "--out", str(out),
+                           "--project", "alpha", "--vectors", str(vectors), "--dim", "8")
+    assert code == 0, err
+    rows = (out / "prepare" / "alpha.vocab.tsv").read_text().splitlines()
+    provenance = dict(line.split("\t")[::3] for line in rows)
+    assert provenance[FILLER[0]] == "pretrained"  # the file's first token
+    assert set(provenance.values()) == {"reserved", "pretrained"}
+
+
 def test_prepare_writes_what_the_embedding_table_holds(capsys, tmp_path, synth_dataset):
     # prepare builds no embedding table; its files must equal those written
     # from the table that training builds for the same split and vectors
@@ -608,12 +625,19 @@ def test_one_vector_pass_per_command(capsys, tmp_path, synth_dataset, monkeypatc
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", sorted(VECTOR_RUNS))
-@pytest.mark.parametrize("problem", ["missing", "wrong-dim"])
+@pytest.mark.parametrize("problem", ["missing", "wrong-dim", "undecodable"])
 def test_vector_file_errors_come_before_any_output(capsys, tmp_path, synth_dataset,
                                                    problem, command, jobs):
     vectors = tmp_path / "vectors.txt"
     if problem == "missing":
         expected = f"error: FileNotFoundError: vector file not found: {vectors}\n"
+    elif problem == "undecodable":
+        # the error once named no file
+        write_vectors(vectors, dim=8)
+        first, rest = vectors.read_bytes().split(b"\n", 1)
+        vectors.write_bytes(first + b"\ncaf\xff" + rest)
+        expected = (f"error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in "
+                    f"position {len(first) + 4}: {vectors}: invalid start byte\n")
     else:
         lines = write_vectors(vectors, dim=3)
         expected = (f"error: DimensionMismatchError: {vectors}: {lines} lines skipped "
@@ -841,6 +865,45 @@ def test_a_project_named_twice_is_refused(capsys, tmp_path, synth_dataset, comma
     assert code == 1
     assert err == expected
     assert stdout == "" and not out.exists()
+
+
+def tree_of(root):
+    """Every path under root, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", ["../data/alpha", "", ".", "..", "data/alpha", "/alpha"])
+@pytest.mark.parametrize("command", ["prepare", "baseline"])
+def test_a_project_that_is_not_a_file_name_is_refused(capsys, tmp_path, synth_dataset,
+                                                      command, name, source):
+    # a project name joins the data and output directories; "../data/alpha"
+    # once made prepare write alpha.split.txt and alpha.vocab.tsv into the
+    # data directory, and "" looked for "<data>/.csv"
+    extra = ("--project", name)
+    if source == "config":
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"project": [name]}))
+        extra = ("--config", str(cfg))
+    before = tree_of(tmp_path)
+    code, stdout, err = run_cli(
+        capsys, command, "--data", str(synth_dataset), "--out", str(tmp_path), *extra,
+    )
+    assert code == 1
+    assert err == f"error: StoryGraphError: project: {name!r} is not a file name\n"
+    assert stdout == "" and tree_of(tmp_path) == before
+
+
+def test_eval_refuses_a_model_whose_project_is_not_a_file_name(capsys, tmp_path,
+                                                              synth_dataset):
+    # the header's project names the data file eval reads, as a flag's would
+    model, _ = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    rewrite_header(model, project="../data/alpha")
+    code, out, err = run_cli(
+        capsys, "eval", "--data", str(synth_dataset), "--model", str(model)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: StoryGraphError: project: '../data/alpha' is not a file name\n"
 
 
 EMPTY_DATA = "error: EmptyDatasetError: {data}: no *.csv project files\n"

@@ -21,6 +21,7 @@ from storygraph.experiment import (
     accuracy_percent,
     derive_seed,
     emit_report,
+    eval_model,
     labels_for,
     mean_absolute_error,
     prepare_project,
@@ -35,6 +36,7 @@ from storygraph.graph import assign_edge_params, build_graphs, count_cooccurrenc
 from storygraph.model_io import load_model
 
 from conftest import make_dataset, synth_rows, write_project_csv, write_vectors
+from test_model_io import make_bundle
 
 
 def fast_train(seed=5):
@@ -80,11 +82,18 @@ def tok(doc_id, words, sp=2):
      "task: 'sp-as-label-regression' is not one of classify, regress"),
     (lambda p: ExperimentConfig(data_dir=p, windows=(2, 2)),
      "windows: 2 named more than once"),
+    (lambda p: ExperimentConfig(data_dir=p, projects=("alpha", "../alpha")),
+     "project: '../alpha' is not a file name"),
+    # a saved model's project, which eval_model reads the data file of
+    (lambda p: eval_model(ExperimentConfig(data_dir=p),
+                          replace(make_bundle()[0], project="../alpha")),
+     "project: '../alpha' is not a file name"),
     (lambda p: replace(TrainConfig(), window=0), "window: 0 is not >= 1"),
     (lambda p: RandomForestConfig(n_trees=0), "n_trees: 0 is not >= 1"),
     (lambda p: RandomForestConfig(bootstrap=1), "bootstrap: 1 is not a bool"),
     (lambda p: RandomForestConfig(max_features=7), "max_features: 7 is not one of auto, all"),
-], ids=["batch_size", "window-text", "dropout-bool", "jobs", "mode", "task", "windows", "replace",
+], ids=["batch_size", "window-text", "dropout-bool", "jobs", "mode", "task", "windows", "project-path",
+        "model-project-path", "replace",
         "forest-trees", "forest-bootstrap-int", "forest-max-features"])
 def test_configs_check_their_own_values(tmp_path, build, message):
     with pytest.raises(StoryGraphError) as err:

@@ -6,7 +6,15 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import byte_classes, expected_damage, mutations, read_header, rewrite_header, seal
+from conftest import (
+    byte_classes,
+    expected_damage,
+    mutations,
+    read_header,
+    rewrite_header,
+    seal,
+    tree_arrays,
+)
 
 from storygraph.baseline import (
     RandomForestConfig,
@@ -395,6 +403,17 @@ def fit_small_baseline(task="classify", seed=0):
     return BaselineBundle(tfidf=tfidf, forest=forest), xs
 
 
+def baseline_byte_classes(path, bundle):
+    """The byte positions of each part of the `.baseline` file at path,
+    written from bundle: its frame, header, idf, each tree's arrays and
+    checksum (see conftest.byte_classes)."""
+    array_bytes = [("idf", bundle.tfidf.idf.nbytes)]
+    for i, tree in enumerate(bundle.forest.trees):
+        array_bytes += [(f"tree {i} {name}", array.nbytes)
+                        for name, array in tree_arrays(tree).items()]
+    return byte_classes(path, array_bytes)
+
+
 @pytest.mark.parametrize("task", ["classify", "regress"])
 def test_baseline_round_trip(tmp_path, task):
     bundle, xs = fit_small_baseline(task)
@@ -497,22 +516,21 @@ def test_baseline_round_trip_preserves_tree_structure(tmp_path):
     save_baseline_model(path, bundle)
     loaded = load_baseline_model(path)
 
-    for a, b in zip(bundle.forest.trees, loaded.forest.trees):
-        for name in ("feature", "threshold", "left", "right", "value", "histogram"):
-            assert getattr(a, name).dtype == getattr(b, name).dtype
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(bundle.forest.trees, loaded.forest.trees, strict=True):
+        for name, saved in tree_arrays(a).items():
+            assert saved.dtype == getattr(b, name).dtype, name
+            assert np.array_equal(saved, getattr(b, name)), name
 
 
 def five_node_tree():
     """Root split on feature 0; its left child splits on feature 1; three
-    leaves. Preorder: 0 (1, 4), 1 (2, 3), leaves 2, 3, 4."""
+    leaves of classes 0, 1 and 0. Preorder: 0 (1, 4), 1 (2, 3), leaves 2,
+    3, 4."""
     return Tree(
         feature=np.array([0, 1, -1, -1, -1], dtype=np.int64),
         threshold=np.array([0.5, 0.25, 0.0, 0.0, 0.0]),
-        left=np.array([1, 2, -1, -1, -1], dtype=np.int64),
         right=np.array([4, 3, -1, -1, -1], dtype=np.int64),
-        value=np.zeros(5),
-        histogram=np.array([[0, 0], [0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.float64),
+        value=np.array([0.0, 0.0, 0.0, 1.0, 0.0]),
     )
 
 
@@ -533,7 +551,7 @@ def test_baseline_loads_hand_built_tree(tmp_path):
 
 
 def _self_loop(t):
-    t.left[0] = 0
+    t.right[0] = 0
 
 
 def _back_edge(t):
@@ -555,7 +573,7 @@ def _feature_out_of_range(t):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_self_loop, "left child that is not the next node"),
+        (_self_loop, "right child out of order"),
         (_back_edge, "right child out of order"),
         (_shared_child, "not the child of exactly one node"),
         (_leaf_with_one_child, "leaf with a right child"),
@@ -575,12 +593,35 @@ def test_baseline_rejects_malformed_tree(tmp_path, corrupt, message):
         load_baseline_model(path)
 
 
+@pytest.mark.parametrize("bad", [4.0, 2.0, -1.0, 0.5, np.nan])
+def test_baseline_rejects_a_leaf_class_the_forest_lacks(tmp_path, bad):
+    # the vote counts a tree's vote for the class its leaf's value names:
+    # 4.0 or 2.0 would crash it, -1.0 would count for the last class, and
+    # 0.5 or nan names no class
+    bundle, _ = fit_small_baseline()  # classes 0 and 1
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    tree = bundle.forest.trees[0]
+    leaf = int(np.flatnonzero(tree.feature < 0)[0])
+    at = baseline_byte_classes(path, bundle)["tree 0 value"].start + 8 * leaf
+    raw = bytearray(path.read_bytes())
+
+    def write_leaf(value):
+        raw[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(seal(bytes(raw[:-4])))
+
+    other = 1.0 - tree.value[leaf]
+    write_leaf(other)  # the other class: the rewrite alone is harmless
+    assert load_baseline_model(path).forest.trees[0].value[leaf] == other
+    write_leaf(bad)
+    with pytest.raises(CorruptFileError,
+                       match=f"tree node {leaf} has a leaf class that is not one of 0 to 1$"):
+        load_baseline_model(path)
+
+
 def test_baseline_rejects_empty_tree_and_unknown_task(tmp_path):
     bundle, _ = fit_small_baseline()
-    empty = five_node_tree()
-    for name in ("feature", "threshold", "left", "right", "value"):
-        setattr(empty, name, getattr(empty, name)[:0])
-    empty.histogram = empty.histogram[:0]
+    empty = Tree(**{name: array[:0] for name, array in tree_arrays(five_node_tree()).items()})
     with_trees(bundle, [empty])
     path = tmp_path / "m.baseline"
     save_baseline_model(path, bundle)
@@ -591,7 +632,7 @@ def test_baseline_rejects_empty_tree_and_unknown_task(tmp_path):
     bundle, _ = fit_small_baseline()
     save_baseline_model(path, bundle)
     rewrite_header(path, n_classes=-1)
-    with pytest.raises(CorruptFileError, match="negative shape"):
+    with pytest.raises(CorruptFileError, match="n_classes is -1, below 0$"):
         load_baseline_model(path)
 
 
@@ -622,19 +663,14 @@ def test_baseline_rejects_n_grams_shorter_than_a_word(tmp_path, max_ngram):
 @pytest.mark.parametrize("task", ["classify", "regress"])
 def test_every_byte_class_of_a_baseline_is_checked(tmp_path, task):
     # a seeded sample of single-byte damage in each part of the file; with
-    # the checksum test taken out, 127 of the 212 (classify) and 91 of the
-    # 182 (regress) load without complaint
+    # the checksum test taken out, 56 (classify) and 74 (regress) of the
+    # 152 load without complaint
     bundle, _ = fit_small_baseline(task)
     path = tmp_path / "m.baseline"
     save_baseline_model(path, bundle)
-    array_bytes = [("idf", bundle.tfidf.idf.nbytes)]
-    for i, tree in enumerate(bundle.forest.trees):
-        array_bytes += [(f"tree {i} {name}", getattr(tree, name).nbytes)
-                        for name in ("feature", "threshold", "left", "right", "value",
-                                     "histogram")]
     raw = path.read_bytes()
-    classes = byte_classes(path, array_bytes)
-    assert len(classes) == 5 + 1 + 5 * (6 if task == "classify" else 5)
+    classes = baseline_byte_classes(path, bundle)
+    assert len(classes) == 5 + 1 + 5 * 4
     for byte_class, what, blob in mutations(raw, classes, seed=23):
         path.write_bytes(blob)
         with pytest.raises((CorruptFileError, VersionMismatchError)) as err:
@@ -686,5 +722,5 @@ def test_a_loaded_baseline_is_read_only(tmp_path, task):
     loaded = load_baseline_model(path)
     assert not loaded.tfidf.idf.flags.writeable
     for tree in loaded.forest.trees:
-        for name in ("feature", "threshold", "left", "right", "value", "histogram"):
-            assert not getattr(tree, name).flags.writeable
+        for array in tree_arrays(tree).values():
+            assert not array.flags.writeable
