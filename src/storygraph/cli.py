@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the experiment operations: prepare (split
 manifests and vocabulary dumps), train (word-graph model, optionally with
 the baseline for a side-by-side table), baseline (tf-idf forest only),
 eval (score a saved model), stats (graph-scale analysis), sweep (window
-sizes). Option values resolve as: command-line flag, then config file
+sizes). Each subcommand offers only the flags its run reads, while a config
+file may hold any option; a run ignores the options it does not read.
+Option values resolve as: command-line flag, then config file
 (--config, JSON object keyed by option name), then built-in default. Each
 option is an ExperimentConfig or TrainConfig field declaring its default,
 type, choices and range, from which come the flags, the help's defaults and
@@ -32,6 +34,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import experiment as ex
@@ -82,8 +85,12 @@ def _add_embedding(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--vectors", help="pretrained word-vector text file")
 
 
-def _add_training(parser: argparse.ArgumentParser) -> None:
+def _add_window(parser: argparse.ArgumentParser) -> None:
     _option(parser, "--window", "sliding window size w")
+
+
+def _add_gnn_training(parser: argparse.ArgumentParser) -> None:
+    """The GNN's training flags, the window aside: a sweep sets it per run."""
     _option(parser, "--batch-size", "minibatch size", "batch_size")
     _option(parser, "--dropout", "input dropout rate")
     _option(parser, "--k", "minimum pair count for a private edge weight; rarer "
@@ -94,11 +101,15 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
     _option(parser, "--patience", "early-stopping patience in epochs")
     _option(parser, "--rounds", "message-passing rounds")
     _add_embedding(parser)
+
+
+def _add_report(parser: argparse.ArgumentParser, saves_models: bool) -> None:
     _option(parser, "--task", "classify effort levels or regress story points")
     parser.add_argument("--no-timings", action="store_true",
                         help="omit wall-clock columns so reruns are byte-identical")
-    parser.add_argument("--no-save-models", action="store_true",
-                        help="skip writing model files")
+    if saves_models:
+        parser.add_argument("--no-save-models", action="store_true",
+                            help="skip writing model files")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Story-point effort estimation from issue text: "
         "per-document word-graph classifier vs tf-idf random forest.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is spelled in full: `sweep --window 5` would otherwise set --windows
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("prepare", help="write split manifests and vocabulary dumps")
     _add_common(p)
@@ -116,14 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the word-graph model (and baseline)")
     _add_common(p)
-    _add_training(p)
+    _add_window(p)
+    _add_gnn_training(p)
+    _add_report(p, saves_models=True)
     _option(p, "--model", "which model(s) to run")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=partial(_report, _scored))
 
     p = sub.add_parser("baseline", help="train and score the tf-idf forest only")
     _add_common(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_baseline)
+    _add_report(p, saves_models=True)
+    p.set_defaults(func=partial(_report, _scored, model="tfidf-rf"))
 
     p = sub.add_parser("eval", help="score a saved model on its own test split")
     _add_common(p)
@@ -133,16 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="graph-scale analysis without training")
     _add_common(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_stats)
+    _add_window(p)
+    p.set_defaults(func=partial(_report, ex.run_graph_stats, model="gnn"))
 
     p = sub.add_parser("sweep", help="edge counts and accuracy across window sizes")
     _add_common(p)
-    _add_training(p)
+    _add_gnn_training(p)
+    _add_report(p, saves_models=False)
     _option(p, "--model", "include accuracy by training at each window; "
             "tfidf-rf emits edge counts only")
     _option(p, "--windows", "comma-separated window sizes")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=partial(_report, ex.run_window_sweep))
     return parser
 
 
@@ -229,35 +245,19 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_and_print(run, config: ex.ExperimentConfig) -> int:
-    """Run the experiment, which writes its report; print the report's
-    summary lines and the first file it wrote."""
-    report = run(config)
+def _scored(config: ex.ExperimentConfig) -> ex.EvalReport:
+    """The classification or the regression run, as the config's task says."""
+    return (ex.run_regression if config.task == "regress" else ex.run_classification)(config)
+
+
+def _report(run, args: argparse.Namespace, **fixed) -> int:
+    """run(config), `fixed` fields set, which writes its report; print the
+    report's summary lines and the first file it wrote."""
+    report = run(_experiment_config(_given(args), **fixed))
     for line in report.summary():
         print(line)
     print(f"report: {report.files[0]}")
     return 0
-
-
-def _scored(config: ex.ExperimentConfig) -> int:
-    run = ex.run_regression if config.task == "regress" else ex.run_classification
-    return _run_and_print(run, config)
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    return _scored(_experiment_config(_given(args)))
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    return _scored(_experiment_config(_given(args), model="tfidf-rf"))
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    return _run_and_print(ex.run_graph_stats, _experiment_config(_given(args), model="gnn"))
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_and_print(ex.run_window_sweep, _experiment_config(_given(args)))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

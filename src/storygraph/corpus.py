@@ -31,6 +31,7 @@ from .errors import (
     InvalidStoryPointError,
     MalformedHeaderError,
     TaggerFailureError,
+    at_file_offset,
 )
 from .tagging import CONTENT_TAGS, PosTagger
 
@@ -141,39 +142,43 @@ def load_issues(path: str | Path) -> tuple[list[Issue], LoadReport]:
     # shorter than some tracker descriptions with pasted logs
     csv.field_size_limit(max(csv.field_size_limit(), path.stat().st_size))
 
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = [h.strip().lower() for h in (reader.fieldnames or [])]
-        required = ("issuekey", "title", "description", "storypoint")
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise MalformedHeaderError(
-                f"{path}: missing required column(s) {missing}, header was {header}"
-            )
-        # map possibly-decorated header names back to the canonical ones
-        canon = {raw: raw.strip().lower() for raw in (reader.fieldnames or [])}
-
-        for row in reader:
-            report.rows_total += 1
-            values = {canon[k]: (v if v is not None else "") for k, v in row.items() if k is not None}
-            sp = _parse_story_point(values.get("storypoint") or "")
-            if sp is None:
-                report.skipped_story_point += 1
-                continue
-            key = (values.get("issuekey") or "").strip()
-            if not key or key in seen_keys:
-                report.skipped_duplicate_key += 1
-                continue
-            seen_keys.add(key)
-            issues.append(
-                Issue(
-                    project=project,
-                    issue_key=key,
-                    title=(values.get("title") or "").strip(),
-                    description=(values.get("description") or "").strip(),
-                    story_point=sp,
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.DictReader(handle)
+            header = [h.strip().lower() for h in (reader.fieldnames or [])]
+            required = ("issuekey", "title", "description", "storypoint")
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise MalformedHeaderError(
+                    f"{path}: missing required column(s) {missing}, header was {header}"
                 )
-            )
+            # map possibly-decorated header names back to the canonical ones
+            canon = {raw: raw.strip().lower() for raw in (reader.fieldnames or [])}
+
+            for row in reader:
+                report.rows_total += 1
+                values = {canon[k]: (v if v is not None else "")
+                          for k, v in row.items() if k is not None}
+                sp = _parse_story_point(values.get("storypoint") or "")
+                if sp is None:
+                    report.skipped_story_point += 1
+                    continue
+                key = (values.get("issuekey") or "").strip()
+                if not key or key in seen_keys:
+                    report.skipped_duplicate_key += 1
+                    continue
+                seen_keys.add(key)
+                issues.append(
+                    Issue(
+                        project=project,
+                        issue_key=key,
+                        title=(values.get("title") or "").strip(),
+                        description=(values.get("description") or "").strip(),
+                        story_point=sp,
+                    )
+                )
+    except UnicodeDecodeError as err:
+        raise at_file_offset(err, path) from None
 
     report.issues_loaded = len(issues)
     if not issues:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import StoryPointLevel, TokenizedDocument, bucket_level
-from .errors import DimensionMismatchError, EmptyTrainingSetError, named_error
+from .errors import DimensionMismatchError, EmptyTrainingSetError, at_file_offset, named_error
 
 UNKNOWN_TOKEN = "<unk>"
 
@@ -132,7 +132,7 @@ def load_pretrained_vectors(
                     vectors[token] = vec
                 good += 1
     except UnicodeDecodeError as err:
-        raise named_error(err, path) from None
+        raise named_error(at_file_offset(err, path), path) from None
     if skipped > good:
         raise DimensionMismatchError(
             f"{path}: {skipped} lines skipped vs {good} parsed; "

@@ -108,6 +108,28 @@ def named_error(err: Exception, name: str | Path) -> Exception:
         return MemoryError(f"{name}: {err}") if isinstance(err, MemoryError) else err
 
 
+def at_file_offset(err: UnicodeDecodeError, path: str | Path) -> UnicodeDecodeError:
+    """err, raised while reading the UTF-8 file at `path` as text, placed at
+    the file offset of the file's first byte that is not UTF-8, a leading
+    byte-order mark counted; a text reader places it in the chunk it was
+    decoding. The file is searched in binary one line at a time, which a
+    newline, never part of a multibyte character, divides exactly. The
+    error's object is the file's bytes to the end of that line, so that its
+    position indexes the byte it names. err itself if no such byte is found."""
+    offset = 0
+    with open(path, "rb") as handle:
+        for line in handle:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as found:
+                handle.seek(0)
+                return UnicodeDecodeError(found.encoding, handle.read(offset) + line,
+                                          offset + found.start, offset + found.end,
+                                          found.reason)
+            offset += len(line)
+    return err
+
+
 # --- config options -------------------------------------------------------
 
 def option(default=MISSING, kind=None, *, key=None, choices=None, low=None, high=None,

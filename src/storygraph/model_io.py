@@ -24,7 +24,8 @@ refuses a tree that breaks it, a classification leaf whose value is not a
 class of the forest, and a tree count other than the config's. Its class
 count states the task: regression has none. Either header's config must
 meet its dataclass's declared legal values, every other header field must
-have exactly its JSON type, and a token or term may be listed once.
+have exactly its JSON type, and a token or term may be listed once; a
+`.model`'s first token is embeddings.UNKNOWN_TOKEN.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .baseline import Forest, RandomForestConfig, TfidfModel, Tree
 from .corpus import class_count
-from .embeddings import Vocabulary
+from .embeddings import UNKNOWN_TOKEN, Vocabulary
 from .errors import CorruptFileError, StoryGraphError, VersionMismatchError
 from .gnn import ModelParameters, TrainConfig
 from .graph import EdgeTable, decode_pairs
@@ -204,6 +205,9 @@ def load_model(path: str | Path) -> ModelBundle:
     tokens, class_values, n_pairs = h["tokens"], tuple(h["class_values"]), h["n_pairs"]
     v, d, c = len(tokens), h["dim"], class_count(class_values)
     token_to_id = _positions(path, "token", tokens)
+    if tokens[:1] != [UNKNOWN_TOKEN]:
+        # every unseen word takes token 0's row
+        raise CorruptFileError(f"{path}: the token list does not start with {UNKNOWN_TOKEN!r}")
     if list(class_values) != sorted(set(class_values)) or min(class_values, default=1) < 1:
         raise CorruptFileError(f"{path}: story-point values {reprlib.repr(class_values)} "
                                "are not strictly increasing and >= 1")

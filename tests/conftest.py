@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic issue datasets with level-correlated wording,
-a measure of the memory a call allocates, and model-file surgery.
+the benchmark's corpus generator, a measure of the memory a call
+allocates, and model-file surgery.
 
 The published issue corpus is not bundled, so tests that need trainable
 data fabricate projects whose vocabulary correlates with the effort level.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import struct
 import tracemalloc
@@ -19,6 +21,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+def load_corpus_gen():
+    """The benchmark's corpus generator (perfbench/corpus_gen.py), imported
+    from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus_gen", Path(__file__).resolve().parent.parent / "perfbench" / "corpus_gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 LEVEL_POOLS = {
     0: ["button", "color", "tooltip", "label", "typo", "font", "icon", "padding"],

@@ -4,13 +4,17 @@ Criteria 1, 2, 9 and 10 are pure property/oracle checks and always run.
 Criteria 3 through 8 replicate published benchmark numbers and need the
 issue dataset: point STORYGRAPH_DATA at the directory of per-project CSV
 files to enable them (and optionally STORYGRAPH_VECTORS at a word-vector
-text file). Without it they skip, never silently pass.
+text file). Without it they skip, never silently pass. Each of them
+compares what a measure function returns with the published values, and
+test_criteria_03_to_08_measure_a_generated_corpus runs every measure, on
+any checkout, on a corpus the benchmark's generator writes.
 """
 
 import os
 import statistics
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,10 @@ from storygraph.corpus import (
 from storygraph.embeddings import EncodedDocument, build_vocab
 from storygraph.experiment import (
     MODE_FILTERED,
+    MODE_RAW,
+    EvalReport,
     ExperimentConfig,
+    ProjectResult,
     run_classification,
     run_graph_stats,
     run_regression,
@@ -47,7 +54,9 @@ from storygraph.model_io import (
     save_model,
 )
 
-from conftest import make_dataset
+from conftest import load_corpus_gen, make_dataset
+
+corpus_gen = load_corpus_gen()
 
 SEEDS = (13, 42, 2021)  # fixed retry seeds; per-project results take the median
 
@@ -94,27 +103,15 @@ def full_config(data: Path, out: Path, seed: int, **overrides) -> ExperimentConf
 @pytest.fixture(scope="module")
 def published_classification(tmp_path_factory):
     """One full classification run per fixed seed, shared by criteria 5/6/8."""
-    data = dataset_dir()
-    runs = []
-    for seed in SEEDS:
-        out = tmp_path_factory.mktemp(f"classification-{seed}")
-        started = time.perf_counter()
-        report = run_classification(full_config(data, out, seed))
-        runs.append((report, time.perf_counter() - started))
-    return runs
+    return measure_classification(
+        full_config(dataset_dir(), tmp_path_factory.mktemp("classification"), SEEDS[0]), SEEDS)
 
 
 @pytest.fixture(scope="module")
 def published_filtered_classification(tmp_path_factory):
-    data = dataset_dir()
-    runs = []
-    for seed in SEEDS:
-        out = tmp_path_factory.mktemp(f"filtered-{seed}")
-        report = run_classification(
-            full_config(data, out, seed, text_mode=MODE_FILTERED)
-        )
-        runs.append(report)
-    return runs
+    config = full_config(dataset_dir(), tmp_path_factory.mktemp("filtered"), SEEDS[0],
+                         text_mode=MODE_FILTERED)
+    return [report for report, _ in measure_classification(config, SEEDS)]
 
 
 def median_by_project(reports, attr):
@@ -238,16 +235,75 @@ def test_criterion_02_graph_construction_oracle():
     assert elapsed < 10.0, f"graph oracle took {elapsed:.1f}s"
 
 
-# --- criterion 3 ---------------------------------------------------------------
+# --- criteria 3-8: measures --------------------------------------------------------
+#
+# Each measure returns the numbers its criterion compares with the published
+# values. The criteria run the measures on the published corpus and skip
+# without it; test_criteria_03_to_08_measure_a_generated_corpus runs every
+# measure on a generated one, checking only facts that hold on any corpus.
 
 
-def test_criterion_03_level_histogram():
-    data = dataset_dir()
+def measure_level_histogram(data: Path) -> Counter:
+    """Issues per effort level, by level name, over every project file."""
     histogram = Counter()
     for csv_path in sorted(data.glob("*.csv")):
         issues, _ = load_issues(csv_path)
         for issue in issues:
             histogram[bucket_level(issue.story_point).name.title()] += 1
+    return histogram
+
+
+def measure_edge_counts(csv_path: Path, windows) -> dict[int, int]:
+    """Distinct co-occurring token pairs of one project's issues, per window."""
+    issues, _ = load_issues(csv_path)
+    docs, _ = tokenize_issues(issues)
+    vocab, _ = build_vocab(docs, {}, seed=0, dim=2)
+    encoded = vocab.encode_all(docs)
+    return {w: len(count_cooccurrences(encoded, w)) for w in sorted(windows)}
+
+
+def measure_classification(config: ExperimentConfig, seeds) -> list[tuple[EvalReport, float]]:
+    """One classification run per master seed, each under its own directory,
+    with its wall time in seconds."""
+    runs = []
+    for seed in seeds:
+        started = time.perf_counter()
+        report = run_classification(replace(config, output_dir=config.output_dir / str(seed),
+                                             train=replace(config.train, seed=seed)))
+        runs.append((report, time.perf_counter() - started))
+    return runs
+
+
+def measure_forest_seconds(config: ExperimentConfig) -> float:
+    """Wall time of a whole forest-only classification run, one project at
+    a time, loading and scoring included."""
+    started = time.perf_counter()
+    run_classification(replace(config, model="tfidf-rf", jobs=1))
+    return time.perf_counter() - started
+
+
+def measure_regression_mae(config: ExperimentConfig) -> dict[str, float]:
+    """Each project's GNN MAE with story points as the labels."""
+    report = run_regression(replace(config, model="gnn"))
+    return {r.project: r.gnn_mae for r in report.rows}
+
+
+def measure_filter_scale(config: ExperimentConfig,
+                         project: str) -> tuple[ProjectResult, ProjectResult]:
+    """One project's graph-scale row in raw and in verb-noun-filter mode."""
+    config = replace(config, projects=(project,))
+    raw = run_graph_stats(replace(config, output_dir=config.output_dir / "raw",
+                                  text_mode=MODE_RAW))
+    filtered = run_graph_stats(replace(config, output_dir=config.output_dir / "filtered",
+                                       text_mode=MODE_FILTERED))
+    return raw.rows[0], filtered.rows[0]
+
+
+# --- criterion 3 ---------------------------------------------------------------
+
+
+def test_criterion_03_level_histogram():
+    histogram = measure_level_histogram(dataset_dir())
     assert sum(histogram.values()) == 23313
     assert dict(histogram) == PUBLISHED_LEVEL_HISTOGRAM
 
@@ -261,13 +317,7 @@ def test_criterion_04_edge_scale():
     if not csv_path.is_file():
         pytest.skip("jirasoftware.csv not present under STORYGRAPH_DATA")
     started = time.perf_counter()
-    issues, _ = load_issues(csv_path)
-    docs, _ = tokenize_issues(issues)
-    vocab, _ = build_vocab(docs, {}, seed=0, dim=2)
-    encoded = vocab.encode_all(docs)
-    measured = {
-        w: len(count_cooccurrences(encoded, w)) for w in sorted(PUBLISHED_EDGE_COUNTS)
-    }
+    measured = measure_edge_counts(csv_path, PUBLISHED_EDGE_COUNTS)
     counts = [measured[w] for w in sorted(measured)]
     assert counts == sorted(set(counts)), "edge counts must increase with window"
     for w, published in PUBLISHED_EDGE_COUNTS.items():
@@ -299,13 +349,11 @@ def test_criterion_06_baseline_accuracy(published_classification, tmp_path):
     medians = median_by_project(reports, "baseline_accuracy")
     average = statistics.mean(medians.values())
     assert abs(average - BASELINE_AVERAGE) <= 5.0, f"average {average:.2f}"
-    # a whole forest-only run, one project at a time, loading and scoring
-    # included, against the sum of the GNN's per-project training times
+    # a whole forest-only run against the sum of the GNN's per-project
+    # training times
     for seed, report in zip(SEEDS, reports):
-        started = time.perf_counter()
-        run_classification(full_config(dataset_dir(), tmp_path / str(seed), seed,
-                                       model="tfidf-rf", jobs=1))
-        baseline_time = time.perf_counter() - started
+        baseline_time = measure_forest_seconds(
+            full_config(dataset_dir(), tmp_path / str(seed), seed))
         gnn_time = sum(r.train_seconds for r in report.rows)
         assert baseline_time < 0.5 * gnn_time, (
             f"baseline {baseline_time:.0f}s vs gnn {gnn_time:.0f}s"
@@ -316,10 +364,7 @@ def test_criterion_06_baseline_accuracy(published_classification, tmp_path):
 
 
 def test_criterion_07_regression_mae(tmp_path):
-    data = dataset_dir()
-    config = full_config(data, tmp_path, SEEDS[0], task="regress", model="gnn")
-    report = run_regression(config)
-    by_project = {r.project: r.gnn_mae for r in report.rows}
+    by_project = measure_regression_mae(full_config(dataset_dir(), tmp_path, SEEDS[0]))
     assert by_project.get("bamboo", 1.0) <= 0.1
     assert by_project.get("usergrid", 1.0) <= 0.5
     average = statistics.mean(by_project.values())
@@ -336,15 +381,8 @@ def test_criterion_08_verb_noun_filter(
     if not (data / "datamanagement.csv").is_file():
         pytest.skip("datamanagement.csv not present under STORYGRAPH_DATA")
 
-    raw_stats = run_graph_stats(
-        full_config(data, tmp_path / "raw", SEEDS[0],
-                    projects=("datamanagement",))
-    )
-    filtered_stats = run_graph_stats(
-        full_config(data, tmp_path / "filtered", SEEDS[0],
-                    projects=("datamanagement",), text_mode=MODE_FILTERED)
-    )
-    raw_row, filtered_row = raw_stats.rows[0], filtered_stats.rows[0]
+    raw_row, filtered_row = measure_filter_scale(
+        full_config(data, tmp_path, SEEDS[0]), "datamanagement")
     assert filtered_row.node_count <= 0.2 * raw_row.node_count, (
         f"nodes {raw_row.node_count} -> {filtered_row.node_count}"
     )
@@ -361,6 +399,52 @@ def test_criterion_08_verb_noun_filter(
     assert filtered_acc["datamanagement"] > raw_acc["datamanagement"]
     average = statistics.mean(filtered_acc.values())
     assert abs(average - FILTERED_AVERAGE) <= 5.0, f"average {average:.2f}"
+
+
+# --- criteria 3-8 on a generated corpus ------------------------------------------
+
+# the paper's project names, at the sizes of a generated corpus on which
+# criteria 3-8 once reached their published-number assertions
+GENERATED_PROJECTS = {"jirasoftware": 90, "datamanagement": 70, "bamboo": 40}
+GENERATED_CORPUS_SEED = 3
+
+
+def test_criteria_03_to_08_measure_a_generated_corpus(tmp_path):
+    """Every measure of criteria 3-8 runs here on any checkout, so a change
+    that breaks one fails without the published corpus. Only facts that
+    hold on any corpus are checked; no published number is."""
+    data = tmp_path / "data"
+    summary = corpus_gen.write_corpus(data, GENERATED_PROJECTS, GENERATED_CORPUS_SEED)
+    projects = sorted(GENERATED_PROJECTS)
+
+    assert sum(measure_level_histogram(data).values()) == summary["issues"]
+
+    edges = measure_edge_counts(data / "jirasoftware.csv", PUBLISHED_EDGE_COUNTS)
+    counts = [edges[w] for w in sorted(PUBLISHED_EDGE_COUNTS)]
+    assert all(a < b for a, b in zip(counts, counts[1:])), edges
+
+    config = ExperimentConfig(data_dir=data, output_dir=tmp_path / "runs",
+                              train=small_train_config(), embedding_dim=8,
+                              save_models=False)
+    for mode in (MODE_RAW, MODE_FILTERED):
+        runs = measure_classification(replace(config, text_mode=mode), SEEDS)
+        reports = [report for report, _ in runs]
+        for report in reports:
+            assert [r.project for r in report.rows] == projects
+            for r in report.rows:
+                # a NaN fails both comparisons
+                assert 0.0 <= r.gnn_accuracy <= 100.0 and 0.0 <= r.baseline_accuracy <= 100.0
+        for attr in ("gnn_accuracy", "baseline_accuracy"):
+            assert sorted(median_by_project(reports, attr)) == projects
+    assert measure_forest_seconds(config) > 0.0
+
+    mae = measure_regression_mae(config)
+    assert sorted(mae) == projects
+    assert all(value >= 0.0 for value in mae.values()), mae
+
+    raw, filtered = measure_filter_scale(config, "datamanagement")
+    assert filtered.node_count <= raw.node_count
+    assert filtered.edge_count <= raw.edge_count
 
 
 # --- criterion 9 ---------------------------------------------------------------

@@ -32,10 +32,12 @@ def clean_env(monkeypatch):
     monkeypatch.delenv(DATA_ENV_VAR, raising=False)
 
 
-FAST = [
-    "--window", "3", "--batch-size", "8", "--dropout", "0",
-    "--k", "1", "--epochs", "2", "--patience", "2", "--dim", "8",
+# the GNN-training flags of a quick run, the window aside, as sweep takes them
+FAST_TRAINING = [
+    "--batch-size", "8", "--dropout", "0", "--k", "1", "--epochs", "2", "--patience", "2",
+    "--dim", "8",
 ]
+FAST = ["--window", "3", *FAST_TRAINING]
 
 
 def run_cli(capsys, *argv):
@@ -68,19 +70,40 @@ def test_help_shows_defaults(capsys):
 
 COMMON_DEFAULTS = {"--data": "$STORYGRAPH_DATA", "--out": "runs", "--project": "all projects",
                    "--seed": "42", "--mode": "raw", "--jobs": "1"}
-TRAINING_DEFAULTS = {
-    **COMMON_DEFAULTS, "--window": "20", "--batch-size": "32", "--dropout": "0.5", "--k": "2",
-    "--lr": "0.001", "--weight-decay": "0.0001", "--epochs": "300", "--patience": "10",
-    "--rounds": "1", "--dim": "300", "--task": "classify",
+GNN_DEFAULTS = {
+    "--batch-size": "32", "--dropout": "0.5", "--k": "2", "--lr": "0.001",
+    "--weight-decay": "0.0001", "--epochs": "300", "--patience": "10", "--rounds": "1",
+    "--dim": "300",
 }
 HELP_DEFAULTS = {
     "prepare": {**COMMON_DEFAULTS, "--dim": "300"},
-    "train": {**TRAINING_DEFAULTS, "--model": "both"},
-    "baseline": TRAINING_DEFAULTS,
+    "train": {**COMMON_DEFAULTS, "--window": "20", **GNN_DEFAULTS, "--task": "classify",
+              "--model": "both"},
+    "baseline": {**COMMON_DEFAULTS, "--task": "classify"},
     "eval": COMMON_DEFAULTS,
-    "stats": TRAINING_DEFAULTS,
-    "sweep": {**TRAINING_DEFAULTS, "--model": "both", "--windows": "2,5,10,20,50,100"},
+    "stats": {**COMMON_DEFAULTS, "--window": "20"},
+    "sweep": {**COMMON_DEFAULTS, **GNN_DEFAULTS, "--task": "classify", "--model": "both",
+              "--windows": "2,5,10,20,50,100"},
 }
+
+COMMON_FLAGS = ["--data", "--out", "--config", "--project", "--seed", "--mode", "--jobs"]
+GNN_FLAGS = ["--batch-size", "--dropout", "--k", "--lr", "--weight-decay", "--epochs",
+             "--patience", "--rounds", "--dim", "--vectors"]
+# the flags train, baseline, stats and sweep once all took from one group
+TRAINING_FLAGS = ["--window", *GNN_FLAGS, "--task", "--no-timings", "--no-save-models"]
+# each subcommand's flags, in the order its help lists them
+FLAGS = {
+    "prepare": [*COMMON_FLAGS, "--dim", "--vectors"],
+    "train": [*COMMON_FLAGS, *TRAINING_FLAGS, "--model"],
+    "baseline": [*COMMON_FLAGS, "--task", "--no-timings", "--no-save-models"],
+    "eval": [*COMMON_FLAGS, "--model"],
+    "stats": [*COMMON_FLAGS, "--window"],
+    "sweep": [*COMMON_FLAGS, *GNN_FLAGS, "--task", "--no-timings", "--model", "--windows"],
+}
+# those baseline, stats and sweep no longer offer, since their runs never
+# read them; sweep's --window would abbreviate --windows if a parser allowed it
+UNREAD = [(command, flag) for command in ("baseline", "stats", "sweep")
+          for flag in TRAINING_FLAGS if flag not in FLAGS[command]]
 
 
 def subcommand_parsers():
@@ -95,6 +118,23 @@ def test_help_of_every_subcommand_shows_each_default():
                  for action in parser._actions
                  if (found := re.search(r"\(default: (.*)\)$", action.help or ""))}
         assert shown == HELP_DEFAULTS[command], command
+
+
+def test_each_subcommand_offers_the_flags_its_run_reads():
+    offered = {command: [action.option_strings[-1] for action in parser._actions
+                         if not isinstance(action, argparse._HelpAction)]
+               for command, parser in subcommand_parsers().items()}
+    assert offered == FLAGS
+    assert sum(map(len, offered.values())) == 78
+    assert len(UNREAD) == 26
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[" ".join(pair) for pair in UNREAD])
+def test_a_flag_the_run_does_not_read_is_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_config_file_keys_are_the_options_the_parsers_expose(capsys, tmp_path):
@@ -261,8 +301,8 @@ def report_scores(report_csv):
 
 
 @pytest.mark.parametrize("argv, kind, line", [
-    (("train",), "classification", "{0}: tfidf-rf {1}%, gnn {2}%"),
-    (("train", "--model", "gnn"), "classification", "{0}: gnn {2}%"),
+    (("train", *FAST), "classification", "{0}: tfidf-rf {1}%, gnn {2}%"),
+    (("train", "--model", "gnn", *FAST), "classification", "{0}: gnn {2}%"),
     (("baseline",), "classification", "{0}: tfidf-rf {1}%"),
     (("baseline", "--task", "regress"), "regression", "{0}: tfidf-rfr mae {1}"),
 ])
@@ -270,7 +310,7 @@ def test_score_lines_are_the_report_rows(capsys, tmp_path, synth_dataset,
                                          argv, kind, line):
     out = tmp_path / "runs"
     code, stdout, err = run_cli(
-        capsys, *argv, "--data", str(synth_dataset), "--out", str(out), *FAST
+        capsys, *argv, "--data", str(synth_dataset), "--out", str(out)
     )
     assert code == 0, err
     report = out / f"{kind}-raw" / "report.csv"
@@ -284,18 +324,18 @@ def test_score_lines_are_the_report_rows(capsys, tmp_path, synth_dataset,
 
 
 @pytest.mark.parametrize("argv, table, projects, line", [
-    (("stats",), "stats-raw/stats.csv", ["alpha", "beta"],
+    (("stats", "--window", "3"), "stats-raw/stats.csv", ["alpha", "beta"],
      "{0}: size {1}, nodes {2}, edges {3}"),
     (("sweep", "--model", "tfidf-rf", "--windows", "1,3"), "sweep-raw/sweep.csv",
      ["alpha", "alpha", "beta", "beta"], "{0} w={1}: {2} edges"),
-    (("sweep", "--model", "gnn", "--windows", "1,3"), "sweep-raw/sweep.csv",
+    (("sweep", "--model", "gnn", "--windows", "1,3", *FAST_TRAINING), "sweep-raw/sweep.csv",
      ["alpha", "alpha", "beta", "beta"], "{0} w={1}: {2} edges, accuracy {3}%"),
 ])
 def test_row_lines_are_the_table_rows(capsys, tmp_path, synth_dataset,
                                       argv, table, projects, line):
     out = tmp_path / "runs"
     code, stdout, err = run_cli(
-        capsys, *argv, "--data", str(synth_dataset), "--out", str(out), *FAST
+        capsys, *argv, "--data", str(synth_dataset), "--out", str(out)
     )
     assert code == 0, err
     rows = table_rows(out / table)
@@ -592,7 +632,7 @@ def test_prepare_writes_what_the_embedding_table_holds(capsys, tmp_path, synth_d
 VECTOR_RUNS = {
     "train": ("train", "--model", "gnn", *FAST),
     "prepare": ("prepare", "--dim", "8"),
-    "sweep": ("sweep", "--model", "gnn", "--windows", "2,3", *FAST),
+    "sweep": ("sweep", "--model", "gnn", "--windows", "2,3", *FAST_TRAINING),
 }
 
 
@@ -951,12 +991,22 @@ def test_readme_lists_the_declared_ranges():
     assert listed == declared
 
 
+def test_readme_lists_each_commands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme, re.MULTILINE)
+    listed = {command: [*COMMON_FLAGS, *re.findall(r"`(--[\w-]+)`", flags)]
+              for command, flags in rows}
+    assert listed == FLAGS
+
+
 def test_range_ends_are_legal(capsys, tmp_path, synth_dataset):
+    common = ("--data", str(synth_dataset), "--out", str(tmp_path / "o"), "--jobs", "1")
+    code, _, err = run_cli(capsys, "stats", *common, "--window", "1")
+    assert code == 0, err
     code, _, err = run_cli(
-        capsys, "stats", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
+        capsys, "sweep", *common, "--model", "tfidf-rf", "--windows", "1",
         "--dropout", "0", "--lr", "0", "--weight-decay", "0", "--batch-size", "1",
-        "--epochs", "1", "--patience", "1", "--rounds", "0", "--window", "1",
-        "--k", "1", "--dim", "1", "--jobs", "1",
+        "--epochs", "1", "--patience", "1", "--rounds", "0", "--k", "1", "--dim", "1",
     )
     assert code == 0, err
 

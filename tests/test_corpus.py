@@ -1,5 +1,6 @@
 """Loading, bucketing, tokenizing, and splitting."""
 
+import codecs
 import csv
 
 import pytest
@@ -111,6 +112,22 @@ def test_load_issues_reads_a_file_with_a_byte_order_mark(tmp_path):
     assert marked_issues == issues
     assert marked_report.rows_total == report.rows_total == 30
     assert marked_report.issues_loaded == report.issues_loaded
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_a_decode_error_gives_its_file_offset(tmp_path, bom):
+    # past a text reader's first chunks, whose positions are not file offsets
+    good = b"issuekey,title,description,storypoint\n" + b"".join(
+        b"P-%d,title %d,a description,2\n" % (i, i) for i in range(1500))
+    path = tmp_path / "proj.csv"
+    path.write_bytes(bom + good + b"B-1,t\xff,d,2\nB-2,t,d,3\n")
+    offset = len(bom) + len(good) + 5
+    with pytest.raises(UnicodeDecodeError) as caught:
+        load_issues(path)
+    err = caught.value
+    assert (err.start, err.end, err.object[err.start]) == (offset, offset + 1, 0xFF)
+    assert str(err) == (f"'utf-8' codec can't decode byte 0xff in position {offset}: "
+                        f"invalid start byte")
 
 
 def test_load_issues_missing_column(tmp_path):

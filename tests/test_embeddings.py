@@ -1,5 +1,6 @@
 """Vocabulary construction and pretrained-vector loading."""
 
+import codecs
 import math
 
 import numpy as np
@@ -141,6 +142,21 @@ def test_load_pretrained_vectors_wrong_dim(tmp_path):
 def test_load_pretrained_vectors_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_pretrained_vectors(tmp_path / "nope.txt", {"a"}, dim=3)
+
+
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_a_decode_error_gives_its_file_offset(tmp_path, bom):
+    # past a text reader's first chunks, whose positions are not file offsets
+    good = b"".join(b"w%d 1.0 2.0\n" % i for i in range(3000))
+    path = tmp_path / "vec.txt"
+    path.write_bytes(bom + good + b"caf\xff 1.0 2.0\nlast 1.0 2.0\n")
+    offset = len(bom) + len(good) + 3
+    with pytest.raises(UnicodeDecodeError) as caught:
+        load_pretrained_vectors(path, {"w1"}, dim=2)
+    err = caught.value
+    assert (err.start, err.end, err.object[err.start]) == (offset, offset + 1, 0xFF)
+    assert str(err) == (f"'utf-8' codec can't decode byte 0xff in position {offset}: "
+                        f"{path}: invalid start byte")
 
 
 def _vector_file(tmp_path, lines):

@@ -42,7 +42,6 @@ parameters with such documents among its training set.
 """
 
 import csv
-import importlib.util
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -64,7 +63,7 @@ from storygraph.experiment import (
 from storygraph.graph import build_graphs
 from storygraph.model_io import load_baseline_model, load_model
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import load_corpus_gen
 
 CORPUS_SEED = 101
 PROJECT = "atlas"
@@ -80,15 +79,6 @@ STALL_CORPUS_SEED = 7
 STALL_PROJECT = "cygnus"
 STALL_ISSUES = 250
 EARLY_EPOCH = 3  # the latest kept epoch that still counts as a stall
-
-
-def load_corpus_gen():
-    """The benchmark's corpus generator, imported from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "corpus_gen", ROOT / "perfbench" / "corpus_gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 corpus_gen = load_corpus_gen()

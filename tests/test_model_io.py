@@ -327,6 +327,19 @@ def test_rejects_a_token_listed_twice(tmp_path):
         load()
 
 
+@pytest.mark.parametrize("tokens", [["alpha", "<unk>", "beta", "gamma"], []], ids=str)
+def test_rejects_a_token_list_that_does_not_start_with_unk(tmp_path, tokens):
+    # a model whose token 0 is "alpha" once loaded, and every unseen word
+    # then took alpha's row
+    path = tmp_path / "m"
+    load, _, _ = saved_model_header(path)
+    assert read_header(path)["tokens"] == ["<unk>", "alpha", "beta", "gamma"]
+    rewrite_header(path, tokens=tokens)
+    with pytest.raises(CorruptFileError, match=f"{path}: the token list does not start "
+                       "with '<unk>'"):
+        load()
+
+
 def test_baseline_rejects_a_term_listed_twice(tmp_path):
     path = tmp_path / "m"
     load, _, _ = saved_baseline_header(path)
@@ -682,7 +695,7 @@ def test_every_byte_class_of_a_baseline_is_checked(tmp_path, task):
 def test_a_loaded_model_holds_its_file_once_and_read_only(tmp_path, traced_peak):
     # a model of about 1 MB: copying each array out of the file's bytes
     # peaked at about 2.2 times the file
-    tokens = [f"t{i}" for i in range(2000)]
+    tokens = ["<unk>", *(f"t{i}" for i in range(1999))]
     params = init_parameters(np.random.default_rng(5).normal(size=(2000, 64)), 1, 4, seed=5)
     path = tmp_path / "m.model"
     save_model(path, ModelBundle(
