@@ -183,18 +183,6 @@ class RandomForestConfig:
 
     __post_init__ = check_options
 
-    def describe(self) -> str:
-        """One line for report headers; the seed is derived per project."""
-        depth = (
-            "unlimited depth" if self.max_depth is None else f"max depth {self.max_depth}"
-        )
-        features = {
-            "auto": "sqrt(F) features (classify) / F/3 (regress)",
-            "all": "all F features",
-        }[self.max_features]
-        text = f"{self.n_trees} trees, {depth}, min leaf {self.min_leaf}, {features}"
-        return text if self.bootstrap else text + ", no bootstrap"
-
 
 @dataclass
 class Tree:

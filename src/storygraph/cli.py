@@ -7,11 +7,15 @@ eval (score a saved model), stats (graph-scale analysis), sweep (window
 sizes). Each subcommand offers only the flags its run reads, while a config
 file may hold any option; a run ignores the options it does not read.
 Option values resolve as: command-line flag, then config file
-(--config, JSON object keyed by option name), then built-in default. Each
-option is an ExperimentConfig or TrainConfig field declaring its default,
-type, choices and range, from which come the flags, the help's defaults and
-the config-file keys; a config checks each value when built, from a flag, a
-config file, a library caller or a saved model's header.
+(--config, JSON object keyed by option name, a path in it relative to
+the working directory), then built-in default. Each option is an
+ExperimentConfig or TrainConfig field declaring its default, type, choices
+and range, from which come the flags, the help's defaults and the
+config-file keys; a config checks each value when built, from a flag, a
+config file, a library caller or a saved model's header. A run's
+config.json is such a file, holding the options that can change the run's
+outputs, so `--config <run>/config.json` with the same --data, --project
+and --no-timings reruns it.
 
 eval takes the run from the model file: project, text mode, seed, window
 and k. It rebuilds that project's split, refuses the model if the split
@@ -48,12 +52,6 @@ DATA_ENV_VAR = "STORYGRAPH_DATA"
 def _text(value) -> str:
     """A config value as a flag spells it: a tuple comma-separated."""
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-def _values(config: ex.ExperimentConfig) -> dict:
-    """Option key -> the value `config` holds for it."""
-    return {key: getattr(part, f.name) for part in (config, config.train)
-            for key, f in options(type(part)).items()}
 
 
 def _option(parser: argparse.ArgumentParser, flag: str, text: str,
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="graph-scale analysis without training")
     _add_common(p)
     _add_window(p)
-    p.set_defaults(func=partial(_report, ex.run_graph_stats, model="gnn"))
+    p.set_defaults(func=partial(_report, ex.run_graph_stats))
 
     p = sub.add_parser("sweep", help="edge counts and accuracy across window sizes")
     _add_common(p)
@@ -272,8 +270,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         embedding_dim=bundle.params.embeddings.shape[1],
         train=bundle.config,
     )
-    asked_values = _values(asked)
-    for key, saved in _values(config).items():
+    asked_values = ex.option_values(asked)
+    for key, saved in ex.option_values(config).items():
         # the model fixes the options replaced above; one left at its
         # default never conflicts with it
         if key in given and asked_values[key] != saved:

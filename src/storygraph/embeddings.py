@@ -92,8 +92,9 @@ def load_pretrained_vectors(
     path: str | Path, tokens: Iterable[str], dim: int
 ) -> dict[str, np.ndarray]:
     """The rows of `tokens` in a plain-text vector file, which holds one
-    token followed by `dim` space-separated floats per line, in UTF-8 with
-    or without a byte-order mark, as corpus.load_issues reads a CSV.
+    token followed by `dim` space-separated floats per line, trailing
+    whitespace allowed, in UTF-8 with or without a byte-order mark, as
+    corpus.load_issues reads a CSV.
 
     One streaming pass: every line's field count is checked, but numbers
     are converted only on lines whose token is wanted, so memory follows
@@ -114,10 +115,14 @@ def load_pretrained_vectors(
     try:
         with open(path, encoding="utf-8-sig") as handle:
             for line in handle:
-                # a line of dim + 1 fields holds exactly dim separators
+                # a line of dim + 1 fields holds exactly dim separators,
+                # once any trailing whitespace goes: fastText's writer ends
+                # each row with a space
                 if line.count(" ") != dim:
-                    skipped += 1
-                    continue
+                    line = line.rstrip()
+                    if line.count(" ") != dim:
+                        skipped += 1
+                        continue
                 token, _, rest = line.partition(" ")
                 if token in wanted:
                     try:

@@ -3,8 +3,9 @@
 Every run follows the same shape: load a project's issues, tokenize
 (optionally keeping only verbs and nouns), split, then train and score the
 word-graph model and the tf-idf forest on byte-identical splits. Results
-land in one subdirectory per experiment: report files, model files, and a
-config snapshot.
+land in one subdirectory per experiment: report files, model files, and
+config.json, the run's settings as a config file states them: the options
+that can change its outputs, which --config reads back.
 
 Seeding: one master seed; each project/component pair gets its own stream
 through stable hashing, so projects are independent and safe to run in
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
@@ -43,15 +44,13 @@ from .embeddings import (
     load_pretrained_vectors,
     row_provenance,
 )
-from .errors import EmptyDatasetError, StoryGraphError, check_options, named_error, option
+from .errors import (EmptyDatasetError, StoryGraphError, check_options, named_error,
+                     option, options)
 from .graph import assign_edge_params, build_graphs, count_cooccurrences
 from .model_io import BaselineBundle, ModelBundle, save_baseline_model, save_model
 from .tagging import LexiconTagger
 
 DEFAULT_WINDOWS = (2, 5, 10, 20, 50, 100)
-
-# each task's name in the paper, as the config echo spells it
-TASK_NAMES = {"classify": "level-classification", "regress": "sp-as-label-regression"}
 MODE_RAW = "raw"
 MODE_FILTERED = "verb-noun-filter"
 
@@ -67,7 +66,7 @@ class ExperimentConfig:
     # (): every *.csv; a project is its file's name without .csv
     projects: tuple[str, ...] = option((), str, key="project", many=True, file_name=True)
     text_mode: str = option(MODE_RAW, key="mode", choices=(MODE_RAW, MODE_FILTERED))
-    task: str = option("classify", choices=tuple(TASK_NAMES))
+    task: str = option("classify", choices=("classify", "regress"))
     model: str = option("both", choices=("gnn", "tfidf-rf", "both"))
     jobs: int = option(1, int, low=1)
     embedding_dim: int = option(300, int, key="dim", low=1)
@@ -87,20 +86,11 @@ class ExperimentConfig:
             raise EmptyDatasetError(f"{self.data_dir}: no *.csv project files")
         return found
 
-    def echo(self) -> dict[str, object]:
-        """Everything a reader needs to audit or rerun the experiment."""
-        return {
-            **asdict(self.train),
-            "task": TASK_NAMES[self.task],
-            "text_mode": self.text_mode,
-            "model": self.model,
-            "optimizer": "adam",
-            "embedding_dim": self.embedding_dim,
-            "vectors": self.vectors_path.name if self.vectors_path else "none",
-            "windows": list(self.windows),
-            "idf": "ln((1+N)/(1+df))+1",
-            "forest": bl.RandomForestConfig().describe(),
-        }
+
+def option_values(config: ExperimentConfig) -> dict:
+    """Option key -> the value `config` holds for it."""
+    return {key: getattr(part, f.name) for part in (config, config.train)
+            for key, f in options(type(part)).items()}
 
 
 def derive_seed(master: int, *parts: str) -> int:
@@ -408,7 +398,6 @@ def score_columns(kind: str) -> tuple[tuple[str, str], ...]:
 @dataclass
 class EvalReport:
     kind: str  # a REPORT_COLUMNS key, "stats" (a run that trains nothing) or "sweep"
-    config_echo: dict
     rows: list[ProjectResult] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)  # as emit_report returns them
 
@@ -447,12 +436,29 @@ class EvalReport:
         ]
 
 
-def _write_config(config: ExperimentConfig, run_dir: Path) -> None:
-    """The config snapshot of a run whose every project has succeeded."""
+def _write_config(config: ExperimentConfig, kind: str, trains_gnn: bool, run_dir: Path) -> None:
+    """config.json of a run whose every project has succeeded: the value of
+    each option that can change its outputs, as a config file holds it (a
+    path as its text). A stats run reads the seed, mode and window; any
+    other the seed, mode and model, and the task unless it is a forest-only
+    sweep; a GNN run also every training option, the dimension and any
+    vector file; and a sweep its windows in place of the window."""
+    if kind == "stats":
+        keys = {"seed", "mode", "window"}
+    else:
+        keys = {"seed", "mode", "model"}
+        if trains_gnn:
+            keys |= {"task", "dim", "vectors", *options(gnn.TrainConfig)}
+        elif kind != "sweep":
+            keys.add("task")
+    if kind == "sweep":
+        keys = keys - {"window"} | {"windows"}
+    values = option_values(config)
+    written = {key: values[key] for key in sorted(keys) if values[key] is not None}
     run_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(sorted(config.echo().items()))
     (run_dir / "config.json").write_text(
-        json.dumps(snapshot, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+        json.dumps(written, indent=2, ensure_ascii=False, default=str) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -499,35 +505,34 @@ def _collect(
         raise StoryGraphError("a worker process ended without a result") from err
 
 
-def _run(config: ExperimentConfig, kind: str, run_one, use_vectors: bool) -> EvalReport:
+def _run(config: ExperimentConfig, kind: str, run_one) -> EvalReport:
     """The report of the rows run_one returns for each project, in project
-    order. The run directory, <kind>-<mode>, gets the report files and the
-    config snapshot only once every project has succeeded (a model save
-    makes it earlier)."""
+    order. The run directory, <kind>-<mode>, gets the report files and
+    config.json only once every project has succeeded (a model save makes
+    it earlier)."""
     run_dir = config.output_dir / f"{kind}-{config.text_mode}"
-    results = _collect(config, config.resolved_projects(), run_dir, run_one, use_vectors)
-    report = EvalReport(kind, config.echo(), [row for rows in results for row in rows])
-    _write_config(config, run_dir)
+    trains_gnn = kind != "stats" and _trains_gnn(config)
+    results = _collect(config, config.resolved_projects(), run_dir, run_one, trains_gnn)
+    report = EvalReport(kind, [row for rows in results for row in rows])
+    _write_config(config, kind, trains_gnn, run_dir)
     report.files = emit_report(report, run_dir)
     return report
 
 
 def run_classification(config: ExperimentConfig) -> EvalReport:
     """Per-project effort-level accuracy for the selected model(s)."""
-    return _run(replace(config, task="classify"), "classification",
-                _run_project, _trains_gnn(config))
+    return _run(replace(config, task="classify"), "classification", _run_project)
 
 
 def run_regression(config: ExperimentConfig) -> EvalReport:
     """Per-project story-point MAE, story points used directly as labels."""
-    return _run(replace(config, task="regress"), "regression",
-                _run_project, _trains_gnn(config))
+    return _run(replace(config, task="regress"), "regression", _run_project)
 
 
 def run_graph_stats(config: ExperimentConfig) -> EvalReport:
     """Graph-scale analysis without training: per project, the size of the
     training split and the distinct node/edge counts of its word graphs."""
-    return _run(config, "stats", _stats_project, use_vectors=False)
+    return _run(config, "stats", _stats_project)
 
 
 # --- window sweep -----------------------------------------------------------
@@ -566,7 +571,7 @@ def run_window_sweep(config: ExperimentConfig) -> EvalReport:
     split, the quantity that grows with the window; accuracy re-trains the
     model at each window unless the model selection excludes it.
     """
-    return _run(config, "sweep", _sweep_project, _trains_gnn(config))
+    return _run(config, "sweep", _sweep_project)
 
 
 # --- split manifests and saved models ---------------------------------------
@@ -628,14 +633,7 @@ def _fmt(value: float | int | None, spec: str = ".2f") -> str:
     return "-" if value is None else format(value, spec)
 
 
-def _comment_lines(echo: dict) -> list[str]:
-    return [f"# {key} = {echo[key]}" for key in sorted(echo)]
-
-
-def _write_tables(
-    out: Path, stem: str, comments: list[str], header: list[str],
-    body: list[list[str]],
-) -> list[Path]:
+def _write_tables(out: Path, stem: str, header: list[str], body: list[list[str]]) -> list[Path]:
     """The table as <stem>.csv and as column-aligned <stem>.txt."""
     widths = [
         max(len(header[i]), *(len(row[i]) for row in body), 1)
@@ -654,7 +652,7 @@ def _write_tables(
     paths = []
     for suffix, lines in tables.items():
         path = out / (stem + suffix)
-        path.write_text("\n".join([*comments, *lines]) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths.append(path)
     return paths
 
@@ -663,23 +661,19 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """Write the report's tables as plain text and as comma-separated values;
     returns the files written, the kind's own table first.
 
-    The config echo rides along as '#' comment lines, and '-' stands for a
-    value the run did not compute or time. A sweep gets the sweep table;
-    every other kind gets the stats table, after the report table if the
-    kind has scores.
+    '-' stands for a value the run did not compute or time. A sweep gets
+    the sweep table; every other kind gets the stats table, after the
+    report table if the kind has scores.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    comments = _comment_lines(report.config_echo)
 
     if report.kind == "sweep":
         body = [
             [r.project, str(r.window), _fmt(r.edge_count, "d"), _fmt(r.gnn_accuracy)]
             for r in report.rows
         ]
-        return _write_tables(
-            out, "sweep", comments, ["Project", "Window", "Edges", "Accuracy"], body
-        )
+        return _write_tables(out, "sweep", ["Project", "Window", "Edges", "Accuracy"], body)
 
     written: list[Path] = []
     if report.kind in REPORT_COLUMNS:
@@ -698,7 +692,7 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
                 ["", "Average", *(_fmt(report.average(attr)) for _, attr in columns), ""]
             )
         header = ["No", "Software", *(column for column, _ in columns), "SplitHash"]
-        written += _write_tables(out, "report", comments, header, body)
+        written += _write_tables(out, "report", header, body)
 
     body = [
         [
@@ -711,4 +705,4 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
         for r in report.rows
     ]
     header = ["Project", "Size", "Nodes", "Edges", "TrainTime"]
-    return written + _write_tables(out, "stats", comments, header, body)
+    return written + _write_tables(out, "stats", header, body)

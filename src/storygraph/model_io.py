@@ -31,6 +31,7 @@ have exactly its JSON type, and a token or term may be listed once; a
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import struct
 import zlib
@@ -90,7 +91,7 @@ class _Arrays:
     def take(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         if min(shape) < 0:
             raise CorruptFileError(f"{self.path}: array of negative shape {shape}")
-        want = int(np.prod(shape))
+        want = math.prod(shape)  # a Python int: np.prod wraps past 2**63
         end = self.pos + want * np.dtype(dtype).itemsize
         if end > len(self.data):
             raise CorruptFileError(f"{self.path}: array section truncated: "

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from storygraph.cli import DATA_ENV_VAR, build_parser, main
+from storygraph.cli import DATA_ENV_VAR, _given, build_parser, main
 from storygraph.errors import options
 from storygraph.experiment import ExperimentConfig, _run_project
 from storygraph.gnn import TrainConfig
@@ -289,10 +289,9 @@ def test_baseline_subcommand_trains_forest_only(capsys, tmp_path, synth_dataset)
 
 
 def table_rows(table_csv):
-    """The cells of each row of a report, stats or sweep table, header
-    and config comments left out."""
-    lines = [l for l in table_csv.read_text().splitlines() if not l.startswith("#")]
-    return [l.split(",") for l in lines[1:]]
+    """The cells of each row of a report, stats or sweep table, header left
+    out."""
+    return [l.split(",") for l in table_csv.read_text().splitlines()[1:]]
 
 
 def report_scores(report_csv):
@@ -434,6 +433,21 @@ def test_eval_accepts_options_that_agree_with_the_model(capsys, tmp_path, synth_
     )
     assert code == 0, err
     assert out.startswith(f"alpha: accuracy {trained.split('gnn ')[1]} ")
+
+
+def test_eval_takes_a_train_runs_config_json(capsys, tmp_path, synth_dataset):
+    model, trained = train_gnn(capsys, synth_dataset, tmp_path / "runs")
+    config = model.parents[1] / "config.json"
+    code, out, err = run_cli(capsys, "eval", "--data", str(synth_dataset),
+                             "--config", str(config), "--model", str(model))
+    assert code == 0, err
+    assert out.startswith(f"alpha: accuracy {trained.split('gnn ')[1]} ")
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**json.loads(config.read_text()), "window": 4}))
+    code, out, err = run_cli(capsys, "eval", "--data", str(synth_dataset),
+                             "--config", str(edited), "--model", str(model))
+    assert (code, out) == (1, "")
+    assert err == f"error: StoryGraphError: {model} was trained with window 3, not 4\n"
 
 
 def test_eval_refuses_story_point_values_that_do_not_match_the_classes(
@@ -748,10 +762,69 @@ def test_config_file_layering(capsys, tmp_path, synth_dataset):
         "--config", str(cfg), "--seed", "13",
     )
     assert code == 0
-    echo = json.loads((out / "stats-raw" / "config.json").read_text())
-    assert echo["window"] == 7  # from file
-    assert echo["seed"] == 13  # flag wins
-    assert echo["embedding_dim"] == 8  # from file
+    written = json.loads((out / "stats-raw" / "config.json").read_text())
+    assert written["window"] == 7  # from file
+    assert written["seed"] == 13  # flag wins
+    assert "dim" not in written  # a stats run does not read it
+
+
+GNN_KEYS = {"seed", "mode", "task", "model", "window", "batch_size", "dropout",
+            "learning_rate", "weight_decay", "max_epochs", "patience", "min_edge_frequency",
+            "rounds", "dim"}
+FOREST_KEYS = {"seed", "mode", "task", "model"}
+# a run's flags ("VECTORS": a vector file's path), its directory, and the
+# options that can change its outputs, which its config.json holds
+CONFIG_RUNS = {
+    "train-both": (("train", *FAST, "--no-timings"), "classification-raw", GNN_KEYS),
+    "train-gnn": (("train", "--model", "gnn", "--task", "regress", "--seed", "7",
+                   "--vectors", "VECTORS", *FAST, "--no-timings"), "regression-raw",
+                  GNN_KEYS | {"vectors"}),
+    "train-tfidf-rf": (("train", "--model", "tfidf-rf", *FAST, "--no-timings"),
+                       "classification-raw", FOREST_KEYS),
+    "baseline": (("baseline", "--task", "regress", "--no-timings"), "regression-raw",
+                 FOREST_KEYS),
+    "stats": (("stats", "--window", "3", "--mode", "verb-noun-filter"),
+              "stats-verb-noun-filter", {"seed", "mode", "window"}),
+    "sweep-tfidf-rf": (("sweep", "--model", "tfidf-rf", "--windows", "1,3", "--task",
+                        "regress", "--no-timings"), "sweep-raw",
+                       {"seed", "mode", "model", "windows"}),
+    "sweep-gnn": (("sweep", "--model", "gnn", "--windows", "3,1", "--vectors", "VECTORS",
+                   *FAST_TRAINING, "--no-timings"), "sweep-raw",
+                  GNN_KEYS - {"window"} | {"windows", "vectors"}),
+    "sweep-both": (("sweep", "--windows", "2", *FAST_TRAINING, "--no-timings"), "sweep-raw",
+                   GNN_KEYS - {"window"} | {"windows"}),
+}
+
+
+@pytest.mark.parametrize("run", CONFIG_RUNS)
+def test_config_json_states_the_run_and_reruns_it(capsys, tmp_path, synth_dataset, run):
+    flags, run_dir, keys = CONFIG_RUNS[run]
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, dim=8)
+    command, *flags = [str(vectors) if f == "VECTORS" else f for f in flags]
+    same = ("--data", str(synth_dataset), "--project", "alpha",
+            *(f for f in flags if f == "--no-timings"))
+    code, _, err = run_cli(capsys, command, *same, *flags, "--out", str(tmp_path / "first"))
+    assert code == 0, err
+    first = tmp_path / "first" / run_dir
+    written = json.loads((first / "config.json").read_text())
+    assert set(written) == keys
+    if "vectors" in keys:
+        assert written["vectors"] == str(vectors)
+    # each key is a flag the command offers, or a field it fixes
+    parser = subcommand_parsers()[command]
+    offered = {action.dest for action in parser._actions}
+    assert set(written) <= offered | set(parser.get_default("func").keywords)
+    given = _given(argparse.Namespace(config=str(first / "config.json")))
+    assert given == {**written, "config": str(first / "config.json")}  # no unknown key
+
+    code, _, err = run_cli(capsys, command, *same, "--config", str(first / "config.json"),
+                           "--out", str(tmp_path / "second"))
+    assert code == 0, err
+    second = tmp_path / "second" / run_dir
+    files = {p.name: p.read_bytes() for p in first.iterdir() if p.is_file()}
+    assert "config.json" in files and len(files) >= 3
+    assert {p.name: p.read_bytes() for p in second.iterdir() if p.is_file()} == files
 
 
 def test_config_file_with_unknown_key_fails(capsys, tmp_path, synth_dataset):

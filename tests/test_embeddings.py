@@ -159,6 +159,27 @@ def test_a_decode_error_gives_its_file_offset(tmp_path, bom):
                         f"{path}: invalid start byte")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_fasttext_vector_file_loads(tmp_path, newline):
+    # fastText's .vec writer starts with a "count dim" line and ends each row
+    # with a space, so every row was once skipped as a wrong field count
+    rows = ["alpha 1.0 2.0", "beta -0.5 0.25", "gamma 3 4e-3"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    vec = tmp_path / "wiki.vec"
+    vec.write_bytes("".join(line + newline for line in ["3 2", *(r + " " for r in rows)])
+                    .encode("utf-8"))
+    wanted = {"alpha", "beta", "gamma", "3"}
+    loaded = load_pretrained_vectors(vec, wanted, dim=2)
+    expected = load_pretrained_vectors(plain, wanted, dim=2)
+    assert sorted(loaded) == sorted(expected) == ["alpha", "beta", "gamma"]
+    assert all(loaded[t].tobytes() == expected[t].tobytes() for t in expected)
+    # the header line is still a skipped line
+    vec.write_bytes(f"3 2{newline}".encode())
+    with pytest.raises(DimensionMismatchError, match="1 lines skipped vs 0 parsed"):
+        load_pretrained_vectors(vec, wanted, dim=2)
+
+
 def _vector_file(tmp_path, lines):
     path = tmp_path / "vec.txt"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

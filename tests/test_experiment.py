@@ -77,7 +77,7 @@ def tok(doc_id, words, sp=2):
     (lambda p: ExperimentConfig(data_dir=p, jobs=0), "jobs: 0 is not >= 1"),
     (lambda p: ExperimentConfig(data_dir=p, text_mode="lemmas"),
      "mode: 'lemmas' is not one of raw, verb-noun-filter"),
-    # the library takes the CLI's task names; only the echo spells the paper's
+    # the library takes the CLI's task names, not the paper's
     (lambda p: ExperimentConfig(data_dir=p, task="sp-as-label-regression"),
      "task: 'sp-as-label-regression' is not one of classify, regress"),
     (lambda p: ExperimentConfig(data_dir=p, windows=(2, 2)),
@@ -99,18 +99,6 @@ def test_configs_check_their_own_values(tmp_path, build, message):
     with pytest.raises(StoryGraphError) as err:
         build(tmp_path)
     assert str(err.value) == message
-
-
-def test_echo_describes_the_forest_the_baseline_fits(tmp_path):
-    echo = ExperimentConfig(data_dir=tmp_path, output_dir=tmp_path).echo()
-    # reports print this line; it must not change with the code behind it
-    assert echo["forest"] == (
-        "100 trees, unlimited depth, min leaf 1, "
-        "sqrt(F) features (classify) / F/3 (regress)"
-    )
-    assert echo["forest"] == RandomForestConfig().describe()
-    fewer = replace(RandomForestConfig(), n_trees=7, max_depth=3)
-    assert fewer.describe().startswith("7 trees, max depth 3, min leaf 1, ")
 
 
 def test_derive_seed_matches_definition():
@@ -179,7 +167,7 @@ def test_experiment_name_combines_kind_and_mode(synth_dataset, tmp_path):
 
 
 def test_eval_report_averages_skip_missing():
-    report = EvalReport(kind="classification", config_echo={})
+    report = EvalReport(kind="classification")
     assert report.average("gnn_accuracy") is None
     report.rows.append(ProjectResult(project="a", gnn_accuracy=80.0))
     report.rows.append(ProjectResult(project="b", gnn_accuracy=60.0))
@@ -246,9 +234,9 @@ def test_run_classification_end_to_end(synth_dataset, tmp_path):
 
     run_dir = tmp_path / "out" / "classification-raw"
     assert (run_dir / "config.json").is_file()
-    echo = json.loads((run_dir / "config.json").read_text())
-    assert echo["window"] == 3
-    assert echo["task"] == "level-classification"  # the paper's name for the task
+    written = json.loads((run_dir / "config.json").read_text())
+    assert written["window"] == 3
+    assert written["task"] == "classify"  # as a config file names it
 
     # saved models carry the master-seed config so eval can recover the split
     bundle = load_model(run_dir / "models" / "alpha.model")
@@ -269,8 +257,8 @@ def test_run_regression_end_to_end(synth_dataset, tmp_path):
         tmp_path / "out" / "regression-raw" / "models" / "alpha.model"
     )
     assert bundle.class_values  # story-point mapping rides along
-    echo = json.loads((tmp_path / "out" / "regression-raw" / "config.json").read_text())
-    assert echo["task"] == "sp-as-label-regression"
+    written = json.loads((tmp_path / "out" / "regression-raw" / "config.json").read_text())
+    assert written["task"] == "regress"
 
 
 def test_run_classification_gnn_only_skips_baseline(synth_dataset, tmp_path):
@@ -344,7 +332,8 @@ def test_run_with_pretrained_vectors(synth_dataset, tmp_path, tiny_vectors_file)
     )
     report = run_classification(cfg)
     assert report.rows[0].gnn_accuracy is not None
-    assert report.config_echo["vectors"] == tiny_vectors_file.name
+    written = json.loads((tmp_path / "out" / "classification-raw" / "config.json").read_text())
+    assert written["vectors"] == str(tiny_vectors_file)  # the path, as a config file takes it
 
 
 def rows_and_table(config, prepared, run_dir):
@@ -593,9 +582,7 @@ def test_training_leaves_the_embedding_table_unwritten(
 
 
 def sample_report():
-    report = EvalReport(
-        kind="classification", config_echo={"seed": 42, "window": 20}
-    )
+    report = EvalReport(kind="classification")
     report.rows.append(
         ProjectResult(
             project="alpha",
@@ -625,23 +612,21 @@ def sample_report():
     return report
 
 
-def test_emit_report_writes_tables_with_config_comments(tmp_path):
+def test_emit_report_writes_plain_tables(tmp_path):
     paths = emit_report(sample_report(), tmp_path)
     names = {p.name for p in paths}
     assert names == {"report.csv", "report.txt", "stats.csv", "stats.txt"}
     csv_text = (tmp_path / "report.csv").read_text()
     lines = csv_text.splitlines()
-    assert lines[0] == "# seed = 42"
-    assert lines[1] == "# window = 20"
-    assert lines[2] == "No,Software,TFIDF-RF,GNN,SplitHash"
-    assert lines[3] == "1,alpha,79.00,81.25,abc123def456"
-    assert lines[4] == "2,beta,-,90.00,fedcba654321"
-    assert lines[5].startswith(",Average,79.00,85.62")
+    assert lines[0] == "No,Software,TFIDF-RF,GNN,SplitHash"
+    assert lines[1] == "1,alpha,79.00,81.25,abc123def456"
+    assert lines[2] == "2,beta,-,90.00,fedcba654321"
+    assert lines[3].startswith(",Average,79.00,85.62")
     txt = (tmp_path / "report.txt").read_text()
-    assert "Software" in txt and "alpha" in txt
+    assert txt.startswith("No  Software") and "alpha" in txt
     stats = (tmp_path / "stats.csv").read_text().splitlines()
-    assert stats[2] == "Project,Size,Nodes,Edges,TrainTime"
-    assert stats[3] == "alpha,40,120,456,3.25"
+    assert stats[0] == "Project,Size,Nodes,Edges,TrainTime"
+    assert stats[1] == "alpha,40,120,456,3.25"
 
 
 def test_emit_report_without_timings_masks_train_time(synth_dataset, tmp_path):
@@ -669,7 +654,7 @@ def test_emit_report_stats_only_skips_accuracy_table(tmp_path):
 
 
 def test_emit_report_regression_uses_mae_columns(tmp_path):
-    report = EvalReport(kind="regression", config_echo={"seed": 1})
+    report = EvalReport(kind="regression")
     report.rows.append(
         ProjectResult(
             project="alpha",
@@ -680,8 +665,8 @@ def test_emit_report_regression_uses_mae_columns(tmp_path):
     )
     emit_report(report, tmp_path)
     lines = (tmp_path / "report.csv").read_text().splitlines()
-    assert lines[1] == "No,Software,TFIDF-RFR,GNN,SplitHash"
-    assert lines[2] == "1,alpha,3.00,2.50,h"
+    assert lines[0] == "No,Software,TFIDF-RFR,GNN,SplitHash"
+    assert lines[1] == "1,alpha,3.00,2.50,h"
 
 
 def test_emit_sweep_report(tmp_path, synth_dataset):
@@ -692,6 +677,5 @@ def test_emit_sweep_report(tmp_path, synth_dataset):
     report = run_window_sweep(cfg)
     assert [p.name for p in report.files] == ["sweep.csv", "sweep.txt"]
     lines = report.files[0].read_text().splitlines()
-    header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    assert lines[header_at] == "Project,Window,Edges,Accuracy"
-    assert lines[header_at + 1].startswith("alpha,1,")
+    assert lines[0] == "Project,Window,Edges,Accuracy"
+    assert lines[1].startswith("alpha,1,")

@@ -304,6 +304,19 @@ def test_rejects_a_negative_array_shape(tmp_path, edit):
         load_model(path)
 
 
+@pytest.mark.parametrize("dim", [2**61 + 1, 2**62], ids=["2**61+1", "2**62"])
+def test_rejects_an_array_larger_than_the_file(tmp_path, dim):
+    # the element count of a (4, 2**62) array once wrapped to 0 in int64, so
+    # numpy, not the loader, refused it, and the error named no file
+    bundle, _ = make_bundle()
+    path = tmp_path / "m.model"
+    save_model(path, bundle)
+    rewrite_header(path, dim=dim)
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: array section "
+                                               "truncated"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("container, keys", [
     (saved_model, ["dim", "n_pairs", "config", "project", "text_mode", "split_hash",
                    "class_values", "tokens"]),
