@@ -17,12 +17,14 @@ bootstrap sample, then one candidate subsample per split node, in its own
 preorder, so its draws, node numbers and arrays are those of growing it
 alone. A bootstrap sample is a count per training row (Breiman, Random
 Forests, 2001), so a node holds each of its distinct rows once and weighs
-the row's split stats by its count. The search reads only the candidates'
-nonzeros. A candidate's values in a node sort into its negatives, one
-block of zeros, then its positives, so its cuts are those between distinct
-nonzeros plus at most two at the edges of the zero block. The block's
-class counts, or target sums and sums of squares, are the node's totals
-less the candidate's nonzero sums. That is exact, and so equal to a
+the row's split stats by its count. rf_fit reads finite, non-negative
+weights, as tfidf_transform writes. The search reads only the candidates'
+nonzeros. A candidate's values in a node sort into one block of zeros,
+then its positives, so its cuts are those between distinct nonzeros plus
+at most one at the zero block's edge, and every threshold is positive.
+The rows right of a cut are the candidate's nonzeros from it on; the
+left side's class counts, or target sums and sums of squares, are the
+node's totals less the right side's. That is exact, and so equal to a
 sequential scan of the sorted column, because rf_fit takes only targets
 whose every sum is exact: class labels that are whole numbers >= 0, and
 regression targets that are whole numbers with n * max(|y|)**2 < 2**53
@@ -64,7 +66,9 @@ MAX_NGRAM = 4
 class TfidfMatrix:
     """Documents as CSR rows: row r's nonzeros are at feature columns
     indices[indptr[r]:indptr[r + 1]], strictly increasing, with the matching
-    values. A row that tfidf_transform writes has unit L2 norm unless empty."""
+    values. A row that tfidf_transform writes has unit L2 norm unless empty,
+    and positive values: counts times idf weights, which tfidf_fit makes
+    >= 1."""
 
     indptr: np.ndarray  # int64, rows + 1 pointers
     indices: np.ndarray  # int64
@@ -92,7 +96,7 @@ class TfidfMatrix:
 
 def iter_ngrams(tokens: Sequence[str], max_n: int = MAX_NGRAM):
     """All contiguous 1..max_n grams, joined by single spaces."""
-    for n in range(1, max_n + 1):
+    for n in range(1, min(max_n, len(tokens)) + 1):
         for i in range(len(tokens) - n + 1):
             yield " ".join(tokens[i : i + n])
 
@@ -187,7 +191,8 @@ class RandomForestConfig:
 @dataclass
 class Tree:
     """One fitted tree as flat preorder arrays (layout in the module
-    docstring)."""
+    docstring). A split's threshold is positive, so a row without the
+    split feature goes left."""
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
@@ -295,11 +300,13 @@ def _best_splits(
     the batch, given as (node, ascending candidates), that has a cut leaving
     min_leaf rows a side. Each (node, candidate) is a pair.
 
-    A pair's column sorts into its negatives, a block of zero rows, then its
-    positives. Cuts fall between consecutive distinct values: each one is
-    the cut just above a negative or just below a positive, so it is listed
-    at that nonzero, in threshold order. The first minimum of a node's
-    candidate-major scores is the lowest feature, then the lowest threshold.
+    Every threshold is positive, so a pair's rows without a nonzero go left
+    of each cut and its right side is a suffix of the pair's nonzeros by
+    value. A cut falls just below each nonzero above the value before it,
+    which for a pair's first nonzero is the zero block, if the node has
+    zero rows. So cuts are listed in threshold order, and the first minimum
+    of a node's candidate-major scores is the lowest feature, then the
+    lowest threshold.
     """
     pair_node = np.repeat([i for i, _ in batch], [c.size for _, c in batch])
     pair_feature = np.concatenate([c for _, c in batch])
@@ -312,40 +319,19 @@ def _best_splits(
     new[1:] = pair[1:] != pair[:-1]
     first = np.flatnonzero(new)
     rank = np.cumsum(new) - 1
-    count = np.diff(np.append(first, pair.size))
+    last = np.append(first[1:], pair.size) - 1
     node = pair_node[pair[first]]
-    node_rows = np.diff(step.off)[node]
-
-    positive = value > 0
-    has_zero = (node_rows > count)[rank]
-    prev = np.append(0.0, value[:-1])
-    next_ = np.append(value[1:], 0.0)
-    has_prev = ~new
-    has_next = np.append(has_prev[1:], False)
-    # a positive's cut comes from the zero block when it is the first
-    # positive, else from the value before it; a negative's cut goes to the
-    # zero block when it is the last negative, else to the value after it
-    first_positive = positive & ~(has_prev & (prev > 0))
-    last_negative = ~positive & ~(has_next & (next_ < 0))
-    from_zero = first_positive & has_zero
-    to_zero = last_negative & has_zero
-    cut = np.flatnonzero(
-        from_zero
-        | to_zero
-        | (positive & has_prev & (prev < value))
-        | (~positive & has_next & (next_ < 0) & (value < next_))
-    )
-    # stats left of each cut: exact in any order, so the zero rows hold the
-    # node total less the pair's nonzeros. Running sums that wrap past int64
-    # wrap alike, so their differences stay exact.
+    has_zero = np.diff(step.off)[node] > last - first + 1
+    low = np.where(new, 0.0, np.append(0.0, value[:-1]))
+    cut = np.flatnonzero(np.where(new, has_zero[rank], low < value))
+    # stats right of each cut: the pair's nonzeros from it on, exact in any
+    # order. Running sums that wrap past int64 wrap alike, so their
+    # differences stay exact.
     stat = step.stat.take(pos, axis=0)
     csum = np.cumsum(stat, axis=0)
-    before = csum[first] - stat[first]
-    last = first + count - 1
-    zero = step.total[node] - (csum[last] - before)
     at = rank[cut]
-    lhs = csum[cut] - before[at] + positive[cut, None] * (zero[at] - stat[cut])
-    rhs = step.total[node[at]] - lhs
+    rhs = csum[last[at]] - csum[cut] + stat[cut]
+    lhs = step.total[node[at]] - rhs
     nl = lhs[:, 0].astype(np.float64)
     nr = rhs[:, 0].astype(np.float64)
     ok = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf))
@@ -363,9 +349,7 @@ def _best_splits(
     head = np.ones(by_score.size, dtype=bool)
     head[1:] = cut_node[by_score[1:]] != cut_node[by_score[:-1]]
     best = cut[by_score[head]]
-    low = np.where(positive, np.where(from_zero, 0.0, prev), value)
-    high = np.where(positive, value, np.where(to_zero, 0.0, next_))
-    return node[rank[best]], pair_feature[pair[best]], (low[best] + high[best]) / 2.0
+    return node[rank[best]], pair_feature[pair[best]], (low[best] + value[best]) / 2.0
 
 
 def _batches(
@@ -441,7 +425,8 @@ def _grow_trees(
             feature[found], threshold[found] = feature_found, threshold_found
 
         won = np.flatnonzero(feature >= 0)
-        go_left = np.repeat(0.0 <= threshold, np.diff(off))
+        # a row without the split feature goes left of its positive threshold
+        go_left = np.ones(flat.size, dtype=bool)
         pair, x, pos = _gather(columns, step, won, feature[won])
         go_left[pos] = x <= threshold[won][pair]
         # a leaf's value: its weighted majority class (argmax takes the
@@ -513,8 +498,9 @@ def rf_fit(
 ) -> Forest:
     """Grow the forest: each tree on its own bootstrap sample, n draws with
     replacement held as a count per training row (a count of 1 each without
-    bootstrap), with a fresh feature subsample per split. Labels whose sums
-    could round are refused with ValueError (see _split_stats)."""
+    bootstrap), with a fresh feature subsample per split. A negative or
+    non-finite feature value, and labels whose sums could round (see
+    _split_stats), are refused with ValueError."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     config = config or RandomForestConfig()
@@ -523,10 +509,11 @@ def rf_fit(
         raise DegenerateDataError(f"{n} training sample(s), need at least 2")
     if n != len(labels):
         raise ValueError(f"{n} feature vectors but {len(labels)} labels")
-    bad = np.flatnonzero(~np.isfinite(features.values))
+    bad = np.flatnonzero(~(np.isfinite(features.values) & (features.values >= 0)))
     if bad.size:
         row = int(np.searchsorted(features.indptr, bad[0], "right")) - 1
-        raise ValueError(f"feature vector {row} has a non-finite value")
+        what = "negative" if np.isfinite(features.values[bad[0]]) else "non-finite"
+        raise ValueError(f"feature vector {row} has a {what} value")
 
     stat, y, n_classes = _split_stats(labels, task)
     tree_seeds = np.random.SeedSequence(config.seed).generate_state(config.n_trees)

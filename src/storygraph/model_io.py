@@ -20,12 +20,13 @@ are not kept.
 
 A `.baseline` file holds the idf vector, then each tree's four flat
 preorder arrays in the layout the baseline.py docstring states; loading
-refuses a tree that breaks it, a classification leaf whose value is not a
-class of the forest, and a tree count other than the config's. Its class
-count states the task: regression has none. Either header's config must
-meet its dataclass's declared legal values, every other header field must
-have exactly its JSON type, and a token or term may be listed once; a
-`.model`'s first token is embeddings.UNKNOWN_TOKEN.
+refuses a tree that breaks it, a non-finite idf, threshold or leaf value,
+a classification leaf whose value is not a class of the forest, and a tree
+count other than the config's. Its class count states the task: regression
+has none. Either header's config must meet its dataclass's declared legal
+values, every other header field must have exactly its JSON type, and a
+token or term may be listed once; a `.model`'s first token is
+embeddings.UNKNOWN_TOKEN.
 """
 
 from __future__ import annotations
@@ -261,7 +262,8 @@ _TREE_ARRAYS = (
 def _check_tree(path: str | Path, tree: Tree, n_features: int, n_classes: int) -> None:
     """Refuse a tree outside the preorder layout of baseline.py: descending
     a cycle or a stray child index would never end or would crash, and so
-    would voting for a class the forest lacks."""
+    would voting for a class the forest lacks. A NaN threshold would send
+    every row right, and a non-finite leaf would make a NaN prediction."""
     n = tree.feature.shape[0]
     node = np.arange(n)
     internal = tree.feature != -1
@@ -273,6 +275,8 @@ def _check_tree(path: str | Path, tree: Tree, n_features: int, n_classes: int) -
          "a split feature out of range"),
         ((n_classes > 0) & ~internal & ~np.isin(tree.value, np.arange(n_classes)),
          f"a leaf class that is not one of 0 to {n_classes - 1}"),
+        (~np.isfinite(tree.threshold), "a non-finite threshold"),
+        (~np.isfinite(tree.value), "a non-finite value"),
     ]
     for bad, what in problems:
         if bad.any():
@@ -335,6 +339,10 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
         raise CorruptFileError(f"{path}: n-grams of at most {h['max_ngram']} words")
 
     idf = arrays.take("<f8", (n_features,))
+    if not np.isfinite(idf).all():
+        # it would turn every row holding the term into NaN
+        term = int(np.argmax(~np.isfinite(idf)))
+        raise CorruptFileError(f"{path}: the idf of term {term} is not finite")
     trees = []
     for count in node_counts:
         tree = Tree(**{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS})

@@ -528,15 +528,18 @@ def test_fit_matches_frozen_oracle(task, seed, block_cells, max_features, monkey
 
 
 def signed_corpus(seed):
-    """sparse_corpus's rows with about a third of the values negated and
-    some stored as explicit zeros (+0.0 and -0.0); repeated rows stay equal."""
+    """sparse_corpus's rows with some values stored as explicit zeros of
+    either sign (+0.0 and -0.0); repeated rows stay equal. rf_fit refuses a
+    negative value, so none is negated; the draw that once chose a third of
+    them to negate is still made, which keeps every later draw as it was."""
     rows, rng = sparse_rows(seed)
     changed: dict[int, tuple] = {}
     for row in rows:
         if id(row) in changed:
             continue
         idx, vals = row
-        values = np.where(rng.random(vals.size) < 0.35, -vals, vals)
+        rng.random(vals.size)
+        values = vals.copy()
         values[rng.random(vals.size) < 0.15] = rng.choice([0.0, -0.0])
         changed[id(row)] = (idx, values)
     return from_rows([changed[id(row)] for row in rows], N_FEATURES), rng
@@ -588,6 +591,35 @@ def test_fit_on_signed_values_matches_frozen_oracle(targets, seed, block_cells, 
         assert_trees_equal(forest, expected, bootstrap, min_leaf, max_depth)
 
 
+# tied values, and zeros of either sign for rows to store explicitly
+SMALL_VALUES = [0.0, -0.0, 0.125, 0.25, 0.5, 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fit_on_small_random_matrices_matches_frozen_oracle(data):
+    # every cut rule case on few rows: zero blocks present or not, ties at
+    # every position, and stored zeros the column store must drop
+    n = data.draw(st.integers(2, 10), label="rows")
+    width = data.draw(st.integers(1, 4), label="features")
+    cells = st.lists(st.sampled_from(SMALL_VALUES), min_size=width, max_size=width)
+    stored = st.lists(st.booleans(), min_size=width, max_size=width)
+    rows = []
+    for row, keep in data.draw(st.lists(st.tuples(cells, stored), min_size=n, max_size=n)):
+        idx = [j for j in range(width) if row[j] != 0 or keep[j]]
+        rows.append((idx, [row[j] for j in idx]))
+    task = data.draw(st.sampled_from(["classify", "regress"]), label="task")
+    points = [0, 1, 2] if task == "classify" else [1.0, 2.0, 3.0, 5.0, 8.0]
+    labels = data.draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    config = RandomForestConfig(
+        n_trees=2, max_features="all", bootstrap=data.draw(st.booleans(), label="bootstrap"),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+    )
+    vectors = from_rows(rows, width)
+    forest = rf_fit(vectors, labels, config, task=task)
+    assert_trees_equal(forest, forest_oracle.fit_trees(vectors, labels, config, task))
+
+
 N_TARGETS = 36
 TOP = largest_exact_target(N_TARGETS)
 PAST = f"got n={N_TARGETS}, max|y|={float(TOP + 1)!r}"
@@ -620,10 +652,12 @@ def test_fit_refuses_targets_it_cannot_sum_exactly(task, bad, refusal):
     assert_trees_equal(forest, forest_oracle.fit_trees(vectors, labels, config, task))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
 def test_fit_rejects_non_finite_feature_values(bad):
+    # the forest reads finite, non-negative weights, as tfidf_transform writes
     rows = dense([[1.0, 0.0], [0.0, 2.0], [bad, 1.0], [0.5, 0.5]], 2)
-    with pytest.raises(ValueError, match="feature vector 2 has a non-finite value"):
+    what = "non-finite" if not np.isfinite(bad) else "negative"
+    with pytest.raises(ValueError, match=f"feature vector 2 has a {what} value"):
         rf_fit(rows, [0, 1, 0, 1], RandomForestConfig(n_trees=1), task="classify")
 
 

@@ -686,6 +686,50 @@ def test_baseline_rejects_n_grams_shorter_than_a_word(tmp_path, max_ngram):
         load_baseline_model(path)
 
 
+def test_baseline_n_grams_longer_than_a_document_transform_as_at_4(tmp_path):
+    # iter_ngrams once counted n up to max_ngram whatever a document's
+    # length: at 10**7, one 3-token document took 2 s
+    bundle, _ = fit_small_baseline()
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    rewrite_header(path, max_ngram=10**9)
+    docs = [t.split() for t in ("parse the config file and render the chart widget",
+                                "render the chart", "")]
+    got = tfidf_transform(load_baseline_model(path).tfidf, docs)
+    want = tfidf_transform(bundle.tfidf, docs)
+    for name in ("indptr", "indices", "values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _first_leaf(tree):
+    return int(np.flatnonzero(tree.feature < 0)[0])
+
+
+def _first_split(tree):
+    return int(np.flatnonzero(tree.feature >= 0)[0])
+
+
+@pytest.mark.parametrize("task, array, node, bad, message", [
+    ("regress", "tree 0 value", _first_leaf, np.nan, "tree node {} has a non-finite value$"),
+    ("classify", "tree 0 threshold", _first_split, np.nan,
+     "tree node {} has a non-finite threshold$"),
+    ("classify", "idf", lambda tree: 0, np.inf, "the idf of term 0 is not finite$"),
+], ids=["nan-leaf", "nan-threshold", "inf-idf"])
+def test_baseline_rejects_a_non_finite_number(tmp_path, task, array, node, bad, message):
+    # each loaded once: a NaN threshold sends every row right, an infinite
+    # idf makes every row holding its term NaN, and a NaN leaf a NaN MAE
+    bundle, _ = fit_small_baseline(task)
+    path = tmp_path / "m.baseline"
+    save_baseline_model(path, bundle)
+    at = node(bundle.forest.trees[0])
+    start = baseline_byte_classes(path, bundle)[array].start + 8 * at
+    raw = bytearray(path.read_bytes())
+    raw[start:start + 8] = struct.pack("<d", bad)
+    path.write_bytes(seal(bytes(raw[:-4])))
+    with pytest.raises(CorruptFileError, match=message.format(at)):
+        load_baseline_model(path)
+
+
 @pytest.mark.parametrize("task", ["classify", "regress"])
 def test_every_byte_class_of_a_baseline_is_checked(tmp_path, task):
     # a seeded sample of single-byte damage in each part of the file; with
