@@ -20,7 +20,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -245,13 +245,6 @@ def _encode(config: ExperimentConfig, prepared: PreparedProject, *docsets) -> En
     return vocab, table, [vocab.encode_all(docs) for docs in docsets]
 
 
-def _encode_train(prepared: PreparedProject) -> tuple[Vocabulary, list[EncodedDocument]]:
-    """The training vocabulary and the training split encoded against it,
-    for runs that train nothing and so read no embedding table."""
-    vocab = build_vocabulary(prepared.split.train)
-    return vocab, vocab.encode_all(prepared.split.train)
-
-
 def _run_gnn(
     config: ExperimentConfig,
     prepared: PreparedProject,
@@ -264,8 +257,7 @@ def _run_gnn(
     vocab, table, (train_enc, val_enc, test_enc) = encoded
     window = config.train.window
     counts = count_cooccurrences(train_enc, window)
-    # every training token is a node of some training graph, and every
-    # counted pair an edge of one
+    # the graph scale, as _scale_rows counts it
     result.node_count = vocab.size - 1
     result.edge_count = len(counts)
     edges = assign_edge_params(counts, config.train.min_edge_frequency)
@@ -366,33 +358,32 @@ def _run_project(
     return [result]
 
 
+def _scale_rows(prepared: PreparedProject, windows: Sequence[int]) -> list[ProjectResult]:
+    """Split sizes and graph scale of one project at each window, without
+    training, embeddings or a graph: every training token is a node of some
+    training graph and every counted pair an edge of one."""
+    vocab = build_vocabulary(prepared.split.train)
+    train_enc = vocab.encode_all(prepared.split.train)
+    return [replace(_result_for(prepared), window=window, node_count=vocab.size - 1,
+                    edge_count=len(count_cooccurrences(train_enc, window)))
+            for window in windows]
+
+
 def _stats_project(
     config: ExperimentConfig, prepared: PreparedProject, run_dir: Path
 ) -> list[ProjectResult]:
-    """Split sizes and graph scale of one project, without training: every
-    training token is a node of some training graph and every counted pair
-    an edge of one, so no graph is built."""
-    vocab, train_enc = _encode_train(prepared)
-    result = _result_for(prepared)
-    result.node_count = vocab.size - 1
-    result.edge_count = len(count_cooccurrences(train_enc, config.train.window))
-    return [result]
+    """A stats row: a sweep row at the run's window, not marked as one."""
+    [row] = _scale_rows(prepared, [config.train.window])
+    return [replace(row, window=None)]
 
 
 # report kind -> (the baseline's column, the metric both models report in
-# ProjectResult's baseline_<metric> and gnn_<metric>, how the summary shows
-# one model's score)
+# ProjectResult's baseline_<metric> and gnn_<metric>, how a summary line
+# shows one model's score cell)
 REPORT_COLUMNS = {
-    "classification": ("TFIDF-RF", "accuracy", "{} {:.2f}%"),
-    "regression": ("TFIDF-RFR", "mae", "{} mae {:.2f}"),
+    "classification": ("TFIDF-RF", "accuracy", "{} {}%"),
+    "regression": ("TFIDF-RFR", "mae", "{} mae {}"),
 }
-
-
-def score_columns(kind: str) -> tuple[tuple[str, str], ...]:
-    """(column, ProjectResult attribute) of each model's score in a report
-    of this kind, baseline first."""
-    column, metric, _ = REPORT_COLUMNS[kind]
-    return (column, f"baseline_{metric}"), ("GNN", f"gnn_{metric}")
 
 
 @dataclass
@@ -410,30 +401,10 @@ class EvalReport:
         return float(np.mean(values))
 
     def summary(self) -> list[str]:
-        """The run's lines for a reader: one per row, then, for a kind with
-        scores, the averages."""
-        if self.kind == "stats":
-            return [f"{r.project}: size {r.train_size}, nodes {r.node_count}, "
-                    f"edges {r.edge_count}" for r in self.rows]
-        if self.kind == "sweep":
-            return [f"{r.project} w={r.window}: {r.edge_count} edges"
-                    + ("" if r.gnn_accuracy is None else f", accuracy {r.gnn_accuracy:.2f}%")
-                    for r in self.rows]
-        columns = score_columns(self.kind)
-        shown = REPORT_COLUMNS[self.kind][2]
-
-        def scores(values) -> str:
-            return ", ".join(
-                shown.format(column.lower(), value)
-                for (column, _), value in zip(columns, values)
-                if value is not None
-            )
-
-        return [
-            *(f"{r.project}: " + scores(getattr(r, attr) for _, attr in columns)
-              for r in self.rows),
-            "average: " + scores(self.average(attr) for _, attr in columns),
-        ]
+        """The run's lines for a reader: the rows of its own table, read
+        from the cells its files hold."""
+        _, _, body, line = _tables(self)[0]
+        return [line(cells) for cells in body]
 
 
 def _write_config(config: ExperimentConfig, kind: str, trains_gnn: bool, run_dir: Path) -> None:
@@ -543,12 +514,7 @@ def _sweep_project(
 ) -> list[ProjectResult]:
     split = prepared.split
     if not _trains_gnn(config):
-        _, train_enc = _encode_train(prepared)
-        return [
-            replace(_result_for(prepared), window=window,
-                    edge_count=len(count_cooccurrences(train_enc, window)))
-            for window in config.windows
-        ]
+        return _scale_rows(prepared, config.windows)
     vocab, table, docsets = _encode(config, prepared, split.train, split.validation,
                                     split.test)
     rows = []
@@ -657,52 +623,55 @@ def _write_tables(out: Path, stem: str, header: list[str], body: list[list[str]]
     return paths
 
 
-def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write the report's tables as plain text and as comma-separated values;
-    returns the files written, the kind's own table first.
+def _tables(report: EvalReport) -> list[tuple[str, list[str], list[list[str]], Callable]]:
+    """Each table the report writes, the kind's own first: its stem, its
+    header, its rows of cells, '-' for a value the run did not compute or
+    time, and how one row prints as a line. A sweep has the sweep table;
+    every other kind the stats table, after the report table if the kind
+    has scores."""
+    rows = report.rows
+    if report.kind == "sweep":
+        def sweep_line(cells: list[str]) -> str:
+            accuracy = "" if cells[3] == "-" else f", accuracy {cells[3]}%"
+            return "{} w={}: {} edges".format(*cells) + accuracy
 
-    '-' stands for a value the run did not compute or time. A sweep gets
-    the sweep table; every other kind gets the stats table, after the
-    report table if the kind has scores.
-    """
+        body = [[r.project, str(r.window), _fmt(r.edge_count, "d"), _fmt(r.gnn_accuracy)]
+                for r in rows]
+        return [("sweep", ["Project", "Window", "Edges", "Accuracy"], body, sweep_line)]
+
+    stats = (
+        "stats",
+        ["Project", "Size", "Nodes", "Edges", "TrainTime"],
+        [[r.project, str(r.train_size), _fmt(r.node_count, "d"), _fmt(r.edge_count, "d"),
+          _fmt(r.train_seconds)] for r in rows],
+        # the train time is not printed
+        lambda cells: "{}: size {}, nodes {}, edges {}".format(*cells),
+    )
+    if report.kind not in REPORT_COLUMNS:
+        return [stats]
+
+    baseline, metric, shown = REPORT_COLUMNS[report.kind]
+    columns = ((baseline, f"baseline_{metric}"), ("GNN", f"gnn_{metric}"))
+
+    def score_line(cells: list[str]) -> str:
+        # the Average row alone has an empty No cell
+        scores = (shown.format(column.lower(), cell)
+                  for (column, _), cell in zip(columns, cells[2:]) if cell != "-")
+        return f"{cells[1] if cells[0] else 'average'}: " + ", ".join(scores)
+
+    body = [[str(i + 1), r.project, *(_fmt(getattr(r, attr)) for _, attr in columns),
+             r.split_hash] for i, r in enumerate(rows)]
+    if rows:
+        body.append(["", "Average", *(_fmt(report.average(attr)) for _, attr in columns), ""])
+    header = ["No", "Software", *(column for column, _ in columns), "SplitHash"]
+    return [("report", header, body, score_line), stats]
+
+
+def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write the report's tables (see _tables) as plain text and as
+    comma-separated values; returns the files written, the kind's own table
+    first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    if report.kind == "sweep":
-        body = [
-            [r.project, str(r.window), _fmt(r.edge_count, "d"), _fmt(r.gnn_accuracy)]
-            for r in report.rows
-        ]
-        return _write_tables(out, "sweep", ["Project", "Window", "Edges", "Accuracy"], body)
-
-    written: list[Path] = []
-    if report.kind in REPORT_COLUMNS:
-        columns = score_columns(report.kind)
-        body = [
-            [
-                str(i + 1),
-                r.project,
-                *(_fmt(getattr(r, attr)) for _, attr in columns),
-                r.split_hash,
-            ]
-            for i, r in enumerate(report.rows)
-        ]
-        if report.rows:
-            body.append(
-                ["", "Average", *(_fmt(report.average(attr)) for _, attr in columns), ""]
-            )
-        header = ["No", "Software", *(column for column, _ in columns), "SplitHash"]
-        written += _write_tables(out, "report", header, body)
-
-    body = [
-        [
-            r.project,
-            str(r.train_size),
-            _fmt(r.node_count, "d"),
-            _fmt(r.edge_count, "d"),
-            _fmt(r.train_seconds),
-        ]
-        for r in report.rows
-    ]
-    header = ["Project", "Size", "Nodes", "Edges", "TrainTime"]
-    return written + _write_tables(out, "stats", header, body)
+    return [path for stem, header, body, _ in _tables(report)
+            for path in _write_tables(out, stem, header, body)]

@@ -21,12 +21,12 @@ are not kept.
 A `.baseline` file holds the idf vector, then each tree's four flat
 preorder arrays in the layout the baseline.py docstring states; loading
 refuses a tree that breaks it, a non-finite idf, threshold or leaf value,
-a classification leaf whose value is not a class of the forest, and a tree
-count other than the config's. Its class count states the task: regression
-has none. Either header's config must meet its dataclass's declared legal
-values, every other header field must have exactly its JSON type, and a
-token or term may be listed once; a `.model`'s first token is
-embeddings.UNKNOWN_TOKEN.
+an idf below 1, a classification leaf whose value is not a class of the
+forest, and a tree count other than the config's. Its class count states
+the task: regression has none. Either header's config must meet its
+dataclass's declared legal values, every other header field must have
+exactly its JSON type, and a token or term may be listed once; a
+`.model`'s first token is embeddings.UNKNOWN_TOKEN, and its dim at least 1.
 """
 
 from __future__ import annotations
@@ -179,10 +179,13 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
 
 
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
-    """Write a trained model; its class values must state its class count."""
+    """Write a trained model; its class values must state its class count,
+    and its embeddings have at least one dimension."""
     params, want = bundle.params, class_count(bundle.class_values)
     if params.n_classes != want:
         raise ValueError(f"{path}: a model of {want} classes holds {params.n_classes}")
+    if params.dim < 1:
+        raise ValueError(f"{path}: a model of dim {params.dim}, below 1")
     header = {
         "dim": params.dim,
         "n_pairs": int(bundle.edge_table.codes.shape[0]),
@@ -222,6 +225,8 @@ def load_model(path: str | Path) -> ModelBundle:
     codes = arrays.take("<i8", (n_pairs,))
     arrays.end()
 
+    if d < 1:  # a negative dim is refused as an array shape above
+        raise CorruptFileError(f"{path}: dim {d} is below 1")
     pairs = decode_pairs(codes)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= v):
         raise CorruptFileError(f"{path}: edge pair token id outside [0, {v})")
@@ -339,10 +344,13 @@ def load_baseline_model(path: str | Path) -> BaselineBundle:
         raise CorruptFileError(f"{path}: n-grams of at most {h['max_ngram']} words")
 
     idf = arrays.take("<f8", (n_features,))
-    if not np.isfinite(idf).all():
-        # it would turn every row holding the term into NaN
-        term = int(np.argmax(~np.isfinite(idf)))
-        raise CorruptFileError(f"{path}: the idf of term {term} is not finite")
+    # tfidf_fit makes every idf a finite number of at least 1: an infinite
+    # one would turn every row holding its term into NaN, 0 the row of a
+    # document of no other term, and a negative one would give the forest
+    # negative weights
+    for bad, what in ((~np.isfinite(idf), "is not finite"), (idf < 1, "is below 1")):
+        if bad.any():
+            raise CorruptFileError(f"{path}: the idf of term {int(np.argmax(bad))} {what}")
     trees = []
     for count in node_counts:
         tree = Tree(**{name: arrays.take(dtype, (count,)) for name, dtype in _TREE_ARRAYS})

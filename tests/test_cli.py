@@ -304,6 +304,8 @@ def report_scores(report_csv):
     (("train", "--model", "gnn", *FAST), "classification", "{0}: gnn {2}%"),
     (("baseline",), "classification", "{0}: tfidf-rf {1}%"),
     (("baseline", "--task", "regress"), "regression", "{0}: tfidf-rfr mae {1}"),
+    (("train", "--task", "regress", *FAST), "regression",
+     "{0}: tfidf-rfr mae {1}, gnn mae {2}"),
 ])
 def test_score_lines_are_the_report_rows(capsys, tmp_path, synth_dataset,
                                          argv, kind, line):

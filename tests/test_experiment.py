@@ -669,6 +669,17 @@ def test_emit_report_regression_uses_mae_columns(tmp_path):
     assert lines[1] == "1,alpha,3.00,2.50,h"
 
 
+def test_summary_prints_the_cells_of_the_report_table():
+    # a score the run did not compute is left out of its line; an empty
+    # report has no Average row, so no average line
+    assert sample_report().summary() == [
+        "alpha: tfidf-rf 79.00%, gnn 81.25%",
+        "beta: gnn 90.00%",
+        "average: tfidf-rf 79.00%, gnn 85.62%",
+    ]
+    assert EvalReport(kind="classification").summary() == []
+
+
 def test_emit_sweep_report(tmp_path, synth_dataset):
     cfg = make_config(
         synth_dataset, tmp_path / "out", projects=("alpha",),

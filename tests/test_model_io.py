@@ -292,6 +292,29 @@ def test_rejects_a_header_config_outside_its_declared_values(tmp_path, container
         load()
 
 
+def test_a_model_of_no_dimensions_is_neither_saved_nor_loaded(tmp_path):
+    # eval would end in an error that names no file
+    bundle, _ = make_bundle()
+    params = bundle.params
+    path = tmp_path / "m.model"
+    with pytest.raises(ValueError, match="a model of dim 0, below 1$"):
+        save_model(path, dataclasses.replace(bundle, params=dataclasses.replace(
+            params, embeddings=params.embeddings[:, :0],
+            classifier_weights=params.classifier_weights[:, :0])))
+    assert not path.exists()
+
+    # sealed by hand with every array shaped for dim 0: the dim-5 file less
+    # its first (vocabulary + classes) * 5 floats, so the edge codes stay last
+    save_model(path, bundle)
+    rewrite_header(path, dim=0)
+    raw = path.read_bytes()
+    arrays_at = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    cut = (params.vocab_size + params.n_classes) * params.dim * 8
+    path.write_bytes(seal(raw[:arrays_at] + raw[arrays_at + cut:-4]))
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: dim 0 is below 1$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("edit", [{"dim": -1}, {"n_pairs": -1}], ids=repr)
 def test_rejects_a_negative_array_shape(tmp_path, edit):
     # each passes the header's own cross-checks; numpy would read a negative
@@ -714,10 +737,15 @@ def _first_split(tree):
     ("classify", "tree 0 threshold", _first_split, np.nan,
      "tree node {} has a non-finite threshold$"),
     ("classify", "idf", lambda tree: 0, np.inf, "the idf of term 0 is not finite$"),
-], ids=["nan-leaf", "nan-threshold", "inf-idf"])
+    # tfidf_fit makes every idf at least 1
+    *(("classify", "idf", lambda tree: 1, idf, "the idf of term 1 is below 1$")
+      for idf in (0.0, -2.0, 0.5)),
+], ids=["nan-leaf", "nan-threshold", "inf-idf", "zero-idf", "negative-idf", "half-idf"])
 def test_baseline_rejects_a_non_finite_number(tmp_path, task, array, node, bad, message):
     # each loaded once: a NaN threshold sends every row right, an infinite
-    # idf makes every row holding its term NaN, and a NaN leaf a NaN MAE
+    # idf makes every row holding its term NaN, and a NaN leaf a NaN MAE;
+    # an idf of 0 makes the row of a document of no other term NaN, and a
+    # negative one gives the forest negative weights
     bundle, _ = fit_small_baseline(task)
     path = tmp_path / "m.baseline"
     save_baseline_model(path, bundle)
