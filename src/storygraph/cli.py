@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the experiment operations: prepare (split
 manifests and vocabulary dumps), train (word-graph model, optionally with
 the baseline for a side-by-side table), baseline (tf-idf forest only),
 eval (score a saved model), stats (graph-scale analysis), sweep (window
-sizes). Each subcommand offers only the flags its run reads, while a config
-file may hold any option; a run ignores the options it does not read.
+sizes). Each subcommand offers only the flags of the options its run reads,
+as experiment.run_options states them, while a config file may hold any
+option; a run ignores the options it does not read.
 Option values resolve as: command-line flag, then config file
 (--config, JSON object keyed by option name, a path in it relative to
 the working directory), then built-in default. Each option is an
@@ -13,9 +14,9 @@ ExperimentConfig or TrainConfig field declaring its default, type, choices
 and range, from which come the flags, the help's defaults and the
 config-file keys; a config checks each value when built, from a flag, a
 config file, a library caller or a saved model's header. A run's
-config.json is such a file, holding the options that can change the run's
-outputs, so `--config <run>/config.json` with the same --data, --project
-and --no-timings reruns it.
+config.json is such a file, holding the options the run reads, so
+`--config <run>/config.json` with the same --data, --project and
+--no-timings reruns it.
 
 eval takes the run from the model file: project, text mode, seed, window
 and k. It rebuilds that project's split, refuses the model if the split
@@ -25,9 +26,10 @@ flag or the config file sets to another value.
 
 The dataset root comes from --data, the config file, or the
 STORYGRAPH_DATA environment variable, in that order. Exit codes: 0 on a
-complete report, 2 for a missing dataset directory, 1 for any other error
-(reported on stderr as one line, "error: <ErrorClass>: <message>", any CR
-or LF in the message written as \\r or \\n).
+complete report, 2 for a missing dataset directory or a command line
+argparse refuses (an unknown flag, or a value such as --window x), 1 for
+any other error (reported on stderr as one line, "error: <ErrorClass>:
+<message>", any CR or LF in the message written as \\r or \\n).
 """
 
 from __future__ import annotations
@@ -54,63 +56,42 @@ def _text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _option(parser: argparse.ArgumentParser, flag: str, text: str,
-            dest: str | None = None) -> None:
+def _option(parser: argparse.ArgumentParser, flag: str, text: str, dest: str) -> None:
     """Add an option with the type or choices of the config field it sets;
-    its help shows that field's default."""
-    dest = dest or flag[2:]
+    its help shows that field's default, if it has one."""
     f = options(ex.ExperimentConfig, TrainConfig)[dest]
     kind = f.metadata["type"]
-    parser.add_argument(flag, dest=dest, help=f"{text} (default: {_text(f.default)})",
-                        type=kind if kind in (int, float) and not f.metadata["many"] else None,
-                        choices=f.metadata["choices"])
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help=f"dataset directory of per-project CSV files "
-                        f"(default: ${DATA_ENV_VAR})")
-    _option(parser, "--out", "output directory")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--project", action="append",
-                        help="project name, repeatable (default: all projects)")
-    _option(parser, "--seed", "master seed")
-    _option(parser, "--mode", "text mode")
-    _option(parser, "--jobs", "projects run in parallel")
-
-
-def _add_embedding(parser: argparse.ArgumentParser) -> None:
-    _option(parser, "--dim", "embedding dimension")
-    parser.add_argument("--vectors", help="pretrained word-vector text file")
-
-
-def _add_window(parser: argparse.ArgumentParser) -> None:
-    _option(parser, "--window", "sliding window size w")
-
-
-def _add_gnn_training(parser: argparse.ArgumentParser) -> None:
-    """The GNN's training flags, the window aside: a sweep sets it per run."""
-    _option(parser, "--batch-size", "minibatch size", "batch_size")
-    _option(parser, "--dropout", "input dropout rate")
-    _option(parser, "--k", "minimum pair count for a private edge weight; rarer "
-            "pairs share the public weight", "min_edge_frequency")
-    _option(parser, "--lr", "learning rate", "learning_rate")
-    _option(parser, "--weight-decay", "L2 weight decay", "weight_decay")
-    _option(parser, "--epochs", "epoch budget", "max_epochs")
-    _option(parser, "--patience", "early-stopping patience in epochs")
-    _option(parser, "--rounds", "message-passing rounds")
-    _add_embedding(parser)
-
-
-def _add_report(parser: argparse.ArgumentParser, saves_models: bool) -> None:
-    _option(parser, "--task", "classify effort levels or regress story points")
-    parser.add_argument("--no-timings", action="store_true",
-                        help="omit wall-clock columns so reruns are byte-identical")
-    if saves_models:
-        parser.add_argument("--no-save-models", action="store_true",
-                            help="skip writing model files")
+    if f.default is not None:
+        text += f" (default: {_text(f.default)})"
+    parser.add_argument(flag, dest=dest, help=text, choices=f.metadata["choices"],
+                        type=kind if kind in (int, float) and not f.metadata["many"] else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand offers the seven common flags, then those of the
+    options its runs read with any model it may run (ex.run_options), but
+    for an option it fixes, and its own switches."""
+    # option key -> its flag and help text, for each flag besides the common
+    # seven, in the order --help lists them; the two switches set no option
+    flags = {
+        "window": ("--window", "sliding window size w"),
+        "batch_size": ("--batch-size", "minibatch size"),
+        "dropout": ("--dropout", "input dropout rate"),
+        "min_edge_frequency": ("--k", "minimum pair count for a private edge weight; "
+                               "rarer pairs share the public weight"),
+        "learning_rate": ("--lr", "learning rate"),
+        "weight_decay": ("--weight-decay", "L2 weight decay"),
+        "max_epochs": ("--epochs", "epoch budget"),
+        "patience": ("--patience", "early-stopping patience in epochs"),
+        "rounds": ("--rounds", "message-passing rounds"),
+        "dim": ("--dim", "embedding dimension"),
+        "vectors": ("--vectors", "pretrained word-vector text file"),
+        "task": ("--task", "classify effort levels or regress story points"),
+        "no_timings": ("--no-timings", "omit wall-clock columns so reruns are byte-identical"),
+        "no_save_models": ("--no-save-models", "skip writing model files"),
+        "model": ("--model", "which model(s) to run"),
+        "windows": ("--windows", "comma-separated window sizes"),
+    }
     parser = argparse.ArgumentParser(
         prog="storygraph",
         description="Story-point effort estimation from issue text: "
@@ -119,44 +100,48 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag is spelled in full: `sweep --window 5` would otherwise set --windows
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
-
-    p = sub.add_parser("prepare", help="write split manifests and vocabulary dumps")
-    _add_common(p)
-    _add_embedding(p)
-    p.set_defaults(func=cmd_prepare)
-
-    p = sub.add_parser("train", help="train the word-graph model (and baseline)")
-    _add_common(p)
-    _add_window(p)
-    _add_gnn_training(p)
-    _add_report(p, saves_models=True)
-    _option(p, "--model", "which model(s) to run")
-    p.set_defaults(func=partial(_report, _scored))
-
-    p = sub.add_parser("baseline", help="train and score the tf-idf forest only")
-    _add_common(p)
-    _add_report(p, saves_models=True)
-    p.set_defaults(func=partial(_report, _scored, model="tfidf-rf"))
-
-    p = sub.add_parser("eval", help="score a saved model on its own test split")
-    _add_common(p)
-    p.add_argument("--model", required=True, dest="model_file",
-                   help="model file written by train")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("stats", help="graph-scale analysis without training")
-    _add_common(p)
-    _add_window(p)
-    p.set_defaults(func=partial(_report, ex.run_graph_stats))
-
-    p = sub.add_parser("sweep", help="edge counts and accuracy across window sizes")
-    _add_common(p)
-    _add_gnn_training(p)
-    _add_report(p, saves_models=False)
-    _option(p, "--model", "include accuracy by training at each window; "
-            "tfidf-rf emits edge counts only")
-    _option(p, "--windows", "comma-separated window sizes")
-    p.set_defaults(func=partial(_report, ex.run_window_sweep))
+    scored, saves = ("classification", "regression"), ("no_timings", "no_save_models")
+    # subcommand, its help, the runs it may make, its switches, what it calls
+    # (a partial's keywords are the options it fixes)
+    for command, text, kinds, switches, func in (
+        ("prepare", "write split manifests and vocabulary dumps", ("prepare",), (),
+         cmd_prepare),
+        ("train", "train the word-graph model (and baseline)", scored, saves,
+         partial(_report, _scored)),
+        ("baseline", "train and score the tf-idf forest only", scored, saves,
+         partial(_report, _scored, model="tfidf-rf")),
+        ("eval", "score a saved model on its own test split", (), (), cmd_eval),
+        ("stats", "graph-scale analysis without training", ("stats",), (),
+         partial(_report, ex.run_graph_stats)),
+        ("sweep", "edge counts and accuracy across window sizes", ("sweep",), ("no_timings",),
+         partial(_report, ex.run_window_sweep)),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--data", help=f"dataset directory of per-project CSV files "
+                       f"(default: ${DATA_ENV_VAR})")
+        _option(p, "--out", "output directory", "out")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--project", action="append",
+                       help="project name, repeatable (default: all projects)")
+        _option(p, "--seed", "master seed", "seed")
+        _option(p, "--mode", "text mode", "mode")
+        _option(p, "--jobs", "projects run in parallel", "jobs")
+        fixed = getattr(func, "keywords", {})
+        models = ([fixed["model"]] if "model" in fixed
+                  else options(ex.ExperimentConfig)["model"].metadata["choices"])
+        read = set().union(*(ex.run_options(kind, model) for kind in kinds
+                             for model in models)) - set(fixed)
+        for key, (flag, flag_text) in flags.items():
+            if key in switches:
+                p.add_argument(flag, action="store_true", help=flag_text)
+            elif key in read:
+                if (command, key) == ("sweep", "model"):
+                    flag_text = ("include accuracy by training at each window; "
+                                 "tfidf-rf emits edge counts only")
+                _option(p, flag, flag_text, key)
+    sub.choices["eval"].add_argument("--model", required=True, dest="model_file",
+                                     help="model file written by train")
     return parser
 
 
@@ -166,8 +151,8 @@ def _given(args: argparse.Namespace) -> dict:
     given = {}
     if args.config:
         try:
-            given = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as err:  # not UTF-8 text, or not JSON
+            given = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deep
             raise StoryGraphError(f"{args.config}: not a JSON file: {err}") from None
         if not isinstance(given, dict):
             raise StoryGraphError("config file must hold a JSON object")

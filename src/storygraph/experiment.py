@@ -14,7 +14,9 @@ parallel without sharing generator state.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -213,10 +215,6 @@ class ProjectResult:
 Encoded = tuple[Vocabulary, EmbeddingTable, list[list[EncodedDocument]]]
 
 
-def _trains_gnn(config: ExperimentConfig) -> bool:
-    return config.model in ("gnn", "both")
-
-
 def _load_vector_rows(config: ExperimentConfig, prepared: list[PreparedProject]) -> None:
     """Give each project its rows of the vector file: those of its training
     tokens. The file is read once, for the union of every project's
@@ -350,7 +348,7 @@ def _run_project(
     result = _result_for(prepared)
     # made by the first save, so a run that fails first leaves no directory
     models_dir = run_dir / "models" if config.save_models else None
-    if _trains_gnn(config):
+    if config.model in ("gnn", "both"):
         encoded = _encode(config, prepared, split.train, split.validation, split.test)
         _run_gnn(config, prepared, encoded, result, models_dir)
     if config.model in ("tfidf-rf", "both"):
@@ -407,23 +405,32 @@ class EvalReport:
         return [line(cells) for cells in body]
 
 
-def _write_config(config: ExperimentConfig, kind: str, trains_gnn: bool, run_dir: Path) -> None:
-    """config.json of a run whose every project has succeeded: the value of
-    each option that can change its outputs, as a config file holds it (a
-    path as its text). A stats run reads the seed, mode and window; any
-    other the seed, mode and model, and the task unless it is a forest-only
-    sweep; a GNN run also every training option, the dimension and any
-    vector file; and a sweep its windows in place of the window."""
+def run_options(kind: str, model: str) -> set[str]:
+    """The options a run of `kind` (a REPORT_COLUMNS key, "stats", "sweep"
+    or "prepare") reads with `model`: those that can change its outputs. A
+    prepare run reads the seed, mode, dimension and any vector file; a
+    stats run the seed, mode and window; any other the seed, mode and
+    model, and the task unless it is a forest-only sweep; a GNN run also
+    every training option, the dimension and any vector file; and a sweep
+    its windows in place of the window."""
+    if kind == "prepare":
+        return {"seed", "mode", "dim", "vectors"}
     if kind == "stats":
-        keys = {"seed", "mode", "window"}
-    else:
-        keys = {"seed", "mode", "model"}
-        if trains_gnn:
-            keys |= {"task", "dim", "vectors", *options(gnn.TrainConfig)}
-        elif kind != "sweep":
-            keys.add("task")
+        return {"seed", "mode", "window"}
+    keys = {"seed", "mode", "model"}
+    if model in ("gnn", "both"):
+        keys |= {"task", "dim", "vectors", *options(gnn.TrainConfig)}
+    elif kind != "sweep":
+        keys.add("task")
     if kind == "sweep":
         keys = keys - {"window"} | {"windows"}
+    return keys
+
+
+def _write_config(config: ExperimentConfig, keys: set[str], run_dir: Path) -> None:
+    """config.json of a run whose every project has succeeded: the value of
+    each option in `keys` (see run_options) the config holds, as a config
+    file holds it (a path as its text)."""
     values = option_values(config)
     written = {key: values[key] for key in sorted(keys) if values[key] is not None}
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -482,10 +489,11 @@ def _run(config: ExperimentConfig, kind: str, run_one) -> EvalReport:
     config.json only once every project has succeeded (a model save makes
     it earlier)."""
     run_dir = config.output_dir / f"{kind}-{config.text_mode}"
-    trains_gnn = kind != "stats" and _trains_gnn(config)
-    results = _collect(config, config.resolved_projects(), run_dir, run_one, trains_gnn)
+    keys = run_options(kind, config.model)
+    results = _collect(config, config.resolved_projects(), run_dir, run_one,
+                       "vectors" in keys)
     report = EvalReport(kind, [row for rows in results for row in rows])
-    _write_config(config, kind, trains_gnn, run_dir)
+    _write_config(config, keys, run_dir)
     report.files = emit_report(report, run_dir)
     return report
 
@@ -513,7 +521,7 @@ def _sweep_project(
     config: ExperimentConfig, prepared: PreparedProject, run_dir: Path
 ) -> list[ProjectResult]:
     split = prepared.split
-    if not _trains_gnn(config):
+    if config.model == "tfidf-rf":
         return _scale_rows(prepared, config.windows)
     vocab, table, docsets = _encode(config, prepared, split.train, split.validation,
                                     split.test)
@@ -567,7 +575,7 @@ def run_prepare(config: ExperimentConfig) -> tuple[list[str], Path]:
     <out>/prepare; returns each project's summary line and that directory."""
     out_dir = config.output_dir / "prepare"
     return _collect(config, config.resolved_projects(), out_dir, _prepare_files,
-                    use_vectors=True), out_dir
+                    "vectors" in run_options("prepare", config.model)), out_dir
 
 
 def _eval_project(bundle: ModelBundle, config: ExperimentConfig, prepared: PreparedProject,
@@ -600,7 +608,8 @@ def _fmt(value: float | int | None, spec: str = ".2f") -> str:
 
 
 def _write_tables(out: Path, stem: str, header: list[str], body: list[list[str]]) -> list[Path]:
-    """The table as <stem>.csv and as column-aligned <stem>.txt."""
+    """The table as <stem>.csv, a cell quoted only where it holds a comma, a
+    quote or a newline, and as column-aligned <stem>.txt."""
     widths = [
         max(len(header[i]), *(len(row[i]) for row in body), 1)
         if body
@@ -611,15 +620,12 @@ def _write_tables(out: Path, stem: str, header: list[str], body: list[list[str]]
     def pad(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
-    tables = {
-        ".csv": [",".join(row) for row in (header, *body)],
-        ".txt": [pad(header), pad(["-" * w for w in widths]), *map(pad, body)],
-    }
-    paths = []
-    for suffix, lines in tables.items():
-        path = out / (stem + suffix)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
+    csv_text = io.StringIO()
+    csv.writer(csv_text, lineterminator="\n").writerows([header, *body])
+    lines = [pad(header), pad(["-" * w for w in widths]), *map(pad, body)]
+    paths = [out / f"{stem}.csv", out / f"{stem}.txt"]
+    for path, content in zip(paths, (csv_text.getvalue(), "\n".join(lines) + "\n")):
+        path.write_text(content, encoding="utf-8")
     return paths
 
 

@@ -162,7 +162,7 @@ def _load(path: str | Path, magic: bytes, kind: str, fields: dict) -> tuple[dict
         raise CorruptFileError(f"{path}: header extends past end of file")
     try:
         header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise CorruptFileError(f"{path}: unreadable header: {err}") from err
     if not isinstance(header, dict):
         raise CorruptFileError(f"{path}: header is not a JSON object")

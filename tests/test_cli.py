@@ -137,6 +137,34 @@ def test_a_flag_the_run_does_not_read_is_refused(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+# each flag argparse converts or checks -> its refusal of the value x
+REFUSED_X = {
+    **dict.fromkeys(["--seed", "--jobs", "--window", "--batch-size", "--k", "--epochs",
+                     "--patience", "--rounds", "--dim"], "invalid int value: 'x'"),
+    **dict.fromkeys(["--dropout", "--lr", "--weight-decay"], "invalid float value: 'x'"),
+    **dict.fromkeys(["--mode", "--task", "--model"], "invalid choice: 'x'"),
+}
+# eval's --model names a model file
+TYPED = [(command, flag) for command in FLAGS for flag in FLAGS[command]
+         if flag in REFUSED_X and (command, flag) != ("eval", "--model")]
+
+
+def test_the_typed_flags_are_those_argparse_converts_or_checks():
+    typed = [(command, action.option_strings[-1])
+             for command, parser in subcommand_parsers().items()
+             for action in parser._actions if action.type or action.choices]
+    assert typed == TYPED
+    assert len(TYPED) == 44
+
+
+@pytest.mark.parametrize("command, flag", TYPED, ids=[" ".join(pair) for pair in TYPED])
+def test_argparse_refuses_a_value_it_cannot_convert_or_choose(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "x"])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: {REFUSED_X[flag]}" in capsys.readouterr().err
+
+
 def test_config_file_keys_are_the_options_the_parsers_expose(capsys, tmp_path):
     dests = {action.dest for parser in subcommand_parsers().values()
              for action in parser._actions if not isinstance(action, argparse._HelpAction)}
@@ -345,6 +373,29 @@ def test_row_lines_are_the_table_rows(capsys, tmp_path, synth_dataset,
         *(line.format(*row) for row in rows),
         f"report: {out / table}",
     ]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (("baseline",), {"classification-raw/report.csv": "Software",
+                     "classification-raw/stats.csv": "Project"}),
+    (("stats",), {"stats-raw/stats.csv": "Project"}),
+    (("sweep", "--model", "tfidf-rf", "--windows", "2,3"), {"sweep-raw/sweep.csv": "Project"}),
+], ids=["baseline", "stats", "sweep"])
+def test_a_table_quotes_a_project_name_with_a_comma_or_a_quote(capsys, tmp_path, argv,
+                                                               tables):
+    names = ["al,pha", 'q"x']
+    data = make_dataset(tmp_path / "data", dict.fromkeys(names, 40))
+    out = tmp_path / "runs"
+    code, _, err = run_cli(capsys, *argv, "--data", str(data), "--out", str(out),
+                           "--project", names[0], "--project", names[1])
+    assert code == 0, err
+    for table, column in tables.items():
+        with open(out / table, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(None not in row and None not in row.values() for row in rows), table
+        rows_each = 2 if "sweep" in table else 1  # a sweep row per window
+        listed = [row[column] for row in rows if row[column] != "Average"]
+        assert listed == [name for name in names for _ in range(rows_each)], table
 
 
 def test_eval_reproduces_training_accuracy(capsys, tmp_path, synth_dataset):
@@ -850,6 +901,27 @@ def test_a_config_file_that_is_not_json_names_itself(capsys, tmp_path, synth_dat
         capsys, "train", "--data", str(synth_dataset), "--out", str(tmp_path / "o"),
         "--config", str(cfg),
     )
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: StoryGraphError: {cfg}: not a JSON file: ")
+    assert is_one_error_line(err)
+
+
+def test_a_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path, synth_dataset):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(codecs.BOM_UTF8 + b'{"window": 3}')
+    out = tmp_path / "o"
+    code, _, err = run_cli(capsys, "stats", "--data", str(synth_dataset), "--out", str(out),
+                           "--project", "alpha", "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads((out / "stats-raw" / "config.json").read_text())["window"] == 3
+
+
+def test_a_config_file_nested_too_deep_is_not_json(capsys, tmp_path, synth_dataset):
+    # json.loads gives up past Python's recursion limit, with a RecursionError
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[" * 200_000 + "]" * 200_000)
+    code, stdout, err = run_cli(capsys, "stats", "--data", str(synth_dataset), "--out",
+                                str(tmp_path / "o"), "--config", str(cfg))
     assert code == 1 and stdout == ""
     assert err.startswith(f"error: StoryGraphError: {cfg}: not a JSON file: ")
     assert is_one_error_line(err)

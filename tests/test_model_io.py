@@ -537,6 +537,19 @@ def test_refuses_a_header_that_states_the_format_version(tmp_path, container):
         load()
 
 
+@pytest.mark.parametrize("container", [saved_model, saved_baseline], ids=["model", "baseline"])
+def test_a_header_nested_too_deep_is_unreadable(tmp_path, container):
+    # json.loads gives up past Python's recursion limit, with a RecursionError
+    path = tmp_path / "m"
+    load, _, _ = container(path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    deep = b"[" * 100_000 + b"]" * 100_000
+    path.write_bytes(seal(raw[:8] + struct.pack("<Q", len(deep)) + deep + raw[16 + length:-4]))
+    with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: unreadable header: "):
+        load()
+
+
 def test_baseline_rejects_corrupt_containers(tmp_path):
     bundle, _ = fit_small_baseline()
     path = tmp_path / "m.baseline"
